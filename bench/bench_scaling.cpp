@@ -832,8 +832,7 @@ printServeBench(bool full, std::vector<benchtool::JsonRecord> &json)
 /**
  * Response-cache hit-ratio sweep: reconstruct traffic with 0/50/90/99%
  * repeat requests per batch shape, compared against the cache-off
- * packed miss path and the float-gather baseline (the pre-cache
- * serving stack).  Emitted separately (BENCH_serve.json via
+ * miss path.  Emitted separately (BENCH_serve.json via
  * --json-serve) so CI tracks the serving trajectory next to the
  * kernel and sparse artifacts.
  */
@@ -875,10 +874,9 @@ printServeCacheBench(bool full, std::vector<benchtool::JsonRecord> &json)
             4 * warmN * (rowsPer * 784 * sizeof(float) + 512);
 
         const auto runLeg = [&](const char *leg, bool cacheOn,
-                                bool packed, int hitPct) {
+                                int hitPct) {
             engine::ServerConfig config;
             config.cacheBytes = cacheOn ? budget : 0;
-            config.packedGather = packed;
             engine::Server server(registry, config);
             if (cacheOn)
                 server.serve({warm.begin(), warm.end()});
@@ -912,21 +910,17 @@ printServeCacheBench(bool full, std::vector<benchtool::JsonRecord> &json)
             return sec;
         };
 
-        const double tBaseline =
-            runLeg("baseline_float", false, false, 0);
-        const double tMiss = runLeg("miss_packed", false, true, 0);
+        const double tMiss = runLeg("miss_packed", false, 0);
         double tHit99 = 0.0;
         for (const int pct : hitPcts) {
             const std::string leg = "hit" + std::to_string(pct);
-            const double t = runLeg(leg.c_str(), true, true, pct);
+            const double t = runLeg(leg.c_str(), true, pct);
             if (pct == 99)
                 tHit99 = t;
         }
-        const std::string prefix =
-            "serve_cache/rows" + std::to_string(rowsPer);
-        json.push_back({prefix + "/packed_speedup", tBaseline / tMiss,
-                        "x"});
-        json.push_back({prefix + "/hit99_speedup", tMiss / tHit99, "x"});
+        json.push_back({"serve_cache/rows" + std::to_string(rowsPer) +
+                            "/hit99_speedup",
+                        tMiss / tHit99, "x"});
     }
     table.print("Serving cache sweep (784x500 RBM reconstruct, " +
                 std::to_string(trafficN) + " requests; repeats drawn "

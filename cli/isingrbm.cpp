@@ -654,8 +654,6 @@ const std::vector<util::FlagHelp> kServeBenchFlags = {
                   "(default 1; with --cache-bytes, rep 2+ hits)"},
     {"cache-bytes", "B", "response-cache budget in bytes (default 0 = "
                          "cache off)"},
-    {"legacy-gather", "", "float gather instead of the packed bit "
-                          "plane (bit-identical; for comparison)"},
     {"out", "file", "write the final rep's response bytes (hex floats) "
                     "for cross-run comparison"},
     {"sparse-threshold", "X", "sparse kernel crossover activity "
@@ -677,7 +675,6 @@ cmdServeBench(const util::CliArgs &args)
     engine::ServerConfig config;
     config.maxBatchRows = sizeFlag(args, "max-batch", 256);
     config.cacheBytes = sizeFlag(args, "cache-bytes", 0);
-    config.packedGather = !args.has("legacy-gather");
     engine::Server server(registry, config);
 
     const std::string name = requireFlag(args, "model");
@@ -712,17 +709,16 @@ cmdServeBench(const util::CliArgs &args)
                 stats.kernelBatches, config.maxBatchRows,
                 stats.scratchResizes, stats.groupResizes);
     std::printf("  cache: %zu hits, %zu misses, %zu evictions, "
-                "%zu bytes (budget %zu, %s gather)\n",
+                "%zu bytes (budget %zu)\n",
                 stats.cacheHits, stats.cacheMisses, stats.cacheEvictions,
-                stats.cacheBytes, config.cacheBytes,
-                config.packedGather ? "packed" : "legacy");
+                stats.cacheBytes, config.cacheBytes);
     std::printf("  faults: %zu rejected, %zu reload fallbacks, "
                 "%zu promotions, %zu rollbacks\n",
                 stats.rejected, stats.reloadFallbacks, stats.promotions,
                 stats.rollbacks);
 
     // Exact byte dump of the final rep: the cli_smoke canaries diff
-    // these across cache on/off and packed/legacy gather.
+    // these across cache on/off and against the socket-served bytes.
     const std::string outPath = args.get("out", "");
     if (!outPath.empty()) {
         std::ofstream file(outPath, std::ios::binary);
@@ -1114,8 +1110,6 @@ const std::vector<util::FlagHelp> kServeFlags = {
     {"max-connections", "N", "accepted-connection cap (default 256)"},
     {"idle-timeout-ms", "M", "reap a connection after M ms without "
                              "traffic (default 30000)"},
-    {"legacy-gather", "", "disable the packed gather plane "
-                          "(bit-identical; byte-diff canary)"},
     {"canary", "path", "stage this candidate checkpoint beside the "
                        "incumbent and shadow live traffic through it "
                        "(client bytes stay incumbent-served)"},
@@ -1164,7 +1158,6 @@ cmdServe(const util::CliArgs &args)
         static_cast<int>(args.getInt("idle-timeout-ms", 30000));
     config.server.maxBatchRows = sizeFlag(args, "max-batch", 256);
     config.server.cacheBytes = sizeFlag(args, "cache-bytes", 0);
-    config.server.packedGather = !args.has("legacy-gather");
     config.statsEveryMs =
         static_cast<int>(args.getInt("stats-every-ms", 0));
     config.stopRequested = util::shutdownRequested;

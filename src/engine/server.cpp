@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <ctime>
 
 #include "linalg/bitops.hpp"
 #include "util/checksum.hpp"
@@ -28,6 +29,18 @@ fnv1a64(const void *data, std::size_t n, std::uint64_t hash)
         hash *= 0x100000001b3ull;
     }
     return hash;
+}
+
+/** CPU ns used by every thread of the process: the canary's cost
+ *  clock.  It does not advance while a thread waits for a core, so a
+ *  busy host cannot make a shadow look costly. */
+std::uint64_t
+processCpuNs()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
+           static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 } // namespace
@@ -281,7 +294,7 @@ Server::prepare(Pending &pending)
         // Wire-packed rows are binary by construction and already in
         // canonical packed form: nothing to classify, nothing to pack.
         pending.binaryInput = true;
-    } else if (req.op != Op::Sample && (caching || config_.packedGather)) {
+    } else if (req.op != Op::Sample) {
         // One fused scan classifies the input; binary rows then pack
         // exactly once, feeding both the key hash and the packed
         // gather.
@@ -418,155 +431,24 @@ Server::executeGroup(const std::vector<Pending *> &group)
         return;
     }
     const auto model = std::move(resolved).value();
-    const Op op = group.front()->req.op;
     ++stats_.groups;
 
-    // Map each coalesced row back to (request, in-request row); every
-    // row keeps the stream derived from *its own request's* seed and
-    // in-request index, so results cannot depend on what the row was
-    // coalesced with.  The map and stream vectors are members reused
-    // across flushes (capacity sticks at the high-water mark).
-    std::size_t totalRows = 0;
-    for (const Pending *p : group)
-        totalRows += p->rows;
-    rowMap_.clear();
-    rowMap_.reserve(totalRows);
-    rngs_.clear();
-    rngs_.reserve(totalRows);
-    for (std::size_t q = 0; q < group.size(); ++q)
-        for (std::size_t r = 0; r < group[q]->rows; ++r) {
-            rowMap_.push_back({q, r});
-            rngs_.push_back(util::Rng::stream(group[q]->req.seed, r));
-        }
-
-    // Per-request result storage, written as each kernel-sized chunk
-    // completes: one gather copy in, one scatter copy out.
-    const std::size_t width = model->outputDim(op);
-    std::vector<Response> responses(group.size());
-    for (std::size_t q = 0; q < group.size(); ++q) {
-        if (op == Op::Classify)
-            responses[q].labels.assign(group[q]->rows, -1);
-        else
-            responses[q].output.reset(group[q]->rows, width);
-    }
-
-    // The packed plane serves this group when every member packed its
-    // input (all-binary) and the model family takes a packed layer-0
-    // plane for this op.  Gathering is then a word-level row copy per
-    // row instead of a float copy plus a per-row repack inside the
-    // kernels -- binary inputs pack exactly once, at prepare().
-    const bool packedPlane =
-        op != Op::Sample && op != Op::Classify && config_.packedGather &&
-        model->supportsPackedInput(op) &&
-        std::all_of(group.begin(), group.end(),
-                    [](const Pending *p) { return p->binaryInput; });
-
-    const auto runBatches = [&] {
-        const std::size_t inDim = model->inputDim();
-        for (std::size_t begin = 0; begin < totalRows;
-             begin += config_.maxBatchRows) {
-            const std::size_t end =
-                std::min(totalRows, begin + config_.maxBatchRows);
-            ++stats_.kernelBatches;
-            if (op != Op::Sample && !packedPlane) {
-                // Reused gather buffer: reshaping (and thus
-                // reallocating) only when the chunk shape actually
-                // changes is what the scratchResizes stat counts.
-                if (in_.rows() != end - begin || in_.cols() != inDim) {
-                    in_.reset(end - begin, inDim);
-                    ++stats_.scratchResizes;
-                }
-                for (std::size_t g = begin; g < end; ++g) {
-                    const RowRef &ref = rowMap_[g];
-                    const Pending &p = *group[ref.pending];
-                    // Wire-packed requests have no float plane; the
-                    // non-packed execution paths (Classify, legacy
-                    // gather) unpack per gathered row instead.
-                    if (p.req.packed)
-                        p.req.packedInput.unpackRowTo(ref.row,
-                                                      in_.row(g - begin));
-                    else
-                        std::copy_n(p.req.input.row(ref.row), inDim,
-                                    in_.row(g - begin));
-                }
-            } else if (packedPlane) {
-                if (packedIn_.rows() != end - begin ||
-                    packedIn_.cols() != inDim) {
-                    packedIn_.reset(end - begin, inDim);
-                    ++stats_.scratchResizes;
-                }
-                for (std::size_t g = begin; g < end; ++g) {
-                    const RowRef &ref = rowMap_[g];
-                    packedIn_.copyRowFrom(
-                        g - begin, inputBits(*group[ref.pending]),
-                        ref.row);
-                }
-            }
-            const auto scatter = [&](const linalg::Matrix &chunk) {
-                for (std::size_t g = 0; g < chunk.rows(); ++g) {
-                    const RowRef &ref = rowMap_[begin + g];
-                    std::copy_n(
-                        chunk.row(g), chunk.cols(),
-                        responses[ref.pending].output.row(ref.row));
-                }
-            };
-            switch (op) {
-              case Op::Sample:
-                model->sampleRows(group.front()->req.steps, end - begin,
-                                  rngs_.data() + begin, chunk_,
-                                  modelScratch_);
-                scatter(chunk_);
-                break;
-              case Op::Featurize:
-                if (packedPlane)
-                    model->featurizeRowsPacked(packedIn_, chunk_,
-                                               modelScratch_);
-                else
-                    model->featurizeRows(in_, chunk_, modelScratch_);
-                scatter(chunk_);
-                break;
-              case Op::Reconstruct:
-                if (packedPlane)
-                    model->reconstructRowsPacked(packedIn_,
-                                                 rngs_.data() + begin,
-                                                 chunk_, modelScratch_);
-                else
-                    model->reconstructRows(in_, rngs_.data() + begin,
-                                           chunk_, modelScratch_);
-                scatter(chunk_);
-                break;
-              case Op::Classify:
-                model->classifyRows(in_, labelChunk_);
-                for (std::size_t g = begin; g < end; ++g) {
-                    const RowRef &ref = rowMap_[g];
-                    responses[ref.pending].labels[ref.row] =
-                        labelChunk_[g - begin];
-                }
-                break;
-            }
-        }
-    };
-
-    // Contain execution: anything fatal inside the batched kernels
-    // (impossible-shape archive that slipped past validation, scratch
-    // exhaustion) fails this group's requests instead of the process.
-    util::Stopwatch kernelWatch;
-    try {
-        util::FatalThrowScope scope;
-        runBatches();
-    } catch (const util::FatalError &e) {
-        failGroup(Status(StatusCode::Internal, e.what()));
+    const std::uint64_t cpuStart = processCpuNs();
+    auto ran = runChunks(*model, group.front()->req.op, group, true);
+    if (!ran.ok()) {
+        failGroup(ran.status());
         return;
     }
-    const auto incumbentNs =
-        static_cast<std::uint64_t>(kernelWatch.seconds() * 1e9);
-    stats_.rows += totalRows;
+    std::vector<Response> responses = std::move(ran).value();
+    const std::uint64_t incumbentCpuNs = processCpuNs() - cpuStart;
+    for (const Pending *p : group)
+        stats_.rows += p->rows;
 
     // Shadow the gate-selected members through the staged candidate
     // *before* the responses are cached or delivered -- the gate sees
     // exactly the bytes the clients will -- but strictly read-only:
     // promotion or quarantine can only affect later flushes.
-    maybeShadow(group, responses, incumbentNs);
+    maybeShadow(group, responses, incumbentCpuNs);
 
     // Cache the executed responses, unless the model hot-swapped
     // between the cache probe and this execution (the key would claim
@@ -580,12 +462,161 @@ Server::executeGroup(const std::vector<Pending *> &group)
     }
 }
 
+Result<std::vector<Response>>
+Server::runChunks(const Model &model, Op op,
+                  const std::vector<Pending *> &members, bool serving)
+{
+    // submit() checked each member's width against the model resolved
+    // then; the model run now (a republished incumbent, the staged
+    // candidate) may differ, and its gather would read past a row.
+    const std::size_t inDim = model.inputDim();
+    if (op != Op::Sample)
+        for (const Pending *p : members) {
+            const std::size_t cols = p->req.packed
+                                         ? p->req.packedInput.cols()
+                                         : p->req.input.cols();
+            if (cols != inDim)
+                return Status(StatusCode::FailedPrecondition,
+                              util::strcat("server: request width ", cols,
+                                           " != model input dim ",
+                                           inDim));
+        }
+
+    // Map each coalesced row back to (member, in-request row); every
+    // row keeps the stream derived from *its own request's* seed and
+    // in-request index, so results cannot depend on what the row was
+    // coalesced with -- or on which model runs it.  The map and stream
+    // vectors are members reused across runs (capacity sticks at the
+    // high-water mark).
+    std::size_t totalRows = 0;
+    for (const Pending *p : members)
+        totalRows += p->rows;
+    rowMap_.clear();
+    rowMap_.reserve(totalRows);
+    rngs_.clear();
+    rngs_.reserve(totalRows);
+    for (std::size_t q = 0; q < members.size(); ++q)
+        for (std::size_t r = 0; r < members[q]->rows; ++r) {
+            rowMap_.push_back({q, r});
+            rngs_.push_back(util::Rng::stream(members[q]->req.seed, r));
+        }
+
+    // Per-member result storage, written as each kernel-sized chunk
+    // completes: one gather copy in, one scatter copy out.
+    const std::size_t width = model.outputDim(op);
+    std::vector<Response> out(members.size());
+    for (std::size_t q = 0; q < members.size(); ++q) {
+        if (op == Op::Classify)
+            out[q].labels.assign(members[q]->rows, -1);
+        else
+            out[q].output.reset(members[q]->rows, width);
+    }
+
+    // The packed plane serves the run when every member packed its
+    // input (all-binary) and the model family takes a packed layer-0
+    // plane for this op.  Gathering is then a word-level row copy per
+    // row instead of a float copy plus a per-row repack inside the
+    // kernels -- binary inputs pack exactly once, at prepare().
+    const bool packedPlane =
+        model.supportsPackedInput(op) &&
+        std::all_of(members.begin(), members.end(),
+                    [](const Pending *p) { return p->binaryInput; });
+    const auto count = [serving](std::size_t &counter) {
+        if (serving)
+            ++counter;
+    };
+
+    // Contain execution: anything fatal inside the batched kernels
+    // (impossible-shape archive that slipped past validation, scratch
+    // exhaustion) fails this run instead of the process.
+    try {
+        util::FatalThrowScope scope;
+        for (std::size_t begin = 0; begin < totalRows;
+             begin += config_.maxBatchRows) {
+            const std::size_t end =
+                std::min(totalRows, begin + config_.maxBatchRows);
+            count(stats_.kernelBatches);
+            // Reused gather buffers: reshaping only when the chunk
+            // shape actually changes is what scratchResizes counts.
+            if (packedPlane) {
+                if (packedIn_.rows() != end - begin ||
+                    packedIn_.cols() != inDim) {
+                    packedIn_.reset(end - begin, inDim);
+                    count(stats_.scratchResizes);
+                }
+                for (std::size_t g = begin; g < end; ++g) {
+                    const RowRef &ref = rowMap_[g];
+                    packedIn_.copyRowFrom(
+                        g - begin, inputBits(*members[ref.pending]),
+                        ref.row);
+                }
+            } else if (op != Op::Sample) {
+                if (in_.rows() != end - begin || in_.cols() != inDim) {
+                    in_.reset(end - begin, inDim);
+                    count(stats_.scratchResizes);
+                }
+                for (std::size_t g = begin; g < end; ++g) {
+                    const RowRef &ref = rowMap_[g];
+                    const Pending &p = *members[ref.pending];
+                    // Wire-packed requests have no float plane; a
+                    // float-plane run unpacks per gathered row.
+                    if (p.req.packed)
+                        p.req.packedInput.unpackRowTo(ref.row,
+                                                      in_.row(g - begin));
+                    else
+                        std::copy_n(p.req.input.row(ref.row), inDim,
+                                    in_.row(g - begin));
+                }
+            }
+            switch (op) {
+              case Op::Sample:
+                model.sampleRows(members.front()->req.steps, end - begin,
+                                 rngs_.data() + begin, chunk_,
+                                 modelScratch_);
+                break;
+              case Op::Featurize:
+                if (packedPlane)
+                    model.featurizeRowsPacked(packedIn_, chunk_,
+                                              modelScratch_);
+                else
+                    model.featurizeRows(in_, chunk_, modelScratch_);
+                break;
+              case Op::Reconstruct:
+                if (packedPlane)
+                    model.reconstructRowsPacked(packedIn_,
+                                                rngs_.data() + begin,
+                                                chunk_, modelScratch_);
+                else
+                    model.reconstructRows(in_, rngs_.data() + begin,
+                                          chunk_, modelScratch_);
+                break;
+              case Op::Classify:
+                model.classifyRows(in_, labelChunk_);
+                break;
+            }
+            for (std::size_t g = begin; g < end; ++g) {
+                const RowRef &ref = rowMap_[g];
+                if (op == Op::Classify)
+                    out[ref.pending].labels[ref.row] =
+                        labelChunk_[g - begin];
+                else
+                    std::copy_n(chunk_.row(g - begin), width,
+                                out[ref.pending].output.row(ref.row));
+            }
+        }
+    } catch (const util::FatalError &e) {
+        return Status(StatusCode::Internal, e.what());
+    }
+    return out;
+}
+
 void
 Server::canaryQuarantine(const std::string &reason)
 {
     ++stats_.canaryQuarantines;
     registry_.noteRollback();
     canaryCleanStreak_ = 0;
+    canarySlowStreak_ = 0;
     // Capped exponential backoff, doubling per breach; only restaging
     // a candidate (a new Server / a new gate) resets the ladder, so a
     // persistently bad candidate costs asymptotically nothing.
@@ -605,7 +636,7 @@ Server::canaryQuarantine(const std::string &reason)
 void
 Server::maybeShadow(const std::vector<Pending *> &group,
                     const std::vector<Response> &responses,
-                    std::uint64_t incumbentNs)
+                    std::uint64_t incumbentCpuNs)
 {
     const ServerConfig::CanaryGate &gate = config_.canary;
     if (gate.fraction <= 0.0 || gate.model.empty() ||
@@ -636,10 +667,13 @@ Server::maybeShadow(const std::vector<Pending *> &group,
     // The seeded splitter picks members one by one -- a pure function
     // of each request's own seed, so the shadow set is identical under
     // any coalescing, arrival order or batch depth.
+    shadowMembers_.clear();
     shadowPicked_.clear();
     for (std::size_t q = 0; q < group.size(); ++q)
-        if (canaryShadowSelected(group[q]->req.seed, gate.fraction))
+        if (canaryShadowSelected(group[q]->req.seed, gate.fraction)) {
+            shadowMembers_.push_back(group[q]);
             shadowPicked_.push_back(q);
+        }
     if (shadowPicked_.empty())
         return;
 
@@ -656,109 +690,65 @@ Server::maybeShadow(const std::vector<Pending *> &group,
         return;
     }
 
-    // Re-run the shadowed members through the candidate with fresh
-    // per-row streams -- the exact streams the incumbent used, so any
-    // output difference is the models', never the randomness'.
+    // Re-run the shadowed members through the incumbent's own chunk
+    // runner: the same per-row streams, plane and kernels, so any
+    // output difference is the models', never the randomness' or the
+    // code path's.  A run that cannot start (input width drift) or
+    // dies in the kernels is a candidate failure.
     util::Stopwatch shadowWatch;
-    double breachMae = -1.0;
-    try {
-        util::FatalThrowScope scope;
-        const std::size_t inDim = candidate->inputDim();
-        for (const std::size_t q : shadowPicked_) {
-            const Pending &p = *group[q];
-            const std::size_t rows = p.rows;
-            shadowRngs_.clear();
-            shadowRngs_.reserve(rows);
-            for (std::size_t r = 0; r < rows; ++r)
-                shadowRngs_.push_back(
-                    util::Rng::stream(p.req.seed, r));
-            double absSum = 0.0;
-            std::size_t terms = 0;
-            for (std::size_t begin = 0; begin < rows;
-                 begin += config_.maxBatchRows) {
-                const std::size_t end =
-                    std::min(rows, begin + config_.maxBatchRows);
-                if (op != Op::Sample) {
-                    if (shadowIn_.rows() != end - begin ||
-                        shadowIn_.cols() != inDim)
-                        shadowIn_.reset(end - begin, inDim);
-                    for (std::size_t r = begin; r < end; ++r) {
-                        if (p.req.packed)
-                            p.req.packedInput.unpackRowTo(
-                                r, shadowIn_.row(r - begin));
-                        else
-                            std::copy_n(p.req.input.row(r), inDim,
-                                        shadowIn_.row(r - begin));
-                    }
-                }
-                switch (op) {
-                  case Op::Sample:
-                    candidate->sampleRows(p.req.steps, end - begin,
-                                          shadowRngs_.data() + begin,
-                                          shadowChunk_, shadowScratch_);
-                    break;
-                  case Op::Featurize:
-                    candidate->featurizeRows(shadowIn_, shadowChunk_,
-                                             shadowScratch_);
-                    break;
-                  case Op::Reconstruct:
-                    candidate->reconstructRows(
-                        shadowIn_, shadowRngs_.data() + begin,
-                        shadowChunk_, shadowScratch_);
-                    break;
-                  case Op::Classify:
-                    break;  // filtered above
-                }
-                for (std::size_t r = 0; r < shadowChunk_.rows(); ++r) {
-                    const float *cand = shadowChunk_.row(r);
-                    const float *inc =
-                        responses[q].output.row(begin + r);
-                    for (std::size_t c = 0; c < shadowChunk_.cols();
-                         ++c)
-                        absSum += std::fabs(
-                            static_cast<double>(cand[c]) -
-                            static_cast<double>(inc[c]));
-                    terms += shadowChunk_.cols();
-                }
-            }
-            const double mae =
-                terms ? absSum / static_cast<double>(terms) : 0.0;
-            ++stats_.canaryShadows;
-            canaryLastDivergence_ = mae;
-            canaryDivergence_.record(
-                static_cast<std::uint64_t>(mae * 1e9));
-            if (mae > gate.maxDivergence) {
-                breachMae = mae;
-                break;
-            }
-            ++canaryCleanStreak_;
-        }
-    } catch (const util::FatalError &e) {
+    const std::uint64_t cpuStart = processCpuNs();
+    auto ran = runChunks(*candidate, op, shadowMembers_, false);
+    if (!ran.ok()) {
         ++stats_.canaryFailureBreaches;
-        canaryQuarantine(std::string("candidate execution failed: ") +
-                         e.what());
+        canaryQuarantine("candidate execution failed: " +
+                         ran.status().toString());
         return;
     }
-    const auto shadowNs =
-        static_cast<std::uint64_t>(shadowWatch.seconds() * 1e9);
-    shadowLatency_.record(shadowNs);
+    const std::uint64_t shadowCpuNs = processCpuNs() - cpuStart;
+    shadowLatency_.record(
+        static_cast<std::uint64_t>(shadowWatch.seconds() * 1e9));
 
-    if (breachMae >= 0.0) {
-        ++stats_.canaryDivergenceBreaches;
-        canaryQuarantine(util::strcat("divergence ", breachMae,
-                                      " exceeds gate ",
-                                      gate.maxDivergence));
-        return;
+    // Score member by member in group order; the first divergent one
+    // breaches and ends the group's scoring.
+    const std::vector<Response> &shadow = ran.value();
+    for (std::size_t i = 0; i < shadow.size(); ++i) {
+        const linalg::Matrix &cand = shadow[i].output;
+        const linalg::Matrix &inc = responses[shadowPicked_[i]].output;
+        double absSum = 0.0;
+        for (std::size_t k = 0; k < cand.size(); ++k)
+            absSum += std::fabs(static_cast<double>(cand.data()[k]) -
+                                static_cast<double>(inc.data()[k]));
+        const double mae =
+            cand.size() ? absSum / static_cast<double>(cand.size()) : 0.0;
+        ++stats_.canaryShadows;
+        canaryLastDivergence_ = mae;
+        canaryDivergence_.record(static_cast<std::uint64_t>(mae * 1e9));
+        if (mae > gate.maxDivergence) {
+            ++stats_.canaryDivergenceBreaches;
+            canaryQuarantine(util::strcat("divergence ", mae,
+                                          " exceeds gate ",
+                                          gate.maxDivergence));
+            return;
+        }
     }
-    if (incumbentNs > 0 && gate.maxLatencyMultiple > 0.0 &&
-        static_cast<double>(shadowNs) >
-            gate.maxLatencyMultiple *
-                static_cast<double>(incumbentNs)) {
-        ++stats_.canaryLatencyBreaches;
-        canaryQuarantine(util::strcat(
-            "shadow cost ", shadowNs, " ns > ", gate.maxLatencyMultiple,
-            "x incumbent ", incumbentNs, " ns"));
-        return;
+
+    // Cost is judged on a sustained run of CPU-time samples, not one
+    // wall-clock sample: a slow group adds nothing to the clean streak,
+    // and only minShadows consecutive slow groups breach.
+    if (incumbentCpuNs > 0 && gate.maxLatencyMultiple > 0.0 &&
+        static_cast<double>(shadowCpuNs) >
+            gate.maxLatencyMultiple * static_cast<double>(incumbentCpuNs)) {
+        if (++canarySlowStreak_ >= gate.minShadows) {
+            ++stats_.canaryLatencyBreaches;
+            canaryQuarantine(util::strcat(
+                canarySlowStreak_, " consecutive groups over ",
+                gate.maxLatencyMultiple, "x incumbent CPU cost (last ",
+                shadowCpuNs, " ns vs ", incumbentCpuNs, " ns)"));
+            return;
+        }
+    } else {
+        canarySlowStreak_ = 0;
+        canaryCleanStreak_ += shadow.size();
     }
     // Deadline pressure: these members were all unexpired when the
     // flush started; if one ran out *now*, shadow work is what ate the

@@ -9,7 +9,10 @@
  * (model, op, anneal steps), concatenates their rows into one state
  * matrix, and executes kernel batches of at most maxBatchRows rows
  * through engine::Model's batched ops, which fan out over the worker
- * pool underneath.
+ * pool underneath.  A group whose rows are all binary gathers onto the
+ * packed bit plane when the model family takes packed input for the
+ * op; any other group (Classify, a non-binary row, ConvRbm/Dbm)
+ * gathers float rows.
  *
  * Bit-reproducibility contract: a request's result is independent of
  * what it was batched with.  Row r of request q draws randomness only
@@ -34,15 +37,16 @@
  * registry, a deterministic seeded splitter -- a pure function of the
  * request seed, so the split reproduces at any arrival interleaving --
  * routes a configured fraction of executed requests into *shadow*
- * execution: the candidate re-runs the same rows beside the incumbent,
- * the outputs are compared, and the divergence/latency land in the
- * gate state machine.  Client-visible bytes always come from the
- * incumbent, so served output is bit-identical with the canary on or
- * off; after minShadows consecutive clean shadows the gate
- * auto-promotes through ModelRegistry::promoteStaged, and any breach
- * (divergence, latency multiple, candidate failure, deadline
- * pressure) quarantines the candidate with capped backoff and rolls
- * back.
+ * execution: the candidate re-runs the selected rows through the same
+ * chunk runner the incumbent used (same streams, same plane, same
+ * kernels), the outputs are compared, and the divergence and CPU cost
+ * land in the gate state machine.  Client-visible bytes always come
+ * from the incumbent, so served output is bit-identical with the
+ * canary on or off; after minShadows consecutive clean shadows the
+ * gate auto-promotes through ModelRegistry::promoteStaged, and a breach
+ * (divergence, candidate failure, deadline pressure, or minShadows
+ * consecutive groups over the cost multiple) quarantines the candidate
+ * with capped backoff and rolls back.
  */
 
 #ifndef ISINGRBM_ENGINE_SERVER_HPP
@@ -85,15 +89,6 @@ struct ServerConfig
     std::size_t cacheBytes = 0;
 
     /**
-     * Gather binary request rows into the packed bit plane (word-level
-     * row copies) and feed the packed-input model ops, so a miss packs
-     * its input exactly once at group assembly.  Disabling falls back
-     * to the float gather -- bit-identical by contract, kept for the
-     * byte-diff canaries and non-binary inputs.
-     */
-    bool packedGather = true;
-
-    /**
      * Live-canary gate knobs (see the file comment).  The gate is off
      * until `model` names a registry entry with a staged candidate and
      * `fraction` is positive; it then shadows that fraction of
@@ -110,8 +105,11 @@ struct ServerConfig
         /** Max mean-absolute divergence (candidate vs incumbent
          *  output) a shadow may show and still count as clean. */
         double maxDivergence = 0.05;
-        /** Breach when a group's shadow run costs more than this
-         *  multiple of the incumbent's kernel time (0 disables). */
+        /** A shadowed group whose candidate run costs more than this
+         *  multiple of the incumbent's run (process CPU time, which a
+         *  busy host does not inflate) is slow: it adds nothing to the
+         *  clean streak, and minShadows consecutive slow groups breach
+         *  -- one sample never does (0 disables). */
         double maxLatencyMultiple = 8.0;
         /** Quarantine backoff: first breach waits min ms, doubling
          *  per breach up to max; shadowing resumes after the window. */
@@ -135,9 +133,10 @@ struct Request
      * alternative to `input`: the net front end decodes packed frames
      * straight into this plane, so a socket request never round-trips
      * through floats -- flush feeds the words directly to the packed
-     * gather and the cache-key hash, and only a non-packed execution
-     * path (Classify, legacy float gather) unpacks.  Set `packed` to
-     * make this plane authoritative; `input` is then ignored.
+     * gather and the cache-key hash, and only a float-plane group
+     * (Classify, a non-binary co-member, ConvRbm/Dbm) unpacks.  Set
+     * `packed` to make this plane authoritative; `input` is then
+     * ignored.
      */
     linalg::BitMatrix packedInput;
     bool packed = false;       ///< packedInput carries the data rows
@@ -198,14 +197,15 @@ class Server
         std::size_t requests = 0;      ///< submitted
         std::size_t rows = 0;          ///< total rows served
         std::size_t groups = 0;        ///< coalesced (model,op) groups
-        std::size_t kernelBatches = 0; ///< chunked kernel executions
+        std::size_t kernelBatches = 0; ///< incumbent chunks (no shadows)
         std::size_t flushes = 0;
         /**
-         * Times the reused gather buffer actually changed shape (and
-         * hence reallocated).  The serve loop reuses all per-request
-         * scratch across flushes, so in the steady state this stays
-         * flat while kernelBatches grows -- the allocation-count
-         * measure the serve-bench reports.
+         * Times the reused gather buffer changed shape for an incumbent
+         * chunk.  The serve loop reuses all per-request scratch across
+         * flushes, so in the steady state this stays flat while
+         * kernelBatches grows -- the allocation-count measure the
+         * serve-bench reports.  (A partial-fraction canary shadow
+         * shares the buffer, so its smaller chunks reshape it too.)
          */
         std::size_t scratchResizes = 0;
         /**
@@ -249,8 +249,8 @@ class Server
         /** Per-shadow candidate-vs-incumbent MAE in nano-units
          *  (uint64(mae * 1e9)), as a mergeable distribution. */
         util::Histogram canaryDivergenceNano;
-        /** Candidate nanoseconds per shadowed group: the latency
-         *  overhead the gate charges against maxLatencyMultiple. */
+        /** Candidate wall-clock nanoseconds per shadowed group: the
+         *  latency the shadow adds to its flush. */
         util::Histogram shadowLatencyNs;
         /**
          * Wall-clock nanoseconds per flush() that executed work, as a
@@ -373,16 +373,31 @@ class Server
     void executeGroup(const std::vector<Pending *> &group);
 
     /**
+     * The one chunk runner, for the incumbent (executeGroup) and the
+     * canary candidate (maybeShadow): run @p op of @p model over every
+     * row of @p members, one response per member.  Row r of a member
+     * draws from Rng::stream(its seed, r); chunks of at most
+     * maxBatchRows gather onto the packed plane when every member is
+     * binary and the family takes packed input, else the float plane.
+     * A row width other than the model's input dim fails the run
+     * before any gather; a kernel fatal fails it, not the process.
+     * Only @p serving runs count kernelBatches and scratchResizes.
+     */
+    Result<std::vector<Response>> runChunks(
+        const Model &model, Op op, const std::vector<Pending *> &members,
+        bool serving);
+
+    /**
      * Shadow-execute the gate-selected members of @p group through the
      * staged candidate and feed the gate state machine.  Reads the
      * incumbent @p responses strictly read-only -- shadow execution
      * never touches client-visible bytes or the response cache.
-     * @p incumbentNs is the incumbent's kernel wall time for this
-     * group (the latency-breach baseline).
+     * @p incumbentCpuNs is the process CPU time the incumbent's
+     * runChunks took for this group (the cost baseline).
      */
     void maybeShadow(const std::vector<Pending *> &group,
                      const std::vector<Response> &responses,
-                     std::uint64_t incumbentNs);
+                     std::uint64_t incumbentCpuNs);
 
     /** Gate breach: quarantine the candidate with capped backoff. */
     void canaryQuarantine(const std::string &reason);
@@ -403,6 +418,7 @@ class Server
     };
     CanaryState canaryState_ = CanaryState::Idle;
     std::size_t canaryCleanStreak_ = 0;
+    std::size_t canarySlowStreak_ = 0;  ///< consecutive slow groups
     double canaryLastDivergence_ = 0.0;
     util::Histogram canaryDivergence_;  ///< per-shadow MAE * 1e9
     util::Histogram shadowLatency_;     ///< candidate ns per group
@@ -412,7 +428,8 @@ class Server
     // Per-flush scratch, reused across groups and flushes (one
     // dispatcher thread): group slots, row map, per-row streams, the
     // gather/scatter chunk buffers (float and packed planes) and the
-    // model ops' staging matrices.
+    // model ops' staging matrices.  The canary candidate's runChunks
+    // reuses them after the incumbent's; each run rewrites what it reads.
     std::vector<Group> groups_;
     std::vector<FlushModel> flushModels_;
     std::vector<RowRef> rowMap_;
@@ -421,15 +438,10 @@ class Server
     linalg::BitMatrix packedIn_;
     std::vector<int> labelChunk_;
     BatchScratch modelScratch_;
-
-    // Shadow-execution scratch, deliberately separate from the serving
-    // buffers above: the candidate re-derives its own per-row streams
-    // and gathers into its own planes, so shadowing cannot perturb a
-    // single byte of the incumbent path.
+    // The splitter-selected members of a shadowed group, and their
+    // indices into it (where the incumbent's responses sit).
+    std::vector<Pending *> shadowMembers_;
     std::vector<std::size_t> shadowPicked_;
-    std::vector<util::Rng> shadowRngs_;
-    linalg::Matrix shadowIn_, shadowChunk_;
-    BatchScratch shadowScratch_;
 
     // Response cache: LRU list (front = most recent) indexed by key.
     std::list<CacheEntry> cacheLru_;

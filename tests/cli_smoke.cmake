@@ -299,12 +299,11 @@ run_step(${CMAKE_COMMAND} -E compare_files
 # Serving-cache legs: serve-bench replays the same deterministic
 # workload twice in one process, so with a cache budget every rep-2
 # request must hit; and the dumped response bytes must be identical
-# across cache on/off x packed/legacy gather (4-way byte-diff canary --
-# the cache and the packed plane move time, never bits).
+# with the cache on and off (the cache moves time, never bits).
 execute_process(COMMAND ${CLI} serve-bench --registry ${WORK}
                 --model smoke --op reconstruct --requests 16 --rows 4
                 --reps 2 --cache-bytes 8000000
-                --out ${WORK}/serve-cache-packed.txt
+                --out ${WORK}/serve-cache.txt
                 RESULT_VARIABLE code
                 OUTPUT_VARIABLE cache_out
                 ERROR_VARIABLE cache_err)
@@ -320,23 +319,10 @@ if(NOT cache_out MATCHES "cache: 16 hits")
 endif()
 run_step(${CLI} serve-bench --registry ${WORK} --model smoke
          --op reconstruct --requests 16 --rows 4 --reps 2
-         --out ${WORK}/serve-nocache-packed.txt)
-run_step(${CLI} serve-bench --registry ${WORK} --model smoke
-         --op reconstruct --requests 16 --rows 4 --reps 2
-         --legacy-gather --out ${WORK}/serve-nocache-legacy.txt)
-run_step(${CLI} serve-bench --registry ${WORK} --model smoke
-         --op reconstruct --requests 16 --rows 4 --reps 2
-         --cache-bytes 8000000 --legacy-gather
-         --out ${WORK}/serve-cache-legacy.txt)
+         --out ${WORK}/serve-nocache.txt)
 run_step(${CMAKE_COMMAND} -E compare_files
-         ${WORK}/serve-cache-packed.txt
-         ${WORK}/serve-nocache-packed.txt)
-run_step(${CMAKE_COMMAND} -E compare_files
-         ${WORK}/serve-cache-packed.txt
-         ${WORK}/serve-nocache-legacy.txt)
-run_step(${CMAKE_COMMAND} -E compare_files
-         ${WORK}/serve-cache-packed.txt
-         ${WORK}/serve-cache-legacy.txt)
+         ${WORK}/serve-cache.txt
+         ${WORK}/serve-nocache.txt)
 
 # ---------------------------------------------------------------------
 # Networked serving legs: a real serve process on an ephemeral port, a

@@ -5,9 +5,12 @@
  * client-visible byte; a clean candidate auto-promotes through the
  * atomic-swap path after its clean streak; a divergent candidate is
  * quarantined with capped backoff while the incumbent (and its
- * archive) keep serving untouched; and per-request deadlines resolve
- * DEADLINE_EXCEEDED before any kernel work, at admission and at
- * flush, without perturbing the requests they were coalesced with.
+ * archive) keep serving untouched; coalesced groups shadow on the
+ * incumbent's own plane and chunking, and a candidate that cannot run
+ * the request rows fails before reading them; and per-request
+ * deadlines resolve DEADLINE_EXCEEDED before any kernel work, at
+ * admission and at flush, without perturbing the requests they were
+ * coalesced with.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -73,6 +77,30 @@ makeCkpt(rbm::Rbm model, int epoch)
     return ckpt;
 }
 
+/** A @p rows-row reconstruct request on seeded binary probe rows. */
+Request
+probeRequest(std::uint64_t seed, std::size_t rows, std::size_t dim)
+{
+    Request req;
+    req.model = "m";
+    req.op = Op::Reconstruct;
+    req.seed = seed;
+    req.input = engine::canaryProbe(rows, dim, seed);
+    return req;
+}
+
+/** The same request as the net front end decodes it: wire-packed. */
+Request
+wirePacked(Request req)
+{
+    req.packedInput.reset(req.input.rows(), req.input.cols());
+    for (std::size_t r = 0; r < req.input.rows(); ++r)
+        req.packedInput.packRowFrom(r, req.input.row(r));
+    req.packed = true;
+    req.input = linalg::Matrix();
+    return req;
+}
+
 std::string
 slurp(const std::string &path)
 {
@@ -118,14 +146,8 @@ class CanaryGateTest : public ::testing::Test
     corpus(std::size_t n, std::size_t dim) const
     {
         std::vector<Request> out;
-        for (std::size_t q = 0; q < n; ++q) {
-            Request req;
-            req.model = "m";
-            req.op = Op::Reconstruct;
-            req.seed = 1000 + q;
-            req.input = engine::canaryProbe(2, dim, req.seed);
-            out.push_back(std::move(req));
-        }
+        for (std::size_t q = 0; q < n; ++q)
+            out.push_back(probeRequest(1000 + q, 2, dim));
         return out;
     }
 
@@ -378,6 +400,151 @@ TEST_F(CanaryGateTest, PartialFractionShadowsOnlySelectedSeeds)
     // and the pure function agree request for request.
     EXPECT_EQ(server.stats().canaryShadows, selected);
     EXPECT_EQ(server.stats().canaryPromotions, 0u);
+}
+
+TEST_F(CanaryGateTest, CoalescedGroupsShadowOnTheServingPlane)
+{
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(copyRbm(6), 1));
+    const std::string copy = path("copy.ckpt");
+    fs::copy_file(registry.pathFor("m"), copy);
+    const std::string blank = path("blank.ckpt");
+    rbm::saveCheckpoint(makeCkpt(blankRbm(6), 2), blank);
+
+    // Two flushes of one coalesced 7-row group each over a 5-row
+    // kernel batch, so a chunk boundary cuts through the last request
+    // (whose submit crosses maxBatchRows and flushes the group).  The
+    // first group is all binary, wire-packed beside float rows: the
+    // packed plane.  The second holds a non-binary entry: the float
+    // plane.
+    std::vector<std::vector<Request>> flushes = {
+        {wirePacked(probeRequest(2000, 2, 6)), probeRequest(2001, 2, 6),
+         wirePacked(probeRequest(2002, 3, 6))},
+        {probeRequest(2003, 2, 6), wirePacked(probeRequest(2004, 2, 6)),
+         probeRequest(2005, 3, 6)},
+    };
+    flushes[1][2].input(1, 4) = 0.5f;
+    const std::size_t members = flushes[0].size() + flushes[1].size();
+
+    ServerConfig config;
+    config.maxBatchRows = 5;
+    std::vector<Response> expected;
+    {
+        Server plain(registry, config);
+        for (const auto &flush : flushes)
+            for (Response &res : plain.serve(flush))
+                expected.push_back(std::move(res));
+    }
+
+    // Serve both flushes with @p candidate shadowing @p fraction of
+    // the traffic (observe-only; one breach ends the gate): the client
+    // bytes must equal the canary-off server's either way.
+    const auto serveGated = [&](const std::string &candidate,
+                                double fraction) {
+        EXPECT_TRUE(registry.stageCandidate("m", candidate).ok());
+        ServerConfig gated = config;
+        gated.canary.model = "m";
+        gated.canary.fraction = fraction;
+        gated.canary.autoPromote = false;
+        gated.canary.quarantineMinMs = 60000;
+        Server server(registry, gated);
+        std::size_t k = 0;
+        for (const auto &flush : flushes)
+            for (const Response &res : server.serve(flush)) {
+                EXPECT_TRUE(res.status.ok()) << k;
+                EXPECT_TRUE(sameBytes(res.output, expected[k].output))
+                    << "request " << k << " moved bytes under the canary";
+                ++k;
+            }
+        EXPECT_EQ(server.stats().groups, 2u);  // one group per flush
+        return server.stats();
+    };
+
+    // A byte-copy candidate shadows every member at divergence 0; the
+    // kernel-batch count stays the incumbent's own (5 + 2 rows twice).
+    const Server::Stats copied = serveGated(copy, 1.0);
+    EXPECT_EQ(copied.canaryShadows, members);
+    EXPECT_EQ(copied.canaryDivergenceNano.count(), members);
+    EXPECT_EQ(copied.canaryDivergenceNano.max(), 0u);
+    EXPECT_EQ(copied.canaryLastDivergence, 0.0);
+    EXPECT_EQ(copied.canaryQuarantines, 0u);
+    EXPECT_EQ(copied.kernelBatches, 4u);
+    EXPECT_EQ(copied.shadowLatencyNs.count(), 2u);
+
+    // At a partial fraction only the splitter-selected seeds shadow.
+    std::size_t selected = 0;
+    for (const auto &flush : flushes)
+        for (const Request &req : flush)
+            selected += engine::canaryShadowSelected(req.seed, 0.4);
+    ASSERT_GT(selected, 0u);
+    ASSERT_LT(selected, members);
+    EXPECT_EQ(serveGated(copy, 0.4).canaryShadows, selected);
+
+    // A divergent candidate breaches on the group's first member, and
+    // the gate reports exactly that request's MAE scored alone through
+    // the two models' float reference ops.
+    const Server::Stats diverged = serveGated(blank, 1.0);
+    EXPECT_EQ(diverged.canaryShadows, 1u);
+    EXPECT_EQ(diverged.canaryDivergenceBreaches, 1u);
+    const Request &first = flushes[0][0];
+    linalg::Matrix rows(first.packedInput.rows(), first.packedInput.cols());
+    for (std::size_t r = 0; r < rows.rows(); ++r)
+        first.packedInput.unpackRowTo(r, rows.row(r));
+    const auto reconstruct = [&](const engine::Model &model) {
+        std::vector<util::Rng> rngs;
+        for (std::size_t r = 0; r < rows.rows(); ++r)
+            rngs.push_back(util::Rng::stream(first.seed, r));
+        linalg::Matrix out;
+        model.reconstructRows(rows, rngs.data(), out);
+        return out;
+    };
+    const linalg::Matrix inc = reconstruct(*registry.tryGet("m").value());
+    const linalg::Matrix cand = reconstruct(*registry.candidate("m"));
+    double absSum = 0.0;
+    for (std::size_t k = 0; k < inc.size(); ++k)
+        absSum += std::fabs(static_cast<double>(cand.data()[k]) -
+                            static_cast<double>(inc.data()[k]));
+    EXPECT_EQ(diverged.canaryLastDivergence,
+              absSum / static_cast<double>(inc.size()));
+}
+
+TEST_F(CanaryGateTest, CandidateWiderThanTheRequestRowsFailsBeforeGather)
+{
+    // The candidate stages against an 8-wide incumbent, which is then
+    // republished 7 wide with the same hidden width.  A featurize
+    // request passes submit (7 wide) and the output-width check (6
+    // hidden on both sides), but the candidate would gather 8 entries
+    // per 7-wide row: the gate must fail the candidate before reading
+    // a single row.
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(rbm::Rbm(8, 6), 1));
+    const std::string cand = path("cand.ckpt");
+    rbm::saveCheckpoint(makeCkpt(rbm::Rbm(8, 6), 2), cand);
+    ASSERT_TRUE(registry.stageCandidate("m", cand).ok());
+    registry.put("m", makeCkpt(rbm::Rbm(7, 6), 3));
+
+    Request req = probeRequest(31, 3, 7);
+    req.op = Op::Featurize;
+    Response expected;
+    {
+        Server plain(registry);
+        expected = std::move(plain.serve({req}).front());
+    }
+
+    ServerConfig config;
+    config.canary.model = "m";
+    config.canary.fraction = 1.0;
+    config.canary.quarantineMinMs = 60000;
+    Server server(registry, config);
+    const Response got = std::move(server.serve({req}).front());
+    ASSERT_TRUE(got.status.ok());
+    EXPECT_TRUE(sameBytes(got.output, expected.output));
+
+    const Server::Stats stats = server.stats();
+    EXPECT_EQ(stats.canaryFailureBreaches, 1u);
+    EXPECT_EQ(stats.canaryQuarantines, 1u);
+    EXPECT_EQ(stats.canaryShadows, 0u);
+    EXPECT_EQ(stats.canaryState, 2u);  // quarantined
 }
 
 // ----------------------------------------------- staging validation

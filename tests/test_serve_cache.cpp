@@ -5,8 +5,8 @@
  * the LRU must respect its byte budget, and the CRC-64 stamp keying
  * must invalidate across checkpoint overwrite, direct save, and
  * canary-gated promote -- with zero stale hits.  Also covers the
- * packed zero-copy gather (byte-equal to the float gather) and the
- * word-level copyBits primitive underneath it.
+ * packed zero-copy gather (byte-equal to the models' float reference
+ * ops) and the word-level copyBits primitive underneath it.
  */
 
 #include <gtest/gtest.h>
@@ -58,9 +58,12 @@ randomBinaryRows(std::size_t rows, std::size_t cols, std::uint64_t seed)
 bool
 sameBytes(const linalg::Matrix &a, const linalg::Matrix &b)
 {
+    // Classify responses carry no output matrix: memcmp must not see
+    // their null data pointers.
     return a.rows() == b.rows() && a.cols() == b.cols() &&
-           std::memcmp(a.data(), b.data(),
-                       a.size() * sizeof(float)) == 0;
+           (a.size() == 0 ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+                0);
 }
 
 class ServeCacheTest : public ::testing::Test
@@ -437,34 +440,46 @@ TEST_F(ServeCacheTest, DuplicateRequestsInOneFlushStayConsistent)
 
 // -------------------------------------- packed gather & group slots
 
-TEST_F(ServeCacheTest, PackedAndLegacyGatherProduceIdenticalBytes)
+TEST_F(ServeCacheTest, ServedBytesMatchTheModelReferenceOnBothPlanes)
 {
     ModelRegistry registry(dir_);
     putRbm(registry, "m", 12);
-
-    ServerConfig packed;
-    packed.packedGather = true;
-    ServerConfig legacy;
-    legacy.packedGather = false;
-    Server packedServer(registry, packed);
-    Server legacyServer(registry, legacy);
+    const auto model = registry.get("m");
+    ServerConfig config;
+    config.maxBatchRows = 5;  // a chunk boundary cuts the last request
+    Server server(registry, config);
 
     for (const Op op : {Op::Featurize, Op::Reconstruct}) {
-        // Mixed-size coalesced batch, including a non-binary request
-        // that forces the float fallback inside the packed server.
-        Request binA = makeRequest("m", op, 4, 13);
-        Request binB = makeRequest("m", op, 7, 14);
+        // Two mixed-size coalesced groups (the last submit crosses
+        // maxBatchRows and flushes all three): all binary, which runs
+        // on the packed plane, and one holding a non-binary row, which
+        // takes the whole group onto the float plane.
         Request fuzzy = makeRequest("m", op, 2, 15);
         fuzzy.input(1, 2) = 0.5f;
-        auto fromPacked =
-            packedServer.serve({binA, binB, fuzzy});
-        auto fromLegacy =
-            legacyServer.serve({binA, binB, fuzzy});
-        for (std::size_t i = 0; i < fromPacked.size(); ++i) {
-            ASSERT_TRUE(fromPacked[i].status.ok());
-            EXPECT_TRUE(sameBytes(fromPacked[i].output,
-                                  fromLegacy[i].output))
-                << engine::opName(op) << " request " << i;
+        const std::vector<Request> binary = {makeRequest("m", op, 2, 13),
+                                             makeRequest("m", op, 2, 14),
+                                             makeRequest("m", op, 3, 16)};
+        const std::vector<Request> mixed = {binary[0], fuzzy, binary[2]};
+        for (const std::vector<Request> &batch : {binary, mixed}) {
+            const std::size_t groups = server.stats().groups;
+            const auto served = server.serve(batch);
+            EXPECT_EQ(server.stats().groups, groups + 1);
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                ASSERT_TRUE(served[i].status.ok());
+                linalg::Matrix reference;
+                if (op == Op::Featurize) {
+                    model->featurizeRows(batch[i].input, reference);
+                } else {
+                    std::vector<Rng> rngs;
+                    for (std::size_t r = 0; r < batch[i].input.rows(); ++r)
+                        rngs.push_back(Rng::stream(batch[i].seed, r));
+                    model->reconstructRows(batch[i].input, rngs.data(),
+                                           reference);
+                }
+                EXPECT_TRUE(sameBytes(served[i].output, reference))
+                    << engine::opName(op) << " request " << i << " of "
+                    << batch.size();
+            }
         }
     }
 }
