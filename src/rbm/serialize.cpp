@@ -1,17 +1,20 @@
 /**
  * @file
- * Model persistence implementation (v1 dumps + v2 checkpoints).
+ * Checkpoint persistence: the v2 writer, and one reader for v2
+ * archives and legacy v1 dumps.
  */
 
 #include "rbm/serialize.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
-#include <limits>
-#include <sstream>
+#include <iterator>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "util/checksum.hpp"
@@ -23,57 +26,17 @@ namespace ising::rbm {
 
 namespace {
 
-constexpr const char *kRbmMagic = "isingrbm-rbm";
-constexpr const char *kDbnMagic = "isingrbm-dbn";
-constexpr const char *kCheckpointMagic = "isingrbm-checkpoint";
+constexpr std::string_view kRbmMagic = "isingrbm-rbm";
+constexpr std::string_view kDbnMagic = "isingrbm-dbn";
+constexpr std::string_view kCheckpointMagic = "isingrbm-checkpoint";
 
-/** Integrity-trailer line prefix ("checksum crc64 <16 hex>\n"). */
-constexpr const char *kTrailerPrefix = "checksum crc64 ";
-constexpr std::size_t kTrailerPrefixLen = 15;
+/** Integrity-trailer line: "checksum crc64 <16 hex>\n". */
+constexpr std::string_view kTrailerPrefix = "checksum crc64 ";
 constexpr std::size_t kTrailerHexLen = 16;
+constexpr std::size_t kTrailerLineLen =
+    kTrailerPrefix.size() + kTrailerHexLen + 1;
 /** The trailer algorithm declared in the meta section. */
 constexpr const char *kTrailerAlgo = "crc64";
-
-void
-expectMagic(std::istream &is, const char *magic)
-{
-    std::string word, version;
-    if (!(is >> word >> version) || word != magic || version != "v1")
-        util::fatal(std::string("serialize: expected '") + magic +
-                    " v1' header");
-}
-
-/** Read one whitespace-delimited token; fatal on truncation. */
-std::string
-expectToken(std::istream &is, const char *what)
-{
-    std::string token;
-    if (!(is >> token))
-        util::fatal(std::string("serialize: truncated archive (expected ") +
-                    what + ")");
-    return token;
-}
-
-/** Consume an exact literal token; fatal on mismatch. */
-void
-expectLiteral(std::istream &is, const std::string &literal,
-              const char *context)
-{
-    const std::string token = expectToken(is, context);
-    if (token != literal)
-        util::fatal("serialize: corrupt archive: expected '" + literal +
-                    "' (" + context + "), found '" + token + "'");
-}
-
-template <typename T>
-T
-expectValue(std::istream &is, const char *what)
-{
-    T value{};
-    if (!(is >> value))
-        util::fatal(std::string("serialize: corrupt archive: bad ") + what);
-    return value;
-}
 
 /**
  * Sanity caps applied before any allocation, so hostile or corrupt
@@ -84,15 +47,315 @@ constexpr unsigned long long kMaxUnits = 1ull << 24;   ///< per dimension
 constexpr unsigned long long kMaxWeights = 1ull << 28; ///< per matrix
 constexpr unsigned long long kMaxLayers = 1024;        ///< DBN depth
 
-/** Read a positive dimension/count, capped.  Negative values wrap to
- *  huge unsigned ones under istream extraction and are caught by the
- *  cap. */
+// ------------------------------------------------------------ writer
+
+/** Longest shortest-round-trip float spelling ("-1.17549435e-38") plus
+ *  its separator. */
+constexpr std::size_t kMaxFloatChars = 16;
+
+/**
+ * Append one line: @p fields separated by single spaces.  Integers are
+ * spelled in decimal; floats and doubles in their shortest spelling
+ * that parses back to the same bits.
+ */
+template <typename... Fields>
+void
+appendLine(std::string &out, const Fields &...fields)
+{
+    const auto append = [&out](const auto &field) {
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(field)>>) {
+            char buf[32];
+            out.append(buf, std::to_chars(buf, buf + sizeof buf, field).ptr);
+        } else {
+            out += field;
+        }
+        out += ' ';
+    };
+    (append(fields), ...);
+    out.back() = '\n';
+}
+
+/** Append a row-major block of floats, one line per row (nothing at
+ *  all for an empty row). */
+void
+appendRows(std::string &out, const float *data, std::size_t rows,
+           std::size_t cols)
+{
+    for (std::size_t r = 0; r < rows; ++r, data += cols) {
+        const std::size_t start = out.size();
+        out.resize(start + cols * kMaxFloatChars);
+        char *p = out.data() + start;
+        for (std::size_t c = 0; c < cols; ++c) {
+            p = std::to_chars(p, p + kMaxFloatChars, data[c]).ptr;
+            *p++ = c + 1 == cols ? '\n' : ' ';
+        }
+        out.resize(static_cast<std::size_t>(p - out.data()));
+    }
+}
+
+/** Rbm parameters without a magic header (v2 payloads, DBN layers). */
+void
+writeRbmBody(const Rbm &model, std::string &out)
+{
+    const std::size_t m = model.numVisible(), n = model.numHidden();
+    appendLine(out, m, n);
+    appendRows(out, model.visibleBias().data(), 1, m);
+    appendRows(out, model.hiddenBias().data(), 1, n);
+    appendRows(out, model.weights().data(), m, n);
+}
+
+void
+writeFamilyPayload(const Checkpoint &ckpt, std::string &out)
+{
+    switch (ckpt.family()) {
+      case ModelFamily::Rbm:
+        writeRbmBody(std::get<Rbm>(ckpt.model), out);
+        return;
+      case ModelFamily::ClassRbm: {
+        const ClassRbm &model = std::get<ClassRbm>(ckpt.model);
+        appendLine(out, model.numPixels(), model.numClasses());
+        writeRbmBody(model.joint(), out);
+        return;
+      }
+      case ModelFamily::CfRbm: {
+        const CfRbm &model = std::get<CfRbm>(ckpt.model);
+        const linalg::Matrix &w = model.weights();
+        appendLine(out, model.numUsers(), model.numStars(),
+                   model.numHidden());
+        appendRows(out, model.visibleBias().data(), 1, w.rows());
+        appendRows(out, model.hiddenBias().data(), 1, w.cols());
+        appendRows(out, w.data(), w.rows(), w.cols());
+        return;
+      }
+      case ModelFamily::ConvRbm: {
+        const ConvRbm &model = std::get<ConvRbm>(ckpt.model);
+        const ConvRbmConfig &cfg = model.config();
+        const linalg::Matrix &filters = model.filters();
+        appendLine(out, cfg.imageSide, cfg.filterSide, cfg.numFilters,
+                   cfg.poolGrid);
+        appendLine(out, cfg.learningRate, cfg.weightDecay,
+                   cfg.sparsityTarget, cfg.sparsityCost);
+        appendLine(out, model.visibleBias());
+        appendRows(out, model.hiddenBias().data(), 1,
+                   model.hiddenBias().size());
+        appendRows(out, filters.data(), filters.rows(), filters.cols());
+        return;
+      }
+      case ModelFamily::Dbn: {
+        const Dbn &stack = std::get<Dbn>(ckpt.model);
+        appendLine(out, stack.numLayers());
+        for (std::size_t l = 0; l < stack.numLayers(); ++l)
+            writeRbmBody(stack.layer(l), out);
+        return;
+      }
+      case ModelFamily::Dbm: {
+        const Dbm &model = std::get<Dbm>(ckpt.model);
+        const std::size_t m = model.numVisible();
+        const std::size_t n1 = model.hidden1(), n2 = model.hidden2();
+        appendLine(out, m, n1, n2);
+        appendRows(out, model.visibleBias().data(), 1, m);
+        appendRows(out, model.hidden1Bias().data(), 1, n1);
+        appendRows(out, model.hidden2Bias().data(), 1, n2);
+        appendRows(out, model.w1().data(), m, n1);
+        appendRows(out, model.w2().data(), n1, n2);
+        return;
+      }
+    }
+    util::fatal("serialize: unknown checkpoint family");
+}
+
+bool
+hasWhitespace(std::string_view s)
+{
+    return s.find_first_of(" \t\r\n") != std::string_view::npos;
+}
+
+void
+writeTrainSection(const TrainState &state, std::string &out)
+{
+    out += "section train\n";
+    appendLine(out, "counters", state.counters.size());
+    for (const auto &[name, value] : state.counters) {
+        if (name.empty() || hasWhitespace(name))
+            util::fatal("serialize: bad train-state counter name '" +
+                        name + "'");
+        appendLine(out, name, value);
+    }
+    appendLine(out, "tensors", state.tensors.size());
+    for (const auto &[name, tensor] : state.tensors) {
+        if (name.empty() || hasWhitespace(name))
+            util::fatal("serialize: bad train-state tensor name '" +
+                        name + "'");
+        appendLine(out, name, tensor.rows(), tensor.cols());
+        appendRows(out, tensor.data(), tensor.rows(), tensor.cols());
+    }
+    out += "end train\n";
+}
+
+/**
+ * The whole archive in one buffer: the body through `end checkpoint`,
+ * then the CRC-64 trailer line over exactly those bytes.
+ */
+std::string
+archiveText(const Checkpoint &ckpt)
+{
+    if (hasWhitespace(ckpt.meta.name) || hasWhitespace(ckpt.meta.backend))
+        util::fatal("serialize: checkpoint meta values must not contain "
+                    "whitespace");
+    std::string out;
+    appendLine(out, kCheckpointMagic, "v2");
+    appendLine(out, "family", familyTag(ckpt.family()));
+
+    std::vector<std::pair<std::string_view, std::string>> meta;
+    if (!ckpt.meta.name.empty())
+        meta.emplace_back("name", ckpt.meta.name);
+    if (!ckpt.meta.backend.empty())
+        meta.emplace_back("backend", ckpt.meta.backend);
+    meta.emplace_back("seed", std::to_string(ckpt.meta.seed));
+    meta.emplace_back("epoch", std::to_string(ckpt.meta.epoch));
+    // Written only when set: archives from runs that never stopped
+    // early stay byte-identical to pre-early-stop writers.
+    if (ckpt.meta.earlyStopEpoch >= 0)
+        meta.emplace_back("early_stop",
+                          std::to_string(ckpt.meta.earlyStopEpoch));
+    // Declare the integrity trailer inside the checksummed body, so a
+    // file truncated exactly at the trailer boundary (structurally
+    // complete, trailer gone) is still rejected by file loads.
+    meta.emplace_back("trailer", kTrailerAlgo);
+    appendLine(out, "section meta", meta.size());
+    for (const auto &[key, value] : meta)
+        appendLine(out, key, value);
+    out += "end meta\nsection model\n";
+    writeFamilyPayload(ckpt, out);
+    out += "end model\n";
+    if (ckpt.train && !ckpt.train->empty())
+        writeTrainSection(*ckpt.train, out);
+    out += "end checkpoint\n";
+    const std::string crc = util::crc64Hex(util::crc64(out));
+    appendLine(out, "checksum", kTrailerAlgo, crc);
+    return out;
+}
+
+// ------------------------------------------------------------ reader
+//
+// The reader walks the archive text in place: a std::string_view holds
+// the unconsumed bytes.  Tokens are separated by "C"-locale whitespace
+// (space, \t, \n, \v, \f, \r); a number parses with std::from_chars
+// and ends where its spelling ends, separator or not.
+
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+void
+skipSpace(std::string_view &in)
+{
+    in.remove_prefix(static_cast<std::size_t>(
+        std::find_if_not(in.begin(), in.end(), isSpace) - in.begin()));
+}
+
+/** Next whitespace-delimited token; empty at the end of the text. */
+std::string_view
+nextToken(std::string_view &in)
+{
+    skipSpace(in);
+    const std::string_view token(in.begin(),
+                                 std::find_if(in.begin(), in.end(), isSpace));
+    in.remove_prefix(token.size());
+    return token;
+}
+
+/** Next token; fatal on truncation. */
+std::string_view
+expectToken(std::string_view &in, const char *what)
+{
+    const std::string_view token = nextToken(in);
+    if (token.empty())
+        util::fatal(std::string("serialize: truncated archive (expected ") +
+                    what + ")");
+    return token;
+}
+
+/** Consume an exact literal token; fatal on mismatch. */
+void
+expectLiteral(std::string_view &in, std::string_view literal,
+              const char *context)
+{
+    const std::string_view token = expectToken(in, context);
+    if (token != literal)
+        util::fatal("serialize: corrupt archive: expected '" +
+                    std::string(literal) + "' (" + context + "), found '" +
+                    std::string(token) + "'");
+}
+
+/**
+ * Parse one number into @p value; false when the text there does not
+ * start with one.  A leading '+' is allowed, and a decimal below the
+ * smallest subnormal reads as a signed zero, as the format has always
+ * allowed.  A non-finite spelling ("inf", "nan", which from_chars
+ * reads) is fatal, naming the spelling and @p what.
+ */
+template <typename T>
+bool
+readNumber(std::string_view &in, T &value, const char *what)
+{
+    skipSpace(in);
+    const char *first = in.data();
+    const char *const last = first + in.size();
+    if (last - first > 1 && first[0] == '+' && first[1] != '-')
+        ++first;
+    auto [ptr, ec] = std::from_chars(first, last, value);
+    if constexpr (std::is_floating_point_v<T>) {
+        long double wide = 0;
+        if (ec == std::errc::result_out_of_range &&
+            std::from_chars(first, ptr, wide).ec == std::errc() &&
+            std::fabs(wide) < 1) {
+            value = std::signbit(wide) ? -T(0) : T(0);
+            ec = std::errc();
+        }
+        if (ec == std::errc() && !std::isfinite(value))
+            util::fatal("serialize: non-finite value '" +
+                        std::string(first, ptr) + "' in " + what);
+    }
+    if (ec != std::errc())
+        return false;
+    in.remove_prefix(static_cast<std::size_t>(ptr - in.data()));
+    return true;
+}
+
+/**
+ * Every value takes at least two bytes (a digit and a separator):
+ * reject a declared count the remaining text cannot hold before it
+ * sizes an allocation.
+ */
+void
+expectRoom(std::string_view in, unsigned long long values, const char *what)
+{
+    if (values > in.size() / 2)
+        util::fatal("serialize: truncated " + std::string(what) + " (" +
+                    std::to_string(values) + " values declared, " +
+                    std::to_string(in.size()) + " bytes left)");
+}
+
+template <typename T>
+T
+expectValue(std::string_view &in, const char *what)
+{
+    T value{};
+    if (!readNumber(in, value, what))
+        util::fatal(std::string("serialize: corrupt archive: bad ") + what);
+    return value;
+}
+
+/** Read a positive dimension/count, capped. */
 std::size_t
-expectDim(std::istream &is, const char *what,
+expectDim(std::string_view &in, const char *what,
           unsigned long long cap = kMaxUnits)
 {
     unsigned long long v = 0;
-    if (!(is >> v) || v == 0 || v > cap)
+    if (!readNumber(in, v, what) || v == 0 || v > cap)
         util::fatal(std::string("serialize: bad ") + what);
     return static_cast<std::size_t>(v);
 }
@@ -101,157 +364,75 @@ void
 checkWeightCount(unsigned long long rows, unsigned long long cols,
                  const char *what)
 {
-    if (rows * cols > kMaxWeights)
+    // Divide rather than multiply: the product of two untrusted sizes
+    // can wrap 64 bits back under the cap.
+    if (cols != 0 && rows > kMaxWeights / cols)
         util::fatal(std::string("serialize: implausibly large ") + what);
 }
 
 void
-writeFloats(std::ostream &os, const float *data, std::size_t n)
+readFloats(std::string_view &in, float *data, std::size_t n,
+           const char *what)
 {
     for (std::size_t i = 0; i < n; ++i)
-        os << data[i] << (i + 1 == n ? '\n' : ' ');
-}
-
-void
-readFloats(std::istream &is, float *data, std::size_t n, const char *what)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (!(is >> data[i]))
+        if (!readNumber(in, data[i], what))
             util::fatal(std::string("serialize: truncated ") + what);
 }
 
-/** Rbm parameters without a magic header (shared by v1 and v2). */
-void
-writeRbmBody(const Rbm &model, std::ostream &os)
-{
-    const std::size_t m = model.numVisible(), n = model.numHidden();
-    os << m << ' ' << n << '\n';
-    writeFloats(os, model.visibleBias().data(), m);
-    writeFloats(os, model.hiddenBias().data(), n);
-    for (std::size_t i = 0; i < m; ++i)
-        writeFloats(os, model.weights().row(i), n);
-}
-
 Rbm
-readRbmBody(std::istream &is)
+readRbmBody(std::string_view &in)
 {
-    const std::size_t m = expectDim(is, "RBM dimensions");
-    const std::size_t n = expectDim(is, "RBM dimensions");
+    const std::size_t m = expectDim(in, "RBM dimensions");
+    const std::size_t n = expectDim(in, "RBM dimensions");
     checkWeightCount(m, n, "RBM weight matrix");
+    expectRoom(in, m * n + m + n, "RBM parameters");
     Rbm model(m, n);
-    readFloats(is, model.visibleBias().data(), m, "visible biases");
-    readFloats(is, model.hiddenBias().data(), n, "hidden biases");
-    for (std::size_t i = 0; i < m; ++i)
-        readFloats(is, model.weights().row(i), n, "weight matrix");
+    readFloats(in, model.visibleBias().data(), m, "visible biases");
+    readFloats(in, model.hiddenBias().data(), n, "hidden biases");
+    readFloats(in, model.weights().data(), m * n, "weight matrix");
     return model;
 }
 
 /**
- * Shared DBN reader: a layer count followed by one model per layer
- * (@p readLayer is readRbmBody for v2 payloads, loadRbm for v1 files
- * whose layers carry their own magic), with adjacent dimensions
- * validated while stitching the stack.
+ * Shared DBN reader: a layer count followed by one RBM body per layer,
+ * each behind its own v1 magic in v1 files (@p v1Layers), with
+ * adjacent dimensions validated while stitching the stack.
  */
 Dbn
-readDbnStack(std::istream &is, Rbm (*readLayer)(std::istream &))
+readDbnStack(std::string_view &in, bool v1Layers)
 {
-    const std::size_t layers = expectDim(is, "DBN layer count",
+    const std::size_t layers = expectDim(in, "DBN layer count",
                                          kMaxLayers);
     std::vector<Rbm> loaded;
-    loaded.reserve(layers);
-    std::vector<std::size_t> sizes;
     for (std::size_t l = 0; l < layers; ++l) {
-        loaded.push_back(readLayer(is));
-        if (l == 0)
-            sizes.push_back(loaded[0].numVisible());
-        else if (loaded[l].numVisible() != loaded[l - 1].numHidden())
+        if (v1Layers &&
+            (nextToken(in) != kRbmMagic || nextToken(in) != "v1"))
+            util::fatal("serialize: expected '" + std::string(kRbmMagic) +
+                        " v1' header");
+        loaded.push_back(readRbmBody(in));
+        if (l > 0 && loaded[l].numVisible() != loaded[l - 1].numHidden())
             util::fatal("serialize: DBN layer dimensions inconsistent");
-        sizes.push_back(loaded[l].numHidden());
     }
+    std::vector<std::size_t> sizes{loaded[0].numVisible()};
+    for (const Rbm &layer : loaded)
+        sizes.push_back(layer.numHidden());
     Dbn stack(sizes);
     for (std::size_t l = 0; l < layers; ++l)
         stack.layer(l) = std::move(loaded[l]);
     return stack;
 }
 
-// ------------------------------------------------ v2 family payloads
-
-void
-writeFamilyPayload(const Checkpoint &ckpt, std::ostream &os)
-{
-    switch (ckpt.family()) {
-      case ModelFamily::Rbm:
-        writeRbmBody(std::get<Rbm>(ckpt.model), os);
-        return;
-      case ModelFamily::ClassRbm: {
-        const ClassRbm &model = std::get<ClassRbm>(ckpt.model);
-        os << model.numPixels() << ' ' << model.numClasses() << '\n';
-        writeRbmBody(model.joint(), os);
-        return;
-      }
-      case ModelFamily::CfRbm: {
-        const CfRbm &model = std::get<CfRbm>(ckpt.model);
-        os << model.numUsers() << ' ' << model.numStars() << ' '
-           << model.numHidden() << '\n';
-        const std::size_t rows = model.weights().rows();
-        const std::size_t cols = model.weights().cols();
-        writeFloats(os, model.visibleBias().data(), rows);
-        writeFloats(os, model.hiddenBias().data(), cols);
-        for (std::size_t i = 0; i < rows; ++i)
-            writeFloats(os, model.weights().row(i), cols);
-        return;
-      }
-      case ModelFamily::ConvRbm: {
-        const ConvRbm &model = std::get<ConvRbm>(ckpt.model);
-        const ConvRbmConfig &cfg = model.config();
-        os << cfg.imageSide << ' ' << cfg.filterSide << ' '
-           << cfg.numFilters << ' ' << cfg.poolGrid << '\n'
-           << cfg.learningRate << ' ' << cfg.weightDecay << ' '
-           << cfg.sparsityTarget << ' ' << cfg.sparsityCost << '\n';
-        os << model.visibleBias() << '\n';
-        writeFloats(os, model.hiddenBias().data(),
-                    model.hiddenBias().size());
-        for (std::size_t k = 0; k < model.filters().rows(); ++k)
-            writeFloats(os, model.filters().row(k),
-                        model.filters().cols());
-        return;
-      }
-      case ModelFamily::Dbn: {
-        const Dbn &stack = std::get<Dbn>(ckpt.model);
-        os << stack.numLayers() << '\n';
-        for (std::size_t l = 0; l < stack.numLayers(); ++l)
-            writeRbmBody(stack.layer(l), os);
-        return;
-      }
-      case ModelFamily::Dbm: {
-        const Dbm &model = std::get<Dbm>(ckpt.model);
-        const std::size_t m = model.numVisible();
-        const std::size_t n1 = model.hidden1(), n2 = model.hidden2();
-        os << m << ' ' << n1 << ' ' << n2 << '\n';
-        writeFloats(os, model.visibleBias().data(), m);
-        writeFloats(os, model.hidden1Bias().data(), n1);
-        writeFloats(os, model.hidden2Bias().data(), n2);
-        for (std::size_t i = 0; i < m; ++i)
-            writeFloats(os, model.w1().row(i), n1);
-        for (std::size_t j = 0; j < n1; ++j)
-            writeFloats(os, model.w2().row(j), n2);
-        return;
-      }
-    }
-    util::fatal("serialize: unknown checkpoint family");
-}
-
 Checkpoint::Payload
-readFamilyPayload(ModelFamily family, std::istream &is)
+readFamilyPayload(ModelFamily family, std::string_view &in)
 {
     switch (family) {
       case ModelFamily::Rbm:
-        return readRbmBody(is);
+        return readRbmBody(in);
       case ModelFamily::ClassRbm: {
-        const std::size_t pixels = expectDim(is, "class_rbm pixel count");
+        const std::size_t pixels = expectDim(in, "class_rbm pixel count");
         const std::size_t classes =
-            expectDim(is, "class_rbm class count");
-        Rbm joint = readRbmBody(is);
+            expectDim(in, "class_rbm class count");
+        Rbm joint = readRbmBody(in);
         if (joint.numVisible() != pixels + classes)
             util::fatal("serialize: class_rbm dimensions inconsistent");
         ClassRbm model(pixels, static_cast<int>(classes),
@@ -260,150 +441,224 @@ readFamilyPayload(ModelFamily family, std::istream &is)
         return model;
       }
       case ModelFamily::CfRbm: {
-        const std::size_t users = expectDim(is, "cf_rbm dimensions");
-        const std::size_t stars = expectDim(is, "cf_rbm dimensions");
-        const std::size_t hidden = expectDim(is, "cf_rbm dimensions");
+        const std::size_t users = expectDim(in, "cf_rbm dimensions");
+        const std::size_t stars = expectDim(in, "cf_rbm dimensions");
+        const std::size_t hidden = expectDim(in, "cf_rbm dimensions");
         checkWeightCount(users, stars, "cf_rbm softmax groups");
         checkWeightCount(users * stars, hidden, "cf_rbm weight matrix");
+        expectRoom(in, users * stars * hidden + users * stars + hidden,
+                   "cf_rbm parameters");
         CfRbm model(static_cast<int>(users), static_cast<int>(stars),
                     static_cast<int>(hidden));
-        const std::size_t rows = model.weights().rows();
-        const std::size_t cols = model.weights().cols();
-        readFloats(is, model.visibleBias().data(), rows, "cf biases");
-        readFloats(is, model.hiddenBias().data(), cols, "cf biases");
-        for (std::size_t i = 0; i < rows; ++i)
-            readFloats(is, model.weights().row(i), cols, "cf weights");
+        readFloats(in, model.visibleBias().data(), users * stars,
+                   "cf biases");
+        readFloats(in, model.hiddenBias().data(), hidden, "cf biases");
+        readFloats(in, model.weights().data(), model.weights().size(),
+                   "cf weights");
         return model;
       }
       case ModelFamily::ConvRbm: {
         ConvRbmConfig cfg;
-        cfg.imageSide = expectDim(is, "conv_rbm image side");
-        cfg.filterSide = expectDim(is, "conv_rbm filter side");
-        cfg.numFilters = expectDim(is, "conv_rbm filter count");
-        cfg.poolGrid = expectDim(is, "conv_rbm pool grid");
-        cfg.learningRate = expectValue<double>(is, "conv config");
-        cfg.weightDecay = expectValue<double>(is, "conv config");
-        cfg.sparsityTarget = expectValue<double>(is, "conv config");
-        cfg.sparsityCost = expectValue<double>(is, "conv config");
+        cfg.imageSide = expectDim(in, "conv_rbm image side");
+        cfg.filterSide = expectDim(in, "conv_rbm filter side");
+        cfg.numFilters = expectDim(in, "conv_rbm filter count");
+        cfg.poolGrid = expectDim(in, "conv_rbm pool grid");
+        cfg.learningRate = expectValue<double>(in, "conv config");
+        cfg.weightDecay = expectValue<double>(in, "conv config");
+        cfg.sparsityTarget = expectValue<double>(in, "conv config");
+        cfg.sparsityCost = expectValue<double>(in, "conv config");
         if (cfg.filterSide > cfg.imageSide)
             util::fatal("serialize: bad conv_rbm configuration");
-        checkWeightCount(cfg.numFilters,
-                         cfg.filterSide * cfg.filterSide,
-                         "conv_rbm filters");
+        const std::size_t filterSize = cfg.filterSide * cfg.filterSide;
+        checkWeightCount(cfg.numFilters, filterSize, "conv_rbm filters");
+        expectRoom(in, cfg.numFilters * (filterSize + 1) + 1,
+                   "conv_rbm parameters");
         ConvRbm model(cfg);
-        model.setVisibleBias(expectValue<float>(is, "conv visible bias"));
-        readFloats(is, model.hiddenBias().data(),
-                   model.hiddenBias().size(), "conv hidden biases");
-        for (std::size_t k = 0; k < model.filters().rows(); ++k)
-            readFloats(is, model.filters().row(k), model.filters().cols(),
-                       "conv filters");
+        model.setVisibleBias(expectValue<float>(in, "conv visible bias"));
+        readFloats(in, model.hiddenBias().data(), cfg.numFilters,
+                   "conv hidden biases");
+        readFloats(in, model.filters().data(), model.filters().size(),
+                   "conv filters");
         return model;
       }
       case ModelFamily::Dbn:
-        return readDbnStack(is, readRbmBody);
+        return readDbnStack(in, false);
       case ModelFamily::Dbm: {
-        const std::size_t m = expectDim(is, "dbm dimensions");
-        const std::size_t n1 = expectDim(is, "dbm dimensions");
-        const std::size_t n2 = expectDim(is, "dbm dimensions");
+        const std::size_t m = expectDim(in, "dbm dimensions");
+        const std::size_t n1 = expectDim(in, "dbm dimensions");
+        const std::size_t n2 = expectDim(in, "dbm dimensions");
         checkWeightCount(m, n1, "dbm W1");
         checkWeightCount(n1, n2, "dbm W2");
+        expectRoom(in, m * n1 + n1 * n2 + m + n1 + n2, "dbm parameters");
         Dbm model(m, n1, n2);
-        readFloats(is, model.visibleBias().data(), m, "dbm biases");
-        readFloats(is, model.hidden1Bias().data(), n1, "dbm biases");
-        readFloats(is, model.hidden2Bias().data(), n2, "dbm biases");
-        for (std::size_t i = 0; i < m; ++i)
-            readFloats(is, model.w1().row(i), n1, "dbm W1");
-        for (std::size_t j = 0; j < n1; ++j)
-            readFloats(is, model.w2().row(j), n2, "dbm W2");
+        readFloats(in, model.visibleBias().data(), m, "dbm biases");
+        readFloats(in, model.hidden1Bias().data(), n1, "dbm biases");
+        readFloats(in, model.hidden2Bias().data(), n2, "dbm biases");
+        readFloats(in, model.w1().data(), m * n1, "dbm W1");
+        readFloats(in, model.w2().data(), n1 * n2, "dbm W2");
         return model;
       }
     }
     util::fatal("serialize: unknown checkpoint family");
 }
 
-bool
-hasWhitespace(const std::string &s)
-{
-    return s.find_first_of(" \t\r\n") != std::string::npos;
-}
-
-// ------------------------------------------------ optional sections
-
-void
-writeTrainSection(const TrainState &state, std::ostream &os)
-{
-    os << "section train\n";
-    os << "counters " << state.counters.size() << '\n';
-    for (const auto &[name, value] : state.counters) {
-        if (name.empty() || hasWhitespace(name))
-            util::fatal("serialize: bad train-state counter name '" +
-                        name + "'");
-        os << name << ' ' << value << '\n';
-    }
-    os << "tensors " << state.tensors.size() << '\n';
-    for (const auto &[name, tensor] : state.tensors) {
-        if (name.empty() || hasWhitespace(name))
-            util::fatal("serialize: bad train-state tensor name '" +
-                        name + "'");
-        os << name << ' ' << tensor.rows() << ' ' << tensor.cols()
-           << '\n';
-        for (std::size_t r = 0; r < tensor.rows(); ++r)
-            writeFloats(os, tensor.row(r), tensor.cols());
-    }
-    os << "end train\n";
-}
-
 TrainState
-readTrainSection(std::istream &is)
+readTrainSection(std::string_view &in)
 {
     TrainState state;
-    expectLiteral(is, "counters", "train counters");
+    expectLiteral(in, "counters", "train counters");
     const auto numCounters =
-        expectValue<std::size_t>(is, "train counter count");
+        expectValue<std::size_t>(in, "train counter count");
     if (numCounters > kMaxUnits)
         util::fatal("serialize: implausibly many train counters");
     for (std::size_t i = 0; i < numCounters; ++i) {
-        const std::string name = expectToken(is, "train counter name");
+        const std::string name(expectToken(in, "train counter name"));
         state.setCounter(name,
-                         expectValue<std::uint64_t>(is, "train counter"));
+                         expectValue<std::uint64_t>(in, "train counter"));
     }
-    expectLiteral(is, "tensors", "train tensors");
+    expectLiteral(in, "tensors", "train tensors");
     const auto numTensors =
-        expectValue<std::size_t>(is, "train tensor count");
+        expectValue<std::size_t>(in, "train tensor count");
     if (numTensors > kMaxUnits)
         util::fatal("serialize: implausibly many train tensors");
     for (std::size_t i = 0; i < numTensors; ++i) {
-        const std::string name = expectToken(is, "train tensor name");
+        const std::string name(expectToken(in, "train tensor name"));
         // Rows may legitimately be 0 (e.g. an empty particle set), so
         // read raw and cap rather than using expectDim.
-        const auto rows = expectValue<std::size_t>(is, "train tensor rows");
-        const auto cols = expectValue<std::size_t>(is, "train tensor cols");
+        const auto rows = expectValue<std::size_t>(in, "train tensor rows");
+        const auto cols = expectValue<std::size_t>(in, "train tensor cols");
         if (rows > kMaxUnits || cols > kMaxUnits)
             util::fatal("serialize: bad train tensor dimensions");
         checkWeightCount(rows, cols, "train tensor");
+        expectRoom(in, rows * cols, "train tensor");
         linalg::Matrix tensor(rows, cols);
-        for (std::size_t r = 0; r < rows; ++r)
-            readFloats(is, tensor.row(r), cols, "train tensor");
+        readFloats(in, tensor.data(), tensor.size(), "train tensor");
         state.setTensor(name, std::move(tensor));
     }
-    expectLiteral(is, "end", "train trailer");
-    expectLiteral(is, "train", "train trailer");
+    expectLiteral(in, "end", "train trailer");
+    expectLiteral(in, "train", "train trailer");
     return state;
 }
 
 /** Consume an unrecognized section's tokens through `end <name>`. */
 void
-skipUnknownSection(std::istream &is, const std::string &name)
+skipUnknownSection(std::string_view &in, std::string_view name)
 {
-    std::string token;
-    while (is >> token) {
-        if (token != "end")
-            continue;
-        if (expectToken(is, "section trailer") == name)
+    for (std::string_view token = nextToken(in); !token.empty();
+         token = nextToken(in))
+        if (token == "end" && expectToken(in, "section trailer") == name)
             return;
-    }
     util::fatal("serialize: truncated archive (unterminated section '" +
-                name + "')");
+                std::string(name) + "')");
+}
+
+/**
+ * The one parser: a v2 archive (or a legacy v1 dump), which ends at
+ * `end checkpoint`; whatever follows is ignored.
+ */
+Checkpoint
+parseCheckpoint(std::string_view in)
+{
+    const std::string_view magic = expectToken(in, "archive magic");
+    const std::string_view version = expectToken(in, "archive version");
+
+    // Legacy v1 artifacts migrate to checkpoints with empty meta.
+    if (magic == kRbmMagic && version == "v1")
+        return Checkpoint{{}, readRbmBody(in), {}};
+    if (magic == kDbnMagic && version == "v1")
+        return Checkpoint{{}, readDbnStack(in, true), {}};
+
+    if (magic != kCheckpointMagic || version != "v2")
+        util::fatal("serialize: unrecognized archive header '" +
+                    std::string(magic) + " " + std::string(version) + "'");
+
+    expectLiteral(in, "family", "family tag");
+    const ModelFamily family =
+        familyFromTag(std::string(expectToken(in, "family name")));
+
+    Checkpoint ckpt;
+    expectLiteral(in, "section", "meta section");
+    expectLiteral(in, "meta", "meta section");
+    const auto metaCount = expectValue<std::size_t>(in, "meta entry count");
+    for (std::size_t i = 0; i < metaCount; ++i) {
+        const std::string_view key = expectToken(in, "meta key");
+        const std::string_view value = expectToken(in, "meta value");
+        if (key == "name")
+            ckpt.meta.name = value;
+        else if (key == "backend")
+            ckpt.meta.backend = value;
+        else if (key == "trailer")
+            ckpt.meta.trailer = value;
+        else if (key == "seed" || key == "epoch" || key == "early_stop") {
+            // Digits only: no sign, no trailing bytes, no overflow.
+            unsigned long long parsed = 0;
+            const char *const end = value.data() + value.size();
+            const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+            if (ec != std::errc() || ptr != end ||
+                (key != "seed" &&
+                 parsed > static_cast<unsigned long long>(INT_MAX)))
+                util::fatal("serialize: corrupt meta value '" +
+                            std::string(value) + "' for key '" +
+                            std::string(key) + "'");
+            if (key == "seed")
+                ckpt.meta.seed = parsed;
+            else if (key == "epoch")
+                ckpt.meta.epoch = static_cast<int>(parsed);
+            else
+                ckpt.meta.earlyStopEpoch = static_cast<int>(parsed);
+        }
+        // Unknown keys are ignored for forward compatibility.
+    }
+    expectLiteral(in, "end", "meta trailer");
+    expectLiteral(in, "meta", "meta trailer");
+
+    expectLiteral(in, "section", "model section");
+    expectLiteral(in, "model", "model section");
+    ckpt.model = readFamilyPayload(family, in);
+    expectLiteral(in, "end", "model trailer");
+    expectLiteral(in, "model", "model trailer");
+
+    // Optional trailing sections, then the checkpoint trailer.  Unknown
+    // sections are skipped token-wise so newer writers stay loadable.
+    for (;;) {
+        const std::string_view token =
+            expectToken(in, "section or checkpoint trailer");
+        if (token == "end") {
+            expectLiteral(in, "checkpoint", "checkpoint trailer");
+            break;
+        }
+        if (token != "section")
+            util::fatal("serialize: corrupt archive: expected 'section' "
+                        "or 'end checkpoint', found '" +
+                        std::string(token) + "'");
+        const std::string_view name = expectToken(in, "section name");
+        if (name == "train") {
+            if (ckpt.train)
+                util::fatal("serialize: duplicate train section");
+            ckpt.train = readTrainSection(in);
+        } else {
+            skipUnknownSection(in, name);
+        }
+    }
+    return ckpt;
+}
+
+/**
+ * Locate the trailer's line start in an archive, or npos.  The
+ * trailer is by construction the final line of the file.
+ */
+std::size_t
+findTrailer(std::string_view content, std::uint64_t &value)
+{
+    if (content.size() < kTrailerLineLen || content.back() != '\n')
+        return std::string_view::npos;
+    const std::size_t start = content.size() - kTrailerLineLen;
+    if (content.substr(start, kTrailerPrefix.size()) != kTrailerPrefix ||
+        !util::parseCrc64Hex(
+            content.substr(start + kTrailerPrefix.size(), kTrailerHexLen),
+            value))
+        return std::string_view::npos;
+    return start;
 }
 
 } // namespace
@@ -439,149 +694,10 @@ familyFromTag(const std::string &tag)
 }
 
 void
-saveRbm(const Rbm &model, std::ostream &os)
-{
-    os << kRbmMagic << " v1\n";
-    os << std::setprecision(std::numeric_limits<float>::max_digits10);
-    writeRbmBody(model, os);
-}
-
-Rbm
-loadRbm(std::istream &is)
-{
-    expectMagic(is, kRbmMagic);
-    return readRbmBody(is);
-}
-
-void
-saveRbm(const Rbm &model, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        util::fatal("serialize: cannot open for writing: " + path);
-    saveRbm(model, os);
-    if (!os)
-        util::fatal("serialize: write failed: " + path);
-}
-
-Rbm
-loadRbmFile(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        util::fatal("serialize: cannot open for reading: " + path);
-    return loadRbm(is);
-}
-
-void
-saveDbn(const Dbn &stack, std::ostream &os)
-{
-    os << kDbnMagic << " v1\n" << stack.numLayers() << '\n';
-    for (std::size_t l = 0; l < stack.numLayers(); ++l)
-        saveRbm(stack.layer(l), os);
-}
-
-Dbn
-loadDbn(std::istream &is)
-{
-    expectMagic(is, kDbnMagic);
-    return readDbnStack(is, loadRbm);
-}
-
-void
-saveDbn(const Dbn &stack, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        util::fatal("serialize: cannot open for writing: " + path);
-    saveDbn(stack, os);
-}
-
-Dbn
-loadDbnFile(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        util::fatal("serialize: cannot open for reading: " + path);
-    return loadDbn(is);
-}
-
-namespace {
-
-/** The archive body: everything up to and including `end checkpoint`. */
-void
-writeCheckpointBody(const Checkpoint &ckpt, std::ostream &os)
-{
-    if (hasWhitespace(ckpt.meta.name) || hasWhitespace(ckpt.meta.backend))
-        util::fatal("serialize: checkpoint meta values must not contain "
-                    "whitespace");
-    // double precision covers the float payloads exactly too.
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << kCheckpointMagic << " v2\n";
-    os << "family " << familyTag(ckpt.family()) << '\n';
-
-    std::vector<std::pair<std::string, std::string>> meta;
-    if (!ckpt.meta.name.empty())
-        meta.emplace_back("name", ckpt.meta.name);
-    if (!ckpt.meta.backend.empty())
-        meta.emplace_back("backend", ckpt.meta.backend);
-    meta.emplace_back("seed", std::to_string(ckpt.meta.seed));
-    meta.emplace_back("epoch", std::to_string(ckpt.meta.epoch));
-    // Written only when set: archives from runs that never stopped
-    // early stay byte-identical to pre-early-stop writers.
-    if (ckpt.meta.earlyStopEpoch >= 0)
-        meta.emplace_back("early_stop",
-                          std::to_string(ckpt.meta.earlyStopEpoch));
-    // Declare the integrity trailer inside the checksummed body, so a
-    // file truncated exactly at the trailer boundary (structurally
-    // complete, trailer gone) is still rejected by file loads.
-    meta.emplace_back("trailer", kTrailerAlgo);
-    os << "section meta " << meta.size() << '\n';
-    for (const auto &[key, value] : meta)
-        os << key << ' ' << value << '\n';
-    os << "end meta\n";
-
-    os << "section model\n";
-    writeFamilyPayload(ckpt, os);
-    os << "end model\n";
-    if (ckpt.train && !ckpt.train->empty())
-        writeTrainSection(*ckpt.train, os);
-    os << "end checkpoint\n";
-}
-
-/**
- * Locate the trailer's line start in a slurped archive, or npos.  The
- * trailer is by construction the final line of the file.
- */
-std::size_t
-findTrailer(const std::string &content, std::uint64_t &value)
-{
-    const std::size_t lineLen =
-        kTrailerPrefixLen + kTrailerHexLen + 1;  // + '\n'
-    if (content.size() < lineLen || content.back() != '\n')
-        return std::string::npos;
-    const std::size_t start = content.size() - lineLen;
-    if (content.compare(start, kTrailerPrefixLen, kTrailerPrefix) != 0)
-        return std::string::npos;
-    const std::string hex =
-        content.substr(start + kTrailerPrefixLen, kTrailerHexLen);
-    if (!util::parseCrc64Hex(hex, value))
-        return std::string::npos;
-    return start;
-}
-
-} // namespace
-
-void
 saveCheckpoint(const Checkpoint &ckpt, std::ostream &os)
 {
-    // Stage the body to compute the CRC-64 trailer over its exact
-    // bytes; archives are small relative to the models they carry.
-    std::ostringstream body;
-    writeCheckpointBody(ckpt, body);
-    const std::string text = body.str();
-    os << text << kTrailerPrefix << util::crc64Hex(util::crc64(text))
-       << '\n';
+    const std::string text = archiveText(ckpt);
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void
@@ -633,92 +749,8 @@ saveCheckpoint(const Checkpoint &ckpt, const std::string &path)
 Checkpoint
 loadCheckpoint(std::istream &is)
 {
-    const std::string magic = expectToken(is, "archive magic");
-    const std::string version = expectToken(is, "archive version");
-
-    // Legacy v1 artifacts migrate to checkpoints with empty meta.
-    if (magic == kRbmMagic && version == "v1")
-        return Checkpoint{{}, readRbmBody(is), {}};
-    if (magic == kDbnMagic && version == "v1")
-        return Checkpoint{{}, readDbnStack(is, loadRbm), {}};
-
-    if (magic != kCheckpointMagic || version != "v2")
-        util::fatal("serialize: unrecognized archive header '" + magic +
-                    " " + version + "'");
-
-    expectLiteral(is, "family", "family tag");
-    const ModelFamily family =
-        familyFromTag(expectToken(is, "family name"));
-
-    Checkpoint ckpt;
-    expectLiteral(is, "section", "meta section");
-    expectLiteral(is, "meta", "meta section");
-    const auto metaCount = expectValue<std::size_t>(is, "meta entry count");
-    for (std::size_t i = 0; i < metaCount; ++i) {
-        const std::string key = expectToken(is, "meta key");
-        const std::string value = expectToken(is, "meta value");
-        if (key == "name")
-            ckpt.meta.name = value;
-        else if (key == "backend")
-            ckpt.meta.backend = value;
-        else if (key == "trailer")
-            ckpt.meta.trailer = value;
-        else if (key == "seed" || key == "epoch" || key == "early_stop") {
-            // Digits only: strtoull would silently negate a leading
-            // '-' and saturate on overflow.
-            errno = 0;
-            char *end = nullptr;
-            const unsigned long long parsed =
-                std::strtoull(value.c_str(), &end, 10);
-            if (value.empty() ||
-                value.find_first_not_of("0123456789") !=
-                    std::string::npos ||
-                !end || *end != '\0' || errno == ERANGE ||
-                (key != "seed" &&
-                 parsed > static_cast<unsigned long long>(
-                              std::numeric_limits<int>::max())))
-                util::fatal("serialize: corrupt meta value '" + value +
-                            "' for key '" + key + "'");
-            if (key == "seed")
-                ckpt.meta.seed = parsed;
-            else if (key == "epoch")
-                ckpt.meta.epoch = static_cast<int>(parsed);
-            else
-                ckpt.meta.earlyStopEpoch = static_cast<int>(parsed);
-        }
-        // Unknown keys are ignored for forward compatibility.
-    }
-    expectLiteral(is, "end", "meta trailer");
-    expectLiteral(is, "meta", "meta trailer");
-
-    expectLiteral(is, "section", "model section");
-    expectLiteral(is, "model", "model section");
-    ckpt.model = readFamilyPayload(family, is);
-    expectLiteral(is, "end", "model trailer");
-    expectLiteral(is, "model", "model trailer");
-
-    // Optional trailing sections, then the checkpoint trailer.  Unknown
-    // sections are skipped token-wise so newer writers stay loadable.
-    for (;;) {
-        const std::string token =
-            expectToken(is, "section or checkpoint trailer");
-        if (token == "end") {
-            expectLiteral(is, "checkpoint", "checkpoint trailer");
-            break;
-        }
-        if (token != "section")
-            util::fatal("serialize: corrupt archive: expected 'section' "
-                        "or 'end checkpoint', found '" + token + "'");
-        const std::string name = expectToken(is, "section name");
-        if (name == "train") {
-            if (ckpt.train)
-                util::fatal("serialize: duplicate train section");
-            ckpt.train = readTrainSection(is);
-        } else {
-            skipUnknownSection(is, name);
-        }
-    }
-    return ckpt;
+    const std::string text(std::istreambuf_iterator<char>(is), {});
+    return parseCheckpoint(text);
 }
 
 Checkpoint
@@ -733,10 +765,11 @@ loadCheckpointFile(const std::string &path)
     // or not it happens to still parse.
     std::uint64_t declared = 0;
     const std::size_t trailerAt = findTrailer(content, declared);
-    const bool hasTrailer = trailerAt != std::string::npos;
+    const bool hasTrailer = trailerAt != std::string_view::npos;
+    const std::string_view body =
+        std::string_view(content).substr(0, trailerAt);
     if (hasTrailer) {
-        const std::uint64_t actual =
-            util::crc64(std::string_view(content).substr(0, trailerAt));
+        const std::uint64_t actual = util::crc64(body);
         if (actual != declared)
             util::fatal("serialize: checksum mismatch in " + path +
                         " (expected crc64 " + util::crc64Hex(declared) +
@@ -744,9 +777,7 @@ loadCheckpointFile(const std::string &path)
                         "): torn or corrupt archive");
     }
 
-    std::istringstream is(hasTrailer ? content.substr(0, trailerAt)
-                                     : content);
-    Checkpoint ckpt = loadCheckpoint(is);
+    Checkpoint ckpt = parseCheckpoint(body);
 
     if (!hasTrailer) {
         if (ckpt.meta.trailer == kTrailerAlgo)
@@ -754,7 +785,7 @@ loadCheckpointFile(const std::string &path)
                         std::string(kTrailerAlgo) +
                         " trailer but carries none (archive truncated "
                         "at the trailer boundary?)");
-        if (content.rfind(kCheckpointMagic, 0) == 0)
+        if (body.starts_with(kCheckpointMagic))
             util::warn("serialize: " + path +
                        " carries no integrity trailer (written before "
                        "checksummed checkpoints); re-save to upgrade");
@@ -778,20 +809,13 @@ tryLoadCheckpointFile(const std::string &path, std::string *error)
 std::optional<std::uint64_t>
 readArchiveTrailer(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is)
-        return std::nullopt;
-    const auto size = static_cast<std::uint64_t>(is.tellg());
-    const std::size_t lineLen =
-        kTrailerPrefixLen + kTrailerHexLen + 1;
-    if (size < lineLen)
-        return std::nullopt;
-    is.seekg(static_cast<std::streamoff>(size - lineLen));
-    std::string tail(lineLen, '\0');
-    if (!is.read(tail.data(), static_cast<std::streamsize>(lineLen)))
-        return std::nullopt;
+    std::ifstream is(path, std::ios::binary);
+    std::string tail(kTrailerLineLen, '\0');
     std::uint64_t value = 0;
-    if (findTrailer(tail, value) != 0)
+    if (!is.seekg(-static_cast<std::streamoff>(kTrailerLineLen),
+                  std::ios::end) ||
+        !is.read(tail.data(), static_cast<std::streamsize>(tail.size())) ||
+        findTrailer(tail, value) != 0)
         return std::nullopt;
     return value;
 }

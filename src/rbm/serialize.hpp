@@ -4,8 +4,8 @@
  *
  * Two formats live here:
  *
- *  - **v1** (legacy): plain `Rbm`/`Dbn` parameter dumps, kept for
- *    loading old artifacts and for callers that only need raw weights.
+ *  - **v1** (legacy, load-only): plain `Rbm`/`Dbn` parameter dumps,
+ *    which nothing writes any more and `loadCheckpoint*` still read.
  *
  *      isingrbm-rbm v1
  *      <numVisible> <numHidden>
@@ -70,8 +70,14 @@
  *    re-initialized chains.  Section payloads must never contain the
  *    bare token `end` (ours are numbers and single-token names).
  *
- * All values are written with max_digits10 precision, so text
- * round-trips reproduce the binary floats exactly (locale-independent).
+ * **Numbers** are spelled in their shortest round-trip form
+ * (`std::to_chars`: the fewest digits that parse back to the same
+ * bits, e.g. `0.1` for 0.1f), independent of the locale.  Readers also
+ * accept the 17-significant-digit spelling of earlier writers; both
+ * give the same floats.  Readers reject a non-finite value (`inf`,
+ * `nan`; a model holding one still saves, but its archive does not
+ * load) and, before allocating, a declared size the remaining bytes
+ * cannot hold (every value takes at least a digit and a separator).
  */
 
 #ifndef ISINGRBM_RBM_SERIALIZE_HPP
@@ -92,26 +98,6 @@
 #include "rbm/train_state.hpp"
 
 namespace ising::rbm {
-
-// ------------------------------------------------------------- v1 API
-
-/** Write a model to a stream (legacy v1 format). */
-void saveRbm(const Rbm &model, std::ostream &os);
-
-/** Read a v1 model from a stream; fatal on malformed input. */
-Rbm loadRbm(std::istream &is);
-
-/** File-path convenience wrappers (fatal on IO errors). */
-void saveRbm(const Rbm &model, const std::string &path);
-Rbm loadRbmFile(const std::string &path);
-
-/** DBN stack persistence (a layer count followed by each RBM). */
-void saveDbn(const Dbn &stack, std::ostream &os);
-Dbn loadDbn(std::istream &is);
-void saveDbn(const Dbn &stack, const std::string &path);
-Dbn loadDbnFile(const std::string &path);
-
-// --------------------------------------------------- v2 checkpoint API
 
 /**
  * Model families a checkpoint can carry.  The enumerator order is the
@@ -183,8 +169,9 @@ void saveCheckpoint(const Checkpoint &ckpt, const std::string &path);
  * Read a checkpoint: v2 archives of any family, or legacy v1
  * `Rbm`/`Dbn` files (migrated with default meta).  Fatal on anything
  * malformed.  The file overload additionally verifies the integrity
- * trailer (see the file comment); the stream overload checks structure
- * only.
+ * trailer (see the file comment); the stream overload reads its stream
+ * to the end and checks structure only.  Both run the same parser,
+ * which ignores anything after `end checkpoint`.
  */
 Checkpoint loadCheckpoint(std::istream &is);
 Checkpoint loadCheckpointFile(const std::string &path);

@@ -45,7 +45,7 @@ std::string crc64Hex(std::uint64_t value);
  * Parse a crc64Hex spelling.  Returns false (leaving @p out untouched)
  * unless @p text is exactly 16 lowercase/uppercase hex digits.
  */
-bool parseCrc64Hex(const std::string &text, std::uint64_t &out);
+bool parseCrc64Hex(std::string_view text, std::uint64_t &out);
 
 } // namespace ising::util
 

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ISINGRBM_HAVE_FSYNC 1
@@ -72,21 +71,26 @@ fsyncParentDir(const std::string &path, std::string *error)
 bool
 slurpFile(const std::string &path, std::string &out, std::string *error)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    // A directory opens and reports an end offset near 2^63, which must
+    // not become a string size.
+    std::error_code ec;
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
+    if (!is || !std::filesystem::is_regular_file(path, ec)) {
         if (error)
             *error = "cannot open for reading: " + path;
         return false;
     }
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad()) {
-        if (error)
-            *error = "read failed: " + path;
-        return false;
+    // One read into a string sized from the open file (the same inode
+    // a concurrent rename-publish cannot swap): no staging copy.
+    const std::streamoff size = is.tellg();
+    if (size >= 0) {
+        out.resize(static_cast<std::size_t>(size));
+        if (is.seekg(0) && is.read(out.data(), size))
+            return true;
     }
-    out = buffer.str();
-    return true;
+    if (error)
+        *error = "read failed: " + path;
+    return false;
 }
 
 } // namespace ising::util

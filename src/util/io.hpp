@@ -32,8 +32,8 @@ bool fsyncFile(const std::string &path, std::string *error = nullptr);
 bool fsyncParentDir(const std::string &path, std::string *error = nullptr);
 
 /**
- * Read a whole file into a string.  Returns false (with detail in
- * @p error when non-null) when the file cannot be opened or read.
+ * Read a whole regular file into a string.  Returns false (with detail
+ * in @p error when non-null) when it is not one or cannot be read.
  */
 bool slurpFile(const std::string &path, std::string &out,
                std::string *error = nullptr);

@@ -167,6 +167,42 @@ TEST(Crc64, IncrementalMatchesOneShot)
     EXPECT_EQ(crc.value(), util::crc64(text));
 }
 
+TEST(Crc64, SlicedMatchesBitwiseDefinitionAtAnyLengthAndOffset)
+{
+    // CRC-64/XZ one bit at a time, straight from its definition.
+    const auto reference = [](const unsigned char *p, std::size_t n) {
+        std::uint64_t crc = ~0ull;
+        for (std::size_t i = 0; i < n; ++i) {
+            crc ^= p[i];
+            for (int bit = 0; bit < 8; ++bit)
+                crc = (crc >> 1) ^ (0xC96C5795D7870F42ull & (0 - (crc & 1)));
+        }
+        return ~crc;
+    };
+    const auto *check = reinterpret_cast<const unsigned char *>("123456789");
+    ASSERT_EQ(reference(check, 9), 0x995DC9BBDF1939FAull);
+
+    util::Rng rng(99);
+    std::vector<unsigned char> bytes(300);
+    for (unsigned char &b : bytes)
+        b = static_cast<unsigned char>(rng.next());
+    // Every start alignment, odd and even lengths on both sides of the
+    // 8-byte stride.
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t n = 0; offset + n <= bytes.size(); n += 1 + n / 8)
+            ASSERT_EQ(util::crc64(std::string_view(
+                          reinterpret_cast<const char *>(&bytes[offset]), n)),
+                      reference(&bytes[offset], n))
+                << "offset " << offset << ", length " << n;
+    // A split anywhere folds to the one-pass value.
+    for (std::size_t split = 0; split <= 37; ++split) {
+        util::Crc64 crc;
+        crc.update(bytes.data(), split);
+        crc.update(bytes.data() + split, 37 - split);
+        EXPECT_EQ(crc.value(), reference(bytes.data(), 37)) << split;
+    }
+}
+
 // --------------------------------------------- trailer write + verify
 
 TEST_F(FaultToleranceTest, FileRoundTripCarriesVerifiedTrailer)

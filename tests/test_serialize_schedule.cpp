@@ -1,86 +1,15 @@
 /**
  * @file
- * Tests for model serialization and annealing schedules.
+ * Tests for annealing schedules.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <sstream>
-
 #include "ising/schedule.hpp"
-#include "rbm/serialize.hpp"
 
 using namespace ising;
 using machine::AnnealSchedule;
 using machine::ScheduleKind;
-using util::Rng;
-
-namespace {
-
-rbm::Rbm
-randomModel(std::size_t m, std::size_t n, std::uint64_t seed)
-{
-    rbm::Rbm model(m, n);
-    Rng rng(seed);
-    model.initRandom(rng, 0.5f);
-    for (std::size_t i = 0; i < m; ++i)
-        model.visibleBias()[i] = static_cast<float>(rng.gaussian(0, 1));
-    for (std::size_t j = 0; j < n; ++j)
-        model.hiddenBias()[j] = static_cast<float>(rng.gaussian(0, 1));
-    return model;
-}
-
-} // namespace
-
-TEST(Serialize, RbmRoundTripIsExact)
-{
-    const rbm::Rbm model = randomModel(9, 5, 1);
-    std::stringstream ss;
-    rbm::saveRbm(model, ss);
-    const rbm::Rbm back = rbm::loadRbm(ss);
-    EXPECT_EQ(back.numVisible(), 9u);
-    EXPECT_EQ(back.numHidden(), 5u);
-    EXPECT_EQ(back.weights(), model.weights());
-    EXPECT_EQ(back.visibleBias(), model.visibleBias());
-    EXPECT_EQ(back.hiddenBias(), model.hiddenBias());
-}
-
-TEST(Serialize, RbmFileRoundTrip)
-{
-    const rbm::Rbm model = randomModel(6, 4, 2);
-    const std::string path = "/tmp/isingrbm_test_model.txt";
-    rbm::saveRbm(model, path);
-    const rbm::Rbm back = rbm::loadRbmFile(path);
-    EXPECT_EQ(back.weights(), model.weights());
-    std::remove(path.c_str());
-}
-
-TEST(Serialize, DbnRoundTripPreservesStack)
-{
-    Rng rng(3);
-    rbm::Dbn stack({10, 6, 3});
-    stack.initRandom(rng, 0.4f);
-    std::stringstream ss;
-    rbm::saveDbn(stack, ss);
-    const rbm::Dbn back = rbm::loadDbn(ss);
-    ASSERT_EQ(back.numLayers(), 2u);
-    EXPECT_EQ(back.layer(0).weights(), stack.layer(0).weights());
-    EXPECT_EQ(back.layer(1).weights(), stack.layer(1).weights());
-    EXPECT_EQ(back.layer(1).hiddenBias(), stack.layer(1).hiddenBias());
-}
-
-TEST(Serialize, PreservesExtremeValues)
-{
-    rbm::Rbm model(2, 2);
-    model.weights()(0, 0) = 1.0e-30f;
-    model.weights()(0, 1) = -3.4e37f;
-    model.weights()(1, 0) = 0.1f;  // not exactly representable
-    std::stringstream ss;
-    rbm::saveRbm(model, ss);
-    const rbm::Rbm back = rbm::loadRbm(ss);
-    EXPECT_EQ(back.weights(), model.weights());
-}
 
 TEST(Schedule, LinearEndpoints)
 {
