@@ -472,9 +472,10 @@ hostMetadata()
  * tiers produce byte-identical results (test_simd_kernels proves it),
  * so the deltas here are pure time: the fused batched half-sweep
  * (accumulate-bound) and the popcount gradient reduce
- * (AND+popcount-bound, where VPOPCNTDQ is the headline win).  Also
- * re-runs the PR-5 sparse-threshold micro-probe per tier: a faster
- * dense kernel moves the dense/sparse crossover down.
+ * (AND+popcount-bound) at batches 50, 100 and 500 -- 1, 2 and 8
+ * packed words, so a tier that loses at the trainers' default batch
+ * shows.  Also re-runs the PR-5 sparse-threshold micro-probe per tier:
+ * a faster dense kernel moves the dense/sparse crossover down.
  */
 void
 printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
@@ -486,7 +487,10 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
     };
     const std::vector<Shape> shapes = {
         {784, 500}, {1600, 1600}, {4096, 1024}};
-    const std::size_t batch = 100, cdBatch = 500;
+    const std::size_t batch = 100;
+    // The reduce at the trainers' default batches (1 and 2 packed words)
+    // and the paper batch (8 words).
+    const std::vector<std::size_t> reduceBatches = {50, 100, 500};
     const double minSec = full ? 0.6 : 0.2;
 
     std::vector<const simd::KernelTable *> tiers;
@@ -496,8 +500,9 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
         if (const simd::KernelTable *kt = simd::table(tier))
             tiers.push_back(kt);
 
-    benchtool::Table sweeps({"shape", "tier", "half-sweep", "vs generic",
-                             "reduce", "vs generic"});
+    benchtool::Table sweeps({"shape", "tier", "half-sweep", "vs generic"});
+    benchtool::Table reduces(
+        {"shape", "batch", "words", "tier", "reduce", "vs generic"});
     for (const Shape &shape : shapes) {
         const std::size_t m = shape.m, n = shape.n;
         const std::string tag =
@@ -513,23 +518,7 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
         for (std::size_t r = 0; r < batch; ++r)
             rngs.push_back(util::Rng::stream(29, r));
 
-        // Reduce inputs: 50%-active binary states at the paper batch
-        // size, pre-transposed so the timing is the AND+popcount
-        // kernel alone (pack cost is tier-independent).
-        util::Rng stateRng(31);
-        linalg::Matrix vp(cdBatch, m), hp(cdBatch, n), vn(cdBatch, m),
-            hn(cdBatch, n);
-        for (linalg::Matrix *s : {&vp, &vn, &hp, &hn})
-            for (std::size_t i = 0; i < s->size(); ++i)
-                s->data()[i] = stateRng.bernoulli(0.5) ? 1.0f : 0.0f;
-        linalg::BitMatrix posT, negT, hposT, hnegT;
-        linalg::packTransposed(vp, posT);
-        linalg::packTransposed(vn, negT);
-        linalg::packTransposed(hp, hposT);
-        linalg::packTransposed(hn, hnegT);
-        linalg::Matrix dw(m, n);
-
-        double sweepGeneric = 0.0, reduceGeneric = 0.0;
+        double sweepGeneric = 0.0;
         for (const simd::KernelTable *kt : tiers) {
             rbm::SamplingOptions opts;
             opts.isa = kt->tier;
@@ -540,33 +529,59 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
                 linalg::Matrix h, ph;
                 backend.sampleHiddenBatch(v, h, ph, rngs.data());
             }) / batch;
-            const double tReduce = timeIt(minSec, [&] {
-                linalg::outerCountDiff(*kt, posT, hposT, negT, hnegT,
-                                       dw, 0, m);
-            });
-            if (kt->tier == simd::IsaTier::Generic) {
+            if (kt->tier == simd::IsaTier::Generic)
                 sweepGeneric = tSweep;
-                reduceGeneric = tReduce;
-            }
-            sweeps.addRow({tag, kt->name,
-                           fmt(tSweep * 1e9, 0) + " ns",
-                           fmt(sweepGeneric / tSweep, 2) + "x",
-                           fmt(tReduce * 1e3, 2) + " ms",
-                           fmt(reduceGeneric / tReduce, 2) + "x"});
+            sweeps.addRow({tag, kt->name, fmt(tSweep * 1e9, 0) + " ns",
+                           fmt(sweepGeneric / tSweep, 2) + "x"});
             const std::string cell =
                 "isa/" + tag + "/" + std::string(kt->name);
             json.push_back({cell + "/halfsweep", tSweep * 1e9, "ns/op"});
-            json.push_back({cell + "/reduce", tReduce, "s"});
             json.push_back({cell + "/halfsweep_speedup",
                             sweepGeneric / tSweep, "x"});
-            json.push_back({cell + "/reduce_speedup",
-                            reduceGeneric / tReduce, "x"});
+        }
+
+        for (const std::size_t rb : reduceBatches) {
+            // Reduce inputs: 50%-active binary states, pre-transposed
+            // so the timing is the AND+popcount kernel alone (pack cost
+            // is tier-independent).
+            util::Rng stateRng(31);
+            linalg::Matrix vp(rb, m), hp(rb, n), vn(rb, m), hn(rb, n);
+            for (linalg::Matrix *s : {&vp, &vn, &hp, &hn})
+                for (std::size_t i = 0; i < s->size(); ++i)
+                    s->data()[i] = stateRng.bernoulli(0.5) ? 1.0f : 0.0f;
+            linalg::BitMatrix posT, negT, hposT, hnegT;
+            linalg::packTransposed(vp, posT);
+            linalg::packTransposed(vn, negT);
+            linalg::packTransposed(hp, hposT);
+            linalg::packTransposed(hn, hnegT);
+            linalg::Matrix dw(m, n);
+
+            double reduceGeneric = 0.0;
+            for (const simd::KernelTable *kt : tiers) {
+                const double tReduce = timeIt(minSec, [&] {
+                    linalg::outerCountDiff(*kt, posT, hposT, negT, hnegT,
+                                           dw, 0, m);
+                });
+                if (kt->tier == simd::IsaTier::Generic)
+                    reduceGeneric = tReduce;
+                reduces.addRow({tag, std::to_string(rb),
+                                std::to_string(linalg::bitWords(rb)),
+                                kt->name, fmt(tReduce * 1e6, 0) + " us",
+                                fmt(reduceGeneric / tReduce, 2) + "x"});
+                const std::string cell = "isa/" + tag + "/" +
+                                         std::string(kt->name) +
+                                         "/reduce/b" + std::to_string(rb);
+                json.push_back({cell, tReduce, "s"});
+                json.push_back({cell + "/speedup", reduceGeneric / tReduce,
+                                "x"});
+            }
         }
     }
     sweeps.print("SIMD kernel tiers: dense half-sweep (ns per chain, "
-                 "batch " + std::to_string(batch) + ") and popcount "
-                 "gradient reduce (batch " + std::to_string(cdBatch) +
-                 "); all tiers byte-identical");
+                 "batch " + std::to_string(batch) + "); all tiers "
+                 "byte-identical");
+    reduces.print("SIMD kernel tiers: popcount gradient reduce per batch "
+                  "(one thread); all tiers byte-identical");
 
     // PR-5 sparse-threshold micro-probe, re-run against each tier's
     // dense kernels (the ISINGRBM_SPARSE_THRESHOLD env pin would
@@ -593,9 +608,9 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
  *  - the fused hidden half-sweep (gather/accumulate + the
  *    contract-pinned sigmoid/Bernoulli latch, which is identical in
  *    both paths and floors the fused ratio);
- *  - the CD gradient reduce -- the one stage whose dense cost is
- *    O(m*n*words) *regardless* of activity, and therefore where
- *    sparsity pays the most;
+ *  - the CD gradient reduce at batches 50, 100 and 500 -- the one
+ *    stage whose dense cost is O(m*n*words) *regardless* of activity,
+ *    and therefore where sparsity pays the most;
  *  - the end-to-end CD-1 epoch combining both.
  *
  * Each cell is measured with the sparse path forced off (threshold
@@ -616,13 +631,14 @@ printSparseScaling(bool full, std::vector<benchtool::JsonRecord> &json)
         {784, 500}, {1600, 1600}, {4096, 1024}};
     const std::vector<double> activities = {0.02, 0.05, 0.10,
                                             0.15, 0.50, 0.90};
-    const std::size_t batch = 100;
+    const std::size_t batch = 100, cdBatch = 500;
+    const std::vector<std::size_t> reduceBatches = {50, 100, 500};
     const double minSec = full ? 0.6 : 0.2;
 
     benchtool::Table sweeps({"shape", "activity", "dense packed",
                              "sparse streamed", "dispatch",
                              "sparse speedup"});
-    benchtool::Table reduces({"shape", "activity", "dense (ms)",
+    benchtool::Table reduces({"shape", "activity", "batch", "dense (ms)",
                               "sparse (ms)", "sparse speedup"});
     benchtool::Table epochs({"shape", "activity", "dense (s)",
                              "sparse (s)", "dispatch (s)",
@@ -680,48 +696,46 @@ printSparseScaling(bool full, std::vector<benchtool::JsonRecord> &json)
             json.push_back({cell + "/halfsweep/speedup",
                             tDense / tSparse, "x"});
 
-            // -- CD gradient reduce at paper batch size: transposed
-            // popcount reduce vs active-pair scatter, each timed with
-            // its own state-preparation cost (packTransposed vs
-            // float-direct view build).
-            const std::size_t cdBatch = 500;
-            util::Rng stateRng(31);
-            linalg::Matrix vp(cdBatch, m), hp(cdBatch, n),
-                vn(cdBatch, m), hn(cdBatch, n);
-            for (linalg::Matrix *s : {&vp, &vn})
-                for (std::size_t i = 0; i < s->size(); ++i)
-                    s->data()[i] =
-                        stateRng.bernoulli(activity) ? 1.0f : 0.0f;
-            for (linalg::Matrix *s : {&hp, &hn})
-                for (std::size_t i = 0; i < s->size(); ++i)
-                    s->data()[i] =
-                        stateRng.bernoulli(activity) ? 1.0f : 0.0f;
-            linalg::Matrix dw(m, n);
-            const double rDense = timeIt(minSec, [&] {
-                linalg::BitMatrix posT, negT, hposT, hnegT;
-                linalg::packTransposed(vp, posT);
-                linalg::packTransposed(vn, negT);
-                linalg::packTransposed(hp, hposT);
-                linalg::packTransposed(hn, hnegT);
-                linalg::outerCountDiff(posT, hposT, negT, hnegT, dw, 0,
-                                       m);
-            });
-            const double rSparse = timeIt(minSec, [&] {
-                linalg::SparseBitView vpV, hpV, vnV, hnV;
-                vpV.build(vp);
-                hpV.build(hp);
-                vnV.build(vn);
-                hnV.build(hn);
-                linalg::outerCountDiffSparse(vpV, hpV, vnV, hnV, dw, 0,
-                                             m);
-            });
-            reduces.addRow({tag, fmt(activity * 100, 0) + "%",
-                            fmt(rDense * 1e3, 2), fmt(rSparse * 1e3, 2),
-                            fmt(rDense / rSparse, 2) + "x"});
-            json.push_back({cell + "/reduce/dense_packed", rDense, "s"});
-            json.push_back({cell + "/reduce/sparse", rSparse, "s"});
-            json.push_back({cell + "/reduce/speedup", rDense / rSparse,
-                            "x"});
+            // -- CD gradient reduce at the trainers' default batches and
+            // the paper batch: transposed popcount reduce vs active-pair
+            // scatter, each timed with its own state-preparation cost
+            // (packTransposed vs float-direct view build).
+            for (const std::size_t rb : reduceBatches) {
+                util::Rng stateRng(31);
+                linalg::Matrix vp(rb, m), hp(rb, n), vn(rb, m), hn(rb, n);
+                for (linalg::Matrix *s : {&vp, &vn, &hp, &hn})
+                    for (std::size_t i = 0; i < s->size(); ++i)
+                        s->data()[i] =
+                            stateRng.bernoulli(activity) ? 1.0f : 0.0f;
+                linalg::Matrix dw(m, n);
+                const double rDense = timeIt(minSec, [&] {
+                    linalg::BitMatrix posT, negT, hposT, hnegT;
+                    linalg::packTransposed(vp, posT);
+                    linalg::packTransposed(vn, negT);
+                    linalg::packTransposed(hp, hposT);
+                    linalg::packTransposed(hn, hnegT);
+                    linalg::outerCountDiff(posT, hposT, negT, hnegT, dw,
+                                           0, m);
+                });
+                const double rSparse = timeIt(minSec, [&] {
+                    linalg::SparseBitView vpV, hpV, vnV, hnV;
+                    vpV.build(vp);
+                    hpV.build(hp);
+                    vnV.build(vn);
+                    hnV.build(hn);
+                    linalg::outerCountDiffSparse(vpV, hpV, vnV, hnV, dw,
+                                                 0, m);
+                });
+                reduces.addRow({tag, fmt(activity * 100, 0) + "%",
+                                std::to_string(rb), fmt(rDense * 1e3, 3),
+                                fmt(rSparse * 1e3, 3),
+                                fmt(rDense / rSparse, 2) + "x"});
+                const std::string rcell =
+                    cell + "/reduce/b" + std::to_string(rb);
+                json.push_back({rcell + "/dense_packed", rDense, "s"});
+                json.push_back({rcell + "/sparse", rSparse, "s"});
+                json.push_back({rcell + "/speedup", rDense / rSparse, "x"});
+            }
 
             // -- end-to-end CD-1 epoch on data at this activity, with
             // the sparse-regime model keeping chain states there too.
@@ -766,7 +780,7 @@ printSparseScaling(bool full, std::vector<benchtool::JsonRecord> &json)
                  "chain, batch " + std::to_string(batch) + "; the "
                  "sigmoid+Bernoulli latch is contract-pinned and "
                  "shared by both paths)");
-    reduces.print("Sparsity sweep: CD gradient reduce, batch 500 "
+    reduces.print("Sparsity sweep: CD gradient reduce per batch "
                   "(dense popcount vs active-pair scatter)");
     epochs.print("Sparsity sweep: end-to-end CD-1 epoch (dense forced "
                  "vs sparse forced vs dispatcher)");

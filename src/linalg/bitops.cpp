@@ -351,12 +351,25 @@ packTransposed(const Matrix &src, BitMatrix &dst)
 {
     const std::size_t rows = src.rows(), cols = src.cols();
     dst.reset(cols, rows);
-    for (std::size_t c = 0; c < cols; ++c) {
-        std::uint64_t *drow = dst.row(c);
-        for (std::size_t r = 0; r < rows; ++r)
-            drow[r >> 6] |=
-                static_cast<std::uint64_t>(src(r, c) != 0.0f)
-                << (r & 63);
+    const std::size_t stride = dst.wordsPerRow();
+    // Row order, 64 rows (one word of every unit) at a time: each float
+    // of a row is ORed as bit r & 63 into a contiguous word per unit,
+    // which vectorizes, and the finished words then land in the
+    // transposed rows with one strided store per unit.
+    std::vector<std::uint64_t> block(cols);
+    std::uint64_t *acc = block.data();
+    for (std::size_t w = 0; w < stride; ++w) {
+        std::fill_n(acc, cols, 0);
+        const std::size_t end = std::min(rows, (w + 1) * 64);
+        for (std::size_t r = w * 64; r < end; ++r) {
+            const float *srow = src.row(r);
+            const std::size_t shift = r & 63;
+            for (std::size_t c = 0; c < cols; ++c)
+                acc[c] |= static_cast<std::uint64_t>(srow[c] != 0.0f)
+                          << shift;
+        }
+        for (std::size_t c = 0; c < cols; ++c)
+            dst.row(c)[w] = acc[c];
     }
 }
 
@@ -371,8 +384,30 @@ outerCountDiff(const simd::KernelTable &kt, const BitMatrix &a,
     assert(b.wordsPerRow() == words && c.wordsPerRow() == words &&
            d.wordsPerRow() == words);
     assert(rowEnd <= out.rows());
-    kt.outerCountDiff(a.row(0), b.row(0), c.row(0), d.row(0), words, n,
-                      out.data(), out.cols(), rowBegin, rowEnd);
+    if (words == 0) {  // empty batch: every count is zero
+        for (std::size_t i = rowBegin; i < rowEnd; ++i)
+            std::fill_n(out.row(i), n, 0.0f);
+        return;
+    }
+    // The kernels read b/d word-major (word w of unit j at [w * n + j]);
+    // a one-word row already is.
+    const std::uint64_t *bw = b.row(0), *dw = d.row(0);
+    std::vector<std::uint64_t> view;
+    if (words > 1) {
+        view.resize(2 * words * n);
+        std::uint64_t *bv = view.data(), *dv = bv + words * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint64_t *bj = b.row(j), *dj = d.row(j);
+            for (std::size_t w = 0; w < words; ++w) {
+                bv[w * n + j] = bj[w];
+                dv[w * n + j] = dj[w];
+            }
+        }
+        bw = bv;
+        dw = dv;
+    }
+    kt.outerCountDiff(a.row(0), bw, c.row(0), dw, words, n, out.data(),
+                      out.cols(), rowBegin, rowEnd);
 }
 
 void

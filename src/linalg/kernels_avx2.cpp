@@ -11,10 +11,11 @@
  *
  * The accumulate kernels vectorize across output lanes with 8-wide
  * ymm adds (per lane the ascending set-bit addition order of the
- * generic tier, no FMA, no reassociation).  AVX2 has no vector
- * popcount, so the reduce tier's win is the hardware POPCNT
- * instruction over the baseline bit-hack expansion std::popcount
- * compiles to on plain x86-64, plus fixed-trip word loops.
+ * generic tier, no FMA, no reassociation).  The gradient reduce and
+ * popcount are the portable bodies of popcount_kernels.hpp compiled
+ * here: AVX2 has no vector popcount, so this tier's gain over a
+ * baseline build is the scalar POPCNT instruction in place of the
+ * bit-hack expansion.
  */
 
 #ifdef ISINGRBM_SIMD_AVX2
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <immintrin.h>
 
+#include "linalg/popcount_kernels.hpp"
 #include "linalg/simd_dispatch.hpp"
 
 namespace ising::linalg::simd::detail {
@@ -121,87 +123,15 @@ addActiveRowsAvx2(const float *w, std::size_t stride,
     }
 }
 
-/** outerCountDiff inner sweep with a compile-time word count. */
-template <std::size_t W>
-void
-outerCountDiffFixed(const std::uint64_t *a, const std::uint64_t *b,
-                    const std::uint64_t *c, const std::uint64_t *d,
-                    std::size_t n, float *out, std::size_t outStride,
-                    std::size_t rowBegin, std::size_t rowEnd)
-{
-    for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-        const std::uint64_t *ai = a + i * W;
-        const std::uint64_t *ci = c + i * W;
-        const std::uint64_t *bj = b;
-        const std::uint64_t *dj = d;
-        float *orow = out + i * outStride;
-        for (std::size_t j = 0; j < n; ++j, bj += W, dj += W) {
-            int count = 0;
-            for (std::size_t w = 0; w < W; ++w)
-                count += std::popcount(ai[w] & bj[w]) -
-                         std::popcount(ci[w] & dj[w]);
-            orow[j] = static_cast<float>(count);
-        }
-    }
-}
-
-void
-outerCountDiffAvx2(const std::uint64_t *a, const std::uint64_t *b,
-                   const std::uint64_t *c, const std::uint64_t *d,
-                   std::size_t words, std::size_t n, float *out,
-                   std::size_t outStride, std::size_t rowBegin,
-                   std::size_t rowEnd)
-{
-    switch (words) {
-    case 1:
-        return outerCountDiffFixed<1>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    case 2:
-        return outerCountDiffFixed<2>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    case 4:
-        return outerCountDiffFixed<4>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    case 8:
-        return outerCountDiffFixed<8>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    default:
-        break;
-    }
-    for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-        const std::uint64_t *ai = a + i * words;
-        const std::uint64_t *ci = c + i * words;
-        float *orow = out + i * outStride;
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::uint64_t *bj = b + j * words;
-            const std::uint64_t *dj = d + j * words;
-            int count = 0;
-            for (std::size_t w = 0; w < words; ++w)
-                count += std::popcount(ai[w] & bj[w]) -
-                         std::popcount(ci[w] & dj[w]);
-            orow[j] = static_cast<float>(count);
-        }
-    }
-}
-
-std::size_t
-popcountWordsAvx2(const std::uint64_t *words, std::size_t n)
-{
-    std::size_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += static_cast<std::size_t>(std::popcount(words[i]));
-    return acc;
-}
-
 } // namespace
 
 // extern: namespace-scope const defaults to internal linkage, but the
 // dispatcher in simd_dispatch.cpp links against this definition.
 extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
-    IsaTier::Avx2,     "avx2",
-    addMaskedRowsAvx2, addActiveRowsAvx2,
-    outerCountDiffAvx2, popcountWordsAvx2,
+    IsaTier::Avx2,      "avx2",
+    addMaskedRowsAvx2,  addActiveRowsAvx2,
+    outerCountDiffBody, popcountWordsBody,
 };
 
 } // namespace ising::linalg::simd::detail

@@ -6,15 +6,16 @@
  * compiler supports those flags (CMake defines ISINGRBM_SIMD_AVX512);
  * the dispatch table hands these entry points out only after the
  * CPUID probe confirmed the host runs them.  Everything here operates
- * on raw pointers so no inline header code is instantiated in this
- * wider-ISA translation unit.
+ * on raw pointers so no inline header code with external linkage is
+ * instantiated in this wider-ISA translation unit.
  *
  * Bit-identity with the generic tier: the accumulate kernels
  * vectorize across output lanes only -- per lane the float additions
  * run in the identical ascending set-bit order, one vector add per
- * input row, no FMA, no horizontal reductions.  The popcount reduce
- * is exact integer arithmetic (VPOPCNTDQ), order-independent by
- * construction.
+ * input row, no FMA, no horizontal reductions.  The gradient reduce
+ * and popcount are the portable bodies of popcount_kernels.hpp, which
+ * the compiler vectorizes here with VPOPCNTQ along the hidden axis;
+ * they are exact integer counts, order-independent by construction.
  */
 
 #ifdef ISINGRBM_SIMD_AVX512
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <immintrin.h>
 
+#include "linalg/popcount_kernels.hpp"
 #include "linalg/simd_dispatch.hpp"
 
 namespace ising::linalg::simd::detail {
@@ -126,89 +128,6 @@ addActiveRowsAvx512(const float *w, std::size_t stride,
     }
 }
 
-void
-outerCountDiffAvx512(const std::uint64_t *a, const std::uint64_t *b,
-                     const std::uint64_t *c, const std::uint64_t *d,
-                     std::size_t words, std::size_t n, float *out,
-                     std::size_t outStride, std::size_t rowBegin,
-                     std::size_t rowEnd)
-{
-    if (words <= 8) {
-        // Batches up to 512 positions: one masked zmm per row, so each
-        // dW entry is two AND+VPOPCNTQ vectors and a horizontal sum.
-        const __mmask8 mk = static_cast<__mmask8>((1u << words) - 1);
-        for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-            const __m512i av = _mm512_maskz_loadu_epi64(mk, a + i * words);
-            const __m512i cv = _mm512_maskz_loadu_epi64(mk, c + i * words);
-            float *orow = out + i * outStride;
-            const std::uint64_t *bj = b;
-            const std::uint64_t *dj = d;
-            for (std::size_t j = 0; j < n; ++j, bj += words, dj += words) {
-                const __m512i pos = _mm512_popcnt_epi64(_mm512_and_si512(
-                    av, _mm512_maskz_loadu_epi64(mk, bj)));
-                const __m512i neg = _mm512_popcnt_epi64(_mm512_and_si512(
-                    cv, _mm512_maskz_loadu_epi64(mk, dj)));
-                orow[j] = static_cast<float>(_mm512_reduce_add_epi64(
-                    _mm512_sub_epi64(pos, neg)));
-            }
-        }
-        return;
-    }
-    // Wider batches: chunk the word axis eight at a time.
-    const std::size_t rem = words & 7;
-    const __mmask8 mk = static_cast<__mmask8>((1u << rem) - 1);
-    for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-        const std::uint64_t *ai = a + i * words;
-        const std::uint64_t *ci = c + i * words;
-        float *orow = out + i * outStride;
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::uint64_t *bj = b + j * words;
-            const std::uint64_t *dj = d + j * words;
-            __m512i accv = _mm512_setzero_si512();
-            std::size_t w = 0;
-            for (; w + 8 <= words; w += 8) {
-                const __m512i pos = _mm512_popcnt_epi64(_mm512_and_si512(
-                    _mm512_loadu_si512(ai + w),
-                    _mm512_loadu_si512(bj + w)));
-                const __m512i neg = _mm512_popcnt_epi64(_mm512_and_si512(
-                    _mm512_loadu_si512(ci + w),
-                    _mm512_loadu_si512(dj + w)));
-                accv = _mm512_add_epi64(accv,
-                                        _mm512_sub_epi64(pos, neg));
-            }
-            if (rem) {
-                const __m512i pos = _mm512_popcnt_epi64(_mm512_and_si512(
-                    _mm512_maskz_loadu_epi64(mk, ai + w),
-                    _mm512_maskz_loadu_epi64(mk, bj + w)));
-                const __m512i neg = _mm512_popcnt_epi64(_mm512_and_si512(
-                    _mm512_maskz_loadu_epi64(mk, ci + w),
-                    _mm512_maskz_loadu_epi64(mk, dj + w)));
-                accv = _mm512_add_epi64(accv,
-                                        _mm512_sub_epi64(pos, neg));
-            }
-            orow[j] = static_cast<float>(_mm512_reduce_add_epi64(accv));
-        }
-    }
-}
-
-std::size_t
-popcountWordsAvx512(const std::uint64_t *words, std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_loadu_si512(words + i)));
-    const std::size_t rem = n - i;
-    if (rem) {
-        const __mmask8 mk = static_cast<__mmask8>((1u << rem) - 1);
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(
-                     _mm512_maskz_loadu_epi64(mk, words + i)));
-    }
-    return static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
-}
-
 } // namespace
 
 // extern: namespace-scope const defaults to internal linkage, but the
@@ -217,7 +136,7 @@ extern const KernelTable kAvx512Table;
 const KernelTable kAvx512Table = {
     IsaTier::Avx512,     "avx512",
     addMaskedRowsAvx512, addActiveRowsAvx512,
-    outerCountDiffAvx512, popcountWordsAvx512,
+    outerCountDiffBody,  popcountWordsBody,
 };
 
 } // namespace ising::linalg::simd::detail

@@ -7,6 +7,8 @@
  * translation units (kernels_avx2.cpp / kernels_avx512.cpp) compiled
  * with the matching -m flags and are linked in only when the compiler
  * supports those flags (ISINGRBM_SIMD_AVX2 / ISINGRBM_SIMD_AVX512).
+ * The gradient reduce and popcount of every table, this one included,
+ * are the one body in popcount_kernels.hpp.
  */
 
 #include "linalg/simd_dispatch.hpp"
@@ -14,6 +16,7 @@
 #include <bit>
 #include <cstdlib>
 
+#include "linalg/popcount_kernels.hpp"
 #include "util/logging.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -66,84 +69,10 @@ addActiveRowsGeneric(const float *w, std::size_t stride,
     }
 }
 
-/** outerCountDiff inner sweep with a compile-time word count. */
-template <std::size_t W>
-void
-outerCountDiffFixed(const std::uint64_t *a, const std::uint64_t *b,
-                    const std::uint64_t *c, const std::uint64_t *d,
-                    std::size_t n, float *out, std::size_t outStride,
-                    std::size_t rowBegin, std::size_t rowEnd)
-{
-    for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-        const std::uint64_t *ai = a + i * W;
-        const std::uint64_t *ci = c + i * W;
-        const std::uint64_t *bj = b;
-        const std::uint64_t *dj = d;
-        float *orow = out + i * outStride;
-        for (std::size_t j = 0; j < n; ++j, bj += W, dj += W) {
-            int count = 0;
-            for (std::size_t w = 0; w < W; ++w)
-                count += std::popcount(ai[w] & bj[w]) -
-                         std::popcount(ci[w] & dj[w]);
-            orow[j] = static_cast<float>(count);
-        }
-    }
-}
-
-void
-outerCountDiffGeneric(const std::uint64_t *a, const std::uint64_t *b,
-                      const std::uint64_t *c, const std::uint64_t *d,
-                      std::size_t words, std::size_t n, float *out,
-                      std::size_t outStride, std::size_t rowBegin,
-                      std::size_t rowEnd)
-{
-    // Common batch sizes resolve to fixed-trip inner loops (batch of
-    // up to 512 positions = 1..8 words).
-    switch (words) {
-    case 1:
-        return outerCountDiffFixed<1>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    case 2:
-        return outerCountDiffFixed<2>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    case 4:
-        return outerCountDiffFixed<4>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    case 8:
-        return outerCountDiffFixed<8>(a, b, c, d, n, out, outStride,
-                                      rowBegin, rowEnd);
-    default:
-        break;
-    }
-    for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-        const std::uint64_t *ai = a + i * words;
-        const std::uint64_t *ci = c + i * words;
-        float *orow = out + i * outStride;
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::uint64_t *bj = b + j * words;
-            const std::uint64_t *dj = d + j * words;
-            int count = 0;
-            for (std::size_t w = 0; w < words; ++w)
-                count += std::popcount(ai[w] & bj[w]) -
-                         std::popcount(ci[w] & dj[w]);
-            orow[j] = static_cast<float>(count);
-        }
-    }
-}
-
-std::size_t
-popcountWordsGeneric(const std::uint64_t *words, std::size_t n)
-{
-    std::size_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += static_cast<std::size_t>(std::popcount(words[i]));
-    return acc;
-}
-
 const KernelTable kGenericTable = {
     IsaTier::Generic,     "generic",
     addMaskedRowsGeneric, addActiveRowsGeneric,
-    outerCountDiffGeneric, popcountWordsGeneric,
+    outerCountDiffBody,   popcountWordsBody,
 };
 
 // ------------------------------------------------------------- CPUID probe

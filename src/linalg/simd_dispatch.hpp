@@ -17,7 +17,9 @@
  * the exact scalar addition sequence -- and never use FMA, horizontal
  * adds or any cross-input reassociation.  The AND-popcount gradient
  * reduce is exact integer arithmetic, order-independent by
- * construction, so it vectorizes freely (VPOPCNTDQ on AVX-512).  The
+ * construction, so it needs no hand kernel: every tier's table holds
+ * the one portable body of popcount_kernels.hpp compiled under that
+ * tier's flags (VPOPCNTQ along the hidden axis on AVX-512).  The
  * sigmoid + Bernoulli latch consumes one RNG draw per unit in
  * ascending order and therefore stays scalar common code outside this
  * table.  Every tier is byte-identical to the generic reference.
@@ -57,8 +59,9 @@ bool tierFromName(const std::string &name, IsaTier &out);
 /**
  * One tier's kernel entry points.  All kernels take raw pointers and
  * strides so the per-ISA translation units never instantiate inline
- * header code (whose comdat copies could otherwise leak wider ISA
- * instructions into portable functions at link time).
+ * header code with external linkage (whose comdat copies could
+ * otherwise leak wider ISA instructions into portable functions at
+ * link time).
  */
 struct KernelTable
 {
@@ -87,8 +90,9 @@ struct KernelTable
 
     /**
      * out(i, j) = popcount(a_i & b_j) - popcount(c_i & d_j) for rows
-     * i in [rowBegin, rowEnd), j in [0, n); every row of a/b/c/d is
-     * @p words consecutive uint64s, row i of out starts at
+     * i in [rowBegin, rowEnd), j in [0, n), over @p words >= 1 words.
+     * Row i of a/c is @p words consecutive uint64s; b/d are word-major
+     * (word w of unit j at b[w * n + j]); row i of out starts at
      * out + i * outStride.  Exact integer counts, any summation order.
      */
     void (*outerCountDiff)(const std::uint64_t *a, const std::uint64_t *b,

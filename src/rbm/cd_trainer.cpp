@@ -330,12 +330,17 @@ CdTrainer::trainBatch(const data::Dataset &train,
     const float decay = static_cast<float>(
         config_.weightDecay * config_.learningRate);
 
-    linalg::Matrix &w = model_.weights();
-    float *wd = w.data(), *dwd = dw_.data(), *mwd = mw_.data();
-    for (std::size_t i = 0; i < w.size(); ++i) {
-        mwd[i] = mom * mwd[i] + scale * dwd[i] - decay * wd[i];
-        wd[i] += mwd[i];
-    }
+    // Weight rows are disjoint across chunks and each element runs the
+    // same expression, so the pool moves time, never bits.
+    float *wd = model_.weights().data(), *dwd = dw_.data(),
+          *mwd = mw_.data();
+    exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
+                                         std::size_t rowEnd) {
+        for (std::size_t i = rowBegin * n; i < rowEnd * n; ++i) {
+            mwd[i] = mom * mwd[i] + scale * dwd[i] - decay * wd[i];
+            wd[i] += mwd[i];
+        }
+    });
     linalg::Vector &bv = model_.visibleBias();
     for (std::size_t i = 0; i < m; ++i) {
         mbv_[i] = mom * mbv_[i] + scale * dbv_[i];

@@ -239,19 +239,28 @@ TEST(BitOps, IsBinaryDetectsNonBinaryEntries)
 
 TEST(BitOps, PackTransposedMirrorsTheFloatMatrix)
 {
+    // Row counts on both sides of the 64-bit word boundaries; entries
+    // include 0.5f and -2.0f (nonzero, pack 1) and -0.0f (equal to
+    // zero, packs 0).
     Rng rng(31);
-    Matrix src(5, 70);
-    for (std::size_t r = 0; r < src.rows(); ++r)
-        for (std::size_t c = 0; c < src.cols(); ++c)
-            src(r, c) = rng.bernoulli(0.5) ? 1.0f : 0.0f;
-    BitMatrix t;
-    linalg::packTransposed(src, t);
-    ASSERT_EQ(t.rows(), src.cols());
-    ASSERT_EQ(t.cols(), src.rows());
-    for (std::size_t r = 0; r < src.rows(); ++r)
-        for (std::size_t c = 0; c < src.cols(); ++c)
-            EXPECT_EQ(t.test(c, r), src(r, c) != 0.0f)
-                << "(" << r << ", " << c << ")";
+    const float values[] = {0.0f, 1.0f, 0.5f, -0.0f, -2.0f};
+    for (const std::size_t rows : {5u, 64u, 65u, 130u}) {
+        Matrix src(rows, 70);
+        for (std::size_t r = 0; r < src.rows(); ++r)
+            for (std::size_t c = 0; c < src.cols(); ++c)
+                src(r, c) = values[rng.uniformInt(std::size(values))];
+        BitMatrix t;
+        linalg::packTransposed(src, t);
+        ASSERT_EQ(t.rows(), src.cols());
+        ASSERT_EQ(t.cols(), src.rows());
+        for (std::size_t r = 0; r < src.rows(); ++r)
+            for (std::size_t c = 0; c < src.cols(); ++c)
+                EXPECT_EQ(t.test(c, r), src(r, c) != 0.0f)
+                    << rows << " rows (" << r << ", " << c << ")";
+        // No bit is set past the last row: the pad bits stay zero.
+        EXPECT_EQ(linalg::countOnes(t), linalg::countNonZero(src))
+            << rows << " rows";
+    }
 }
 
 TEST(BitOps, OuterCountDiffEqualsFloatGradientReduce)

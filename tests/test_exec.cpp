@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -35,8 +37,13 @@ TEST(ThreadPool, RunsSubmittedTasks)
     std::atomic<int> ran{0};
     std::mutex m;
     std::condition_variable cv;
+    // Each task holds m across its increment and notify.  So no notify
+    // falls between the waiter's predicate check and its block, and the
+    // waiter cannot return and destroy cv and m (declared after the
+    // pool, so gone before it joins) while a task is inside notify_all.
     for (int i = 0; i < 16; ++i)
         pool.submit([&] {
+            std::lock_guard<std::mutex> hold(m);
             if (++ran == 16)
                 cv.notify_all();
         });

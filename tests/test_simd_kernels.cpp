@@ -6,8 +6,8 @@
  *  - each compiled-in tier the host can run (AVX2, AVX-512) reproduces
  *    the generic kernel bit for bit, kernel by kernel, on ragged
  *    shapes (column widths 1..129 crossing the 128-wide accumulator
- *    block and the 8/16-lane vector tails, word counts 1..9 crossing
- *    the fixed-trip and masked-remainder reduce paths);
+ *    block and the 8/16-lane vector tails, word counts 1..18 crossing
+ *    every word group of the shared reduce body);
  *  - the dispatcher's table() / detectedTier() / envTier() /
  *    defaultTier() invariants hold, including the ISINGRBM_ISA env
  *    override and its precedence below SamplingOptions::isa;
@@ -248,42 +248,61 @@ TEST(SimdKernels, FusedHalfSweepsMatchGenericWithIdenticalDraws)
 TEST(SimdKernels, GradientReduceMatchesGenericAcrossWordCounts)
 {
     const simd::KernelTable &gen = *simd::table(simd::IsaTier::Generic);
-    const std::size_t m = 67, n = 35;
+    const std::size_t m = 67;
     Rng rng(19);
-    // Batch sizes resolving to 1..9 packed words: the fixed-trip
-    // specializations (1/2/4/8), odd in-between counts, and the >8
-    // chunked-plus-masked-remainder path of the AVX-512 kernel.
-    for (const std::size_t batch :
-         {1u, 63u, 65u, 128u, 129u, 255u, 256u, 512u, 520u}) {
-        const linalg::Matrix vpos = activityBatch(batch, m, 0.5, rng);
-        const linalg::Matrix hpos = activityBatch(batch, n, 0.4, rng);
-        const linalg::Matrix vneg = activityBatch(batch, m, 0.3, rng);
-        const linalg::Matrix hneg = activityBatch(batch, n, 0.6, rng);
-        linalg::BitMatrix posT, negT, hposT, hnegT;
-        linalg::packTransposed(vpos, posT);
-        linalg::packTransposed(vneg, negT);
-        linalg::packTransposed(hpos, hposT);
-        linalg::packTransposed(hneg, hnegT);
+    // Batch sizes resolving to 1..18 packed words: every word group the
+    // shared body splits a row into (8, 4, 2, 1) alone and combined,
+    // and two eight-word groups.  Two hidden widths: 35, and 77 (past
+    // 64 and not a multiple of 16), so the loop over hidden units runs
+    // whole vectors and a ragged tail.
+    for (const std::size_t n : {35u, 77u}) {
+        for (const std::size_t batch : {1u, 63u, 65u, 128u, 129u, 255u,
+                                        256u, 512u, 520u, 1024u, 1100u}) {
+            const linalg::Matrix vpos = activityBatch(batch, m, 0.5, rng);
+            const linalg::Matrix hpos = activityBatch(batch, n, 0.4, rng);
+            const linalg::Matrix vneg = activityBatch(batch, m, 0.3, rng);
+            const linalg::Matrix hneg = activityBatch(batch, n, 0.6, rng);
+            linalg::BitMatrix posT, negT, hposT, hnegT;
+            linalg::packTransposed(vpos, posT);
+            linalg::packTransposed(vneg, negT);
+            linalg::packTransposed(hpos, hposT);
+            linalg::packTransposed(hneg, hnegT);
 
-        linalg::Matrix ref(m, n);
-        linalg::outerCountDiff(gen, posT, hposT, negT, hnegT, ref, 0, m);
-        linalg::Vector refCounts(m);
-        linalg::rowCounts(gen, posT, refCounts.data());
-        const std::size_t refOnes = linalg::countOnes(gen, posT);
+            linalg::Matrix ref(m, n, -7.0f);
+            linalg::outerCountDiff(gen, posT, hposT, negT, hnegT, ref, 0,
+                                   m);
+            // The generic tier itself against a direct count.
+            for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = 0; j < n; ++j) {
+                    int want = 0;
+                    for (std::size_t k = 0; k < batch; ++k)
+                        want += static_cast<int>(vpos(k, i) * hpos(k, j)) -
+                                static_cast<int>(vneg(k, i) * hneg(k, j));
+                    ASSERT_EQ(ref(i, j), static_cast<float>(want))
+                        << "n " << n << " batch " << batch << " (" << i
+                        << ", " << j << ")";
+                }
+            linalg::Vector refCounts(m);
+            linalg::rowCounts(gen, posT, refCounts.data());
+            const std::size_t refOnes = linalg::countOnes(gen, posT);
 
-        for (const simd::KernelTable *kt : simdTiers()) {
-            linalg::Matrix got(m, n);
-            // Two row chunks, exercising rowBegin/rowEnd slicing.
-            linalg::outerCountDiff(*kt, posT, hposT, negT, hnegT, got, 0,
-                                   m / 3);
-            linalg::outerCountDiff(*kt, posT, hposT, negT, hnegT, got,
-                                   m / 3, m);
-            ASSERT_EQ(ref, got) << kt->name << " batch " << batch;
+            for (const simd::KernelTable *kt : simdTiers()) {
+                // Stale contents the reduce must overwrite, not add to.
+                linalg::Matrix got(m, n, -7.0f);
+                // Two row chunks, exercising rowBegin/rowEnd slicing.
+                linalg::outerCountDiff(*kt, posT, hposT, negT, hnegT, got,
+                                       0, m / 3);
+                linalg::outerCountDiff(*kt, posT, hposT, negT, hnegT, got,
+                                       m / 3, m);
+                ASSERT_EQ(ref, got)
+                    << kt->name << " n " << n << " batch " << batch;
 
-            linalg::Vector counts(m);
-            linalg::rowCounts(*kt, posT, counts.data());
-            ASSERT_EQ(refCounts, counts) << kt->name;
-            ASSERT_EQ(refOnes, linalg::countOnes(*kt, posT)) << kt->name;
+                linalg::Vector counts(m);
+                linalg::rowCounts(*kt, posT, counts.data());
+                ASSERT_EQ(refCounts, counts) << kt->name;
+                ASSERT_EQ(refOnes, linalg::countOnes(*kt, posT))
+                    << kt->name;
+            }
         }
     }
 }
