@@ -210,27 +210,8 @@ kernelModel(std::size_t m, std::size_t n, std::uint64_t seed)
     return model;
 }
 
-/**
- * The trained-sparse regime the ROADMAP item names: biases pinned at
- * logit(activity) with small weights, so every chain state (visible
- * and hidden) hovers at the target activity instead of the ~50% a
- * random-init model produces.
- */
-rbm::Rbm
-sparseRegimeModel(std::size_t m, std::size_t n, double activity,
-                  std::uint64_t seed)
-{
-    rbm::Rbm model = kernelModel(m, n, seed);
-    const float bias = static_cast<float>(
-        std::log(activity / (1.0 - activity)));
-    model.visibleBias().fill(bias);
-    model.hiddenBias().fill(bias);
-    return model;
-}
-
 data::Dataset
-binaryData(std::size_t rows, std::size_t cols, std::uint64_t seed,
-           double activity = 0.5)
+binaryData(std::size_t rows, std::size_t cols, std::uint64_t seed)
 {
     util::Rng rng(seed);
     data::Dataset ds;
@@ -238,7 +219,7 @@ binaryData(std::size_t rows, std::size_t cols, std::uint64_t seed,
     ds.samples.reset(rows, cols);
     for (std::size_t r = 0; r < rows; ++r)
         for (std::size_t c = 0; c < cols; ++c)
-            ds.samples(r, c) = rng.bernoulli(activity) ? 1.0f : 0.0f;
+            ds.samples(r, c) = rng.bernoulli(0.5) ? 1.0f : 0.0f;
     return ds;
 }
 
@@ -474,8 +455,7 @@ hostMetadata()
  * (accumulate-bound) and the popcount gradient reduce
  * (AND+popcount-bound) at batches 50, 100 and 500 -- 1, 2 and 8
  * packed words, so a tier that loses at the trainers' default batch
- * shows.  Also re-runs the PR-5 sparse-threshold micro-probe per tier:
- * a faster dense kernel moves the dense/sparse crossover down.
+ * shows.
  */
 void
 printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
@@ -522,7 +502,6 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
         for (const simd::KernelTable *kt : tiers) {
             rbm::SamplingOptions opts;
             opts.isa = kt->tier;
-            opts.sparseThreshold = 0.0;  // pin the dense packed path
             const rbm::SoftwareGibbsBackend backend(model, nullptr,
                                                     opts);
             const double tSweep = timeIt(minSec, [&] {
@@ -577,213 +556,71 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
             }
         }
     }
-    sweeps.print("SIMD kernel tiers: dense half-sweep (ns per chain, "
+    sweeps.print("SIMD kernel tiers: packed half-sweep (ns per chain, "
                  "batch " + std::to_string(batch) + "); all tiers "
                  "byte-identical");
     reduces.print("SIMD kernel tiers: popcount gradient reduce per batch "
                   "(one thread); all tiers byte-identical");
-
-    // PR-5 sparse-threshold micro-probe, re-run against each tier's
-    // dense kernels (the ISINGRBM_SPARSE_THRESHOLD env pin would
-    // override all of these).
-    benchtool::Table thresholds({"tier", "calibrated threshold"});
-    for (const simd::KernelTable *kt : tiers) {
-        rbm::SamplingOptions opts;
-        opts.isa = kt->tier;
-        const double threshold = rbm::resolveSparseThreshold(opts);
-        thresholds.addRow({kt->name, fmt(threshold, 3)});
-        json.push_back({"isa/" + std::string(kt->name) +
-                            "/sparse_threshold",
-                        threshold, "activity"});
-    }
-    thresholds.print("Sparse-crossover micro-probe per kernel tier");
 }
 
 /**
- * Sparsity sweep over the dense-packed vs sparse-streamed kernel
- * dispatch: activity levels 2/5/10/15/50/90% x the three kernel
- * shapes (the 5/15/50/90 grid plus the extreme-sparse end where the
- * streamed sweep kernel's window lies), on three workloads:
- *
- *  - the fused hidden half-sweep (gather/accumulate + the
- *    contract-pinned sigmoid/Bernoulli latch, which is identical in
- *    both paths and floors the fused ratio);
- *  - the CD gradient reduce at batches 50, 100 and 500 -- the one
- *    stage whose dense cost is O(m*n*words) *regardless* of activity,
- *    and therefore where sparsity pays the most;
- *  - the end-to-end CD-1 epoch combining both.
- *
- * Each cell is measured with the sparse path forced off (threshold
- * 0), forced on (threshold 1), and under the calibrated dispatcher,
- * so the JSON records the raw crossover and what the dispatcher
- * actually picks.  Results land in their own artifact
- * (BENCH_sparse.json via --json-sparse) next to the dense-regime
- * BENCH_kernels.json, which the dispatcher must not regress.
+ * The packed half-sweep across input activity.  The tiled walk skips
+ * a chain's empty input words, so its cost follows the set bits: the
+ * 784x500 rows sweep 2/5/10/50% activity at the trainers' default
+ * batch, and the CF-RBM rows time the sparsest input in the repo --
+ * synthetic rows at the 1.84% activity of the cf_rbm item rows, 4715
+ * visible units (943 users x 5 stars) into 100 hidden -- at serving
+ * batch depths.  Inputs arrive packed, as on the serving miss path.
  */
 void
-printSparseScaling(bool full, std::vector<benchtool::JsonRecord> &json)
+printActivityScaling(bool full, std::vector<benchtool::JsonRecord> &json)
 {
-    struct Shape
+    struct Cell
     {
         std::size_t m, n;
+        double activity;
+        std::size_t batch;
     };
-    const std::vector<Shape> shapes = {
-        {784, 500}, {1600, 1600}, {4096, 1024}};
-    const std::vector<double> activities = {0.02, 0.05, 0.10,
-                                            0.15, 0.50, 0.90};
-    const std::size_t batch = 100, cdBatch = 500;
-    const std::vector<std::size_t> reduceBatches = {50, 100, 500};
+    const std::vector<Cell> cells = {
+        {784, 500, 0.02, 50},     {784, 500, 0.05, 50},
+        {784, 500, 0.10, 50},     {784, 500, 0.50, 50},
+        {4715, 100, 0.0184, 4},   {4715, 100, 0.0184, 16},
+        {4715, 100, 0.0184, 64},
+    };
     const double minSec = full ? 0.6 : 0.2;
 
-    benchtool::Table sweeps({"shape", "activity", "dense packed",
-                             "sparse streamed", "dispatch",
-                             "sparse speedup"});
-    benchtool::Table reduces({"shape", "activity", "batch", "dense (ms)",
-                              "sparse (ms)", "sparse speedup"});
-    benchtool::Table epochs({"shape", "activity", "dense (s)",
-                             "sparse (s)", "dispatch (s)",
-                             "dispatch gain"});
-
-    const auto backendFor = [](const rbm::Rbm &model, double threshold) {
-        rbm::SamplingOptions opts;
-        opts.sparseThreshold = threshold;
-        return rbm::SoftwareGibbsBackend(model, nullptr, opts);
-    };
-
-    for (const Shape &shape : shapes) {
-        const std::size_t m = shape.m, n = shape.n;
+    benchtool::Table sweeps(
+        {"shape", "activity", "batch", "half-sweep", "per chain"});
+    for (const Cell &cell : cells) {
         const std::string tag =
-            std::to_string(m) + "x" + std::to_string(n);
-        for (const double activity : activities) {
-            const std::string cell =
-                "sparse/" + tag + "/a" +
-                std::to_string(static_cast<int>(activity * 100 + 0.5));
-            const rbm::Rbm model =
-                sparseRegimeModel(m, n, activity, 17);
+            std::to_string(cell.m) + "x" + std::to_string(cell.n);
+        const rbm::Rbm model = kernelModel(cell.m, cell.n, 17);
+        const rbm::SoftwareGibbsBackend backend(model);
 
-            // -- fused hidden half-sweep at this input activity
-            // (ns/chain).
-            util::Rng init(23);
-            linalg::Matrix v(batch, m);
-            for (std::size_t r = 0; r < batch; ++r)
-                for (std::size_t i = 0; i < m; ++i)
-                    v(r, i) = init.bernoulli(activity) ? 1.0f : 0.0f;
-            std::vector<util::Rng> rngs;
-            for (std::size_t r = 0; r < batch; ++r)
-                rngs.push_back(util::Rng::stream(29, r));
-            const auto timeSweep = [&](double threshold) {
-                const rbm::SoftwareGibbsBackend backend =
-                    backendFor(model, threshold);
-                return timeIt(minSec, [&] {
-                    linalg::Matrix h, ph;
-                    backend.sampleHiddenBatch(v, h, ph, rngs.data());
-                }) / batch;
-            };
-            const double tDense = timeSweep(0.0);
-            const double tSparse = timeSweep(1.0);
-            const double tAuto = timeSweep(-1.0);
-            sweeps.addRow({tag, fmt(activity * 100, 0) + "%",
-                           fmt(tDense * 1e9, 0) + " ns",
-                           fmt(tSparse * 1e9, 0) + " ns",
-                           fmt(tAuto * 1e9, 0) + " ns",
-                           fmt(tDense / tSparse, 2) + "x"});
-            json.push_back({cell + "/halfsweep/dense_packed",
-                            tDense * 1e9, "ns/op"});
-            json.push_back({cell + "/halfsweep/sparse", tSparse * 1e9,
-                            "ns/op"});
-            json.push_back({cell + "/halfsweep/dispatch", tAuto * 1e9,
-                            "ns/op"});
-            json.push_back({cell + "/halfsweep/speedup",
-                            tDense / tSparse, "x"});
+        util::Rng init(23);
+        linalg::BitMatrix v(cell.batch, cell.m);
+        for (std::size_t r = 0; r < cell.batch; ++r)
+            for (std::size_t i = 0; i < cell.m; ++i)
+                v.set(r, i, init.bernoulli(cell.activity));
+        std::vector<util::Rng> rngs;
+        for (std::size_t r = 0; r < cell.batch; ++r)
+            rngs.push_back(util::Rng::stream(29, r));
 
-            // -- CD gradient reduce at the trainers' default batches and
-            // the paper batch: transposed popcount reduce vs active-pair
-            // scatter, each timed with its own state-preparation cost
-            // (packTransposed vs float-direct view build).
-            for (const std::size_t rb : reduceBatches) {
-                util::Rng stateRng(31);
-                linalg::Matrix vp(rb, m), hp(rb, n), vn(rb, m), hn(rb, n);
-                for (linalg::Matrix *s : {&vp, &vn, &hp, &hn})
-                    for (std::size_t i = 0; i < s->size(); ++i)
-                        s->data()[i] =
-                            stateRng.bernoulli(activity) ? 1.0f : 0.0f;
-                linalg::Matrix dw(m, n);
-                const double rDense = timeIt(minSec, [&] {
-                    linalg::BitMatrix posT, negT, hposT, hnegT;
-                    linalg::packTransposed(vp, posT);
-                    linalg::packTransposed(vn, negT);
-                    linalg::packTransposed(hp, hposT);
-                    linalg::packTransposed(hn, hnegT);
-                    linalg::outerCountDiff(posT, hposT, negT, hnegT, dw,
-                                           0, m);
-                });
-                const double rSparse = timeIt(minSec, [&] {
-                    linalg::SparseBitView vpV, hpV, vnV, hnV;
-                    vpV.build(vp);
-                    hpV.build(hp);
-                    vnV.build(vn);
-                    hnV.build(hn);
-                    linalg::outerCountDiffSparse(vpV, hpV, vnV, hnV, dw,
-                                                 0, m);
-                });
-                reduces.addRow({tag, fmt(activity * 100, 0) + "%",
-                                std::to_string(rb), fmt(rDense * 1e3, 3),
-                                fmt(rSparse * 1e3, 3),
-                                fmt(rDense / rSparse, 2) + "x"});
-                const std::string rcell =
-                    cell + "/reduce/b" + std::to_string(rb);
-                json.push_back({rcell + "/dense_packed", rDense, "s"});
-                json.push_back({rcell + "/sparse", rSparse, "s"});
-                json.push_back({rcell + "/speedup", rDense / rSparse, "x"});
-            }
-
-            // -- end-to-end CD-1 epoch on data at this activity, with
-            // the sparse-regime model keeping chain states there too.
-            // The forced-sparse leg is skipped in the dense regime
-            // (>= 50%), where it is known to lose badly and only
-            // burns bench minutes.
-            const data::Dataset train =
-                binaryData(full ? 2000 : 1000, m, 41, activity);
-            const auto timeEpoch = [&](double threshold) {
-                return timeIt(minSec, [&] {
-                    rbm::Rbm work = model;
-                    util::Rng rng(47);
-                    rbm::CdConfig cfg;
-                    cfg.learningRate = 0.1 / 500.0;
-                    cfg.k = 1;
-                    cfg.batchSize = cdBatch;
-                    cfg.sampling.sparseThreshold = threshold;
-                    rbm::CdTrainer trainer(work, cfg, rng);
-                    trainer.trainEpoch(train);
-                });
-            };
-            const double eDense = timeEpoch(0.0);
-            const double eSparse =
-                activity < 0.5 ? timeEpoch(1.0) : 0.0;
-            const double eAuto = timeEpoch(-1.0);
-            epochs.addRow({tag, fmt(activity * 100, 0) + "%",
-                           fmtSci(eDense),
-                           eSparse > 0 ? fmtSci(eSparse) : "-",
-                           fmtSci(eAuto),
-                           fmt(eDense / eAuto, 2) + "x"});
-            json.push_back({cell + "/cd_epoch/dense_packed", eDense,
-                            "s"});
-            if (eSparse > 0)
-                json.push_back({cell + "/cd_epoch/sparse", eSparse,
-                                "s"});
-            json.push_back({cell + "/cd_epoch/dispatch", eAuto, "s"});
-            json.push_back({cell + "/cd_epoch/speedup", eDense / eAuto,
-                            "x"});
-        }
+        linalg::BitMatrix h;
+        linalg::Matrix ph;
+        const double t = timeIt(minSec, [&] {
+            backend.sampleHiddenBatchPacked(v, h, ph, rngs.data());
+        });
+        const std::string pct = fmt(cell.activity * 100, 2);
+        sweeps.addRow({tag, pct + "%", std::to_string(cell.batch),
+                       fmt(t * 1e6, 1) + " us",
+                       fmt(t / cell.batch * 1e9, 0) + " ns"});
+        json.push_back({"activity/" + tag + "/a" + pct + "/b" +
+                            std::to_string(cell.batch) + "/halfsweep",
+                        t / cell.batch * 1e9, "ns/op"});
     }
-    sweeps.print("Sparsity sweep: fused hidden half-sweep (ns per "
-                 "chain, batch " + std::to_string(batch) + "; the "
-                 "sigmoid+Bernoulli latch is contract-pinned and "
-                 "shared by both paths)");
-    reduces.print("Sparsity sweep: CD gradient reduce per batch "
-                  "(dense popcount vs active-pair scatter)");
-    epochs.print("Sparsity sweep: end-to-end CD-1 epoch (dense forced "
-                 "vs sparse forced vs dispatcher)");
+    sweeps.print("Packed hidden half-sweep across input activity (one "
+                 "walk at every activity; packed input)");
 }
 
 /**
@@ -848,7 +685,7 @@ printServeBench(bool full, std::vector<benchtool::JsonRecord> &json)
  * repeat requests per batch shape, compared against the cache-off
  * miss path.  Emitted separately (BENCH_serve.json via
  * --json-serve) so CI tracks the serving trajectory next to the
- * kernel and sparse artifacts.
+ * kernel artifact.
  */
 void
 printServeCacheBench(bool full, std::vector<benchtool::JsonRecord> &json)
@@ -1410,8 +1247,6 @@ main(int argc, char **argv)
 {
     const std::string jsonPath =
         benchtool::flagValue(argc, argv, "--json");
-    const std::string sparseJsonPath =
-        benchtool::flagValue(argc, argv, "--json-sparse");
     const std::string serveJsonPath =
         benchtool::flagValue(argc, argv, "--json-serve");
     const std::string netJsonPath =
@@ -1423,16 +1258,11 @@ main(int argc, char **argv)
     std::vector<benchtool::JsonRecord> json;
     printKernelScaling(full, json);
     printIsaScaling(full, json);
+    printActivityScaling(full, json);
     printServeBench(full, json);
     printTrainBench(full, json);
     if (!jsonPath.empty())
         benchtool::writeBenchJson(jsonPath, "bench_scaling", json, meta);
-
-    std::vector<benchtool::JsonRecord> sparseJson;
-    printSparseScaling(full, sparseJson);
-    if (!sparseJsonPath.empty())
-        benchtool::writeBenchJson(sparseJsonPath, "bench_scaling_sparse",
-                                  sparseJson, meta);
 
     std::vector<benchtool::JsonRecord> serveJson;
     printServeCacheBench(full, serveJson);

@@ -162,9 +162,6 @@ const std::vector<util::FlagHelp> kTrainFlags = {
                         "for P epochs (implies monitoring; the stop "
                         "epoch rides in the checkpoint meta, so "
                         "--resume afterwards is a no-op)"},
-    {"sparse-threshold", "X", "sparse kernel crossover activity in "
-                              "[0,1] (default: auto-calibrated; 0 "
-                              "disables the sparse path, 1 forces it)"},
     {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
                     "(default auto: ISINGRBM_ISA env, then CPUID; all "
                     "tiers are bit-identical)"},
@@ -175,7 +172,6 @@ rbm::SamplingOptions
 samplingFlags(const util::CliArgs &args)
 {
     rbm::SamplingOptions opts;
-    opts.sparseThreshold = args.getDouble("sparse-threshold", -1.0);
     const std::string isa = args.get("isa", "auto");
     if (!linalg::simd::tierFromName(isa, opts.isa))
         util::fatal(util::strcat("isingrbm: --isa '", isa,
@@ -258,15 +254,9 @@ cmdTrain(const util::CliArgs &args)
     options.persistentCd = args.getBool("pcd", false);
     options.bgfReplicas = std::max<std::size_t>(
         1, sizeFlag(args, "replicas", 1));
-    const rbm::SamplingOptions sampling = samplingFlags(args);
-    options.sparseThreshold = sampling.sparseThreshold;
-    options.isa = sampling.isa;
-    // Only the CD engine's kernels take the tuning; the GS/BGF
-    // substrate settle loops construct default-option backends.
-    if (args.has("sparse-threshold") && trainer != train::Trainer::CdK)
-        util::warn(std::string("isingrbm: --sparse-threshold only "
-                               "tunes the cd trainer's kernels; the ") +
-                   train::trainerName(trainer) + " path ignores it");
+    options.isa = samplingFlags(args).isa;
+    // Only the CD engine's kernels take the tier; the GS/BGF substrate
+    // settle loops construct default-option backends.
     if (args.has("isa") && trainer != train::Trainer::CdK)
         util::warn(std::string("isingrbm: --isa only selects the cd "
                                "trainer's kernels; the ") +
@@ -490,8 +480,6 @@ const std::vector<util::FlagHelp> kSampleFlags = {
     {"seed", "S", "request seed (default 7)"},
     {"ascii", "", "render square samples as ASCII art"},
     {"out", "path", "write samples as a text matrix"},
-    {"sparse-threshold", "X", "sparse kernel crossover activity "
-                              "(default: auto; 0 dense, 1 sparse)"},
     {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
                     "(default auto; bit-identical)"},
 };
@@ -567,8 +555,6 @@ const std::vector<util::FlagHelp> kEvalFlags = {
     {"test-frac", "F", "test split fraction (default 0.25)"},
     {"seed", "S", "split/head seed (default 9)"},
     {"head-epochs", "E", "logistic head epochs (default 30)"},
-    {"sparse-threshold", "X", "sparse kernel crossover activity "
-                              "(default: auto; 0 dense, 1 sparse)"},
     {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
                     "(default auto; bit-identical)"},
 };
@@ -656,8 +642,6 @@ const std::vector<util::FlagHelp> kServeBenchFlags = {
                          "cache off)"},
     {"out", "file", "write the final rep's response bytes (hex floats) "
                     "for cross-run comparison"},
-    {"sparse-threshold", "X", "sparse kernel crossover activity "
-                              "(default: auto; 0 dense, 1 sparse)"},
     {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
                     "(default auto; bit-identical)"},
 };
@@ -760,8 +744,6 @@ const std::vector<util::FlagHelp> kPromoteFlags = {
     {"poll-ms", "M", "health poll interval for --live (default 200)"},
     {"timeout-sec", "S", "give up on --live after S seconds "
                          "(default 60)"},
-    {"sparse-threshold", "X", "sparse kernel crossover activity "
-                              "(default: auto; 0 dense, 1 sparse)"},
     {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
                     "(default auto; bit-identical)"},
 };
@@ -942,8 +924,6 @@ const std::vector<util::FlagHelp> kServeLoopFlags = {
                          "passes)"},
     {"out-dir", "dir", "write each epoch's response bytes to "
                        "<dir>/epoch-<E>.txt for cross-run comparison"},
-    {"sparse-threshold", "X", "sparse kernel crossover activity "
-                              "(default: auto; 0 dense, 1 sparse)"},
     {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
                     "(default auto; bit-identical)"},
 };
@@ -1123,8 +1103,6 @@ const std::vector<util::FlagHelp> kServeFlags = {
                                    "shadowed request (default 0.05)"},
     {"stats-every-ms", "M", "print a one-line serving/canary ledger to "
                             "stderr every M ms (default 0 = off)"},
-    {"sparse-threshold", "X", "sparse kernel crossover activity "
-                              "(default: auto; 0 dense, 1 sparse)"},
     {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
                     "(default auto; bit-identical)"},
 };

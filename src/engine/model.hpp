@@ -74,8 +74,7 @@ class Model
      * @param pool worker pool for the batched kernels (borrowed;
      *        nullptr selects exec::globalPool())
      * @param options sampling-kernel tuning forwarded to every
-     *        software backend this model constructs (the sparse
-     *        dispatch crossover)
+     *        software backend this model constructs (the ISA tier)
      */
     explicit Model(rbm::Checkpoint ckpt,
                    exec::ThreadPool *pool = nullptr,

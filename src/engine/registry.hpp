@@ -58,7 +58,7 @@ class ModelRegistry
      * @param pool worker pool handed to loaded models (borrowed;
      *        nullptr selects exec::globalPool())
      * @param options sampling-kernel tuning handed to loaded models
-     *        (the dense/sparse dispatch crossover)
+     *        (the ISA tier)
      * @param config fault-handling knobs
      */
     explicit ModelRegistry(std::string dir,

@@ -295,13 +295,11 @@ Server::prepare(Pending &pending)
         // canonical packed form: nothing to classify, nothing to pack.
         pending.binaryInput = true;
     } else if (req.op != Op::Sample) {
-        // One fused scan classifies the input; binary rows then pack
+        // One scan classifies the input; binary rows then pack
         // exactly once, feeding both the key hash and the packed
         // gather.
-        bool binary = false;
-        linalg::countNonZero(req.input, &binary);
-        pending.binaryInput = binary;
-        if (binary) {
+        pending.binaryInput = linalg::isBinary01(req.input);
+        if (pending.binaryInput) {
             pending.packedInput.reset(req.input.rows(), req.input.cols());
             for (std::size_t r = 0; r < req.input.rows(); ++r)
                 pending.packedInput.packRowFrom(r, req.input.row(r));

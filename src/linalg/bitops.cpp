@@ -12,9 +12,7 @@
 #include "linalg/bitops.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <iterator>
 #include <vector>
 
 #include "util/math.hpp"
@@ -24,28 +22,24 @@ namespace ising::linalg {
 namespace {
 
 /**
- * Column block held in an on-stack accumulator across row adds.  The
- * accumulate loops are latency-bound on the add chain per output
- * lane, so the accumulator must live in vector registers rather than
- * round-tripping through the output row every add; 128 floats rotate
- * the chain across eight 512-bit registers (or spill to a hot stack
- * slab on narrower ISAs, which measures as a wash).
+ * Column block one accumulate call covers.  The accumulate loops are
+ * latency-bound on the add chain per output lane, so the explicit
+ * tiers hold the block in vector registers for the whole call rather
+ * than round-tripping through the output row every add; 128 floats
+ * rotate the chain across eight 512-bit registers.
  */
 constexpr std::size_t kColBlock = 128;
 
 /**
- * Input units per tile (whole words).  Together with kColBlock this
- * sizes the W tile a batch sweep reuses across chains at ~32 KB, so
- * the row adds stream from L1 instead of re-reading W per chain.
- */
-constexpr std::size_t kWordBlock = 1;
-
-/**
  * act rows [rowBegin, rowEnd) x columns [colBegin, colEnd) += masked
- * row sums of w, tiled (column block x word block x chains) so the W
- * tile stays cache-hot across every chain and the accumulator slice
- * stays in registers across every row add.  Addition order per
- * (chain, column) is ascending input unit regardless of tile sizes.
+ * row sums of w, tiled (column block x one input word x chains): the
+ * 64 x kColBlock W tile of a word, ~32 KB, stays L1-hot across every
+ * chain, so the row adds do not re-read W per chain.  The kernel adds
+ * into the act row in place, and a chain whose word is zero is
+ * skipped: at low activity many (chain, word) pairs are empty, and
+ * each then costs one test instead of a kernel call.  Addition order
+ * per (chain, column) is ascending input unit regardless of the
+ * tiling.
  */
 void
 addMaskedRowsTiled(const simd::KernelTable &kt, const Matrix &w,
@@ -58,16 +52,11 @@ addMaskedRowsTiled(const simd::KernelTable &kt, const Matrix &w,
     for (std::size_t jb = colBegin; jb < colEnd; jb += kColBlock) {
         const std::size_t jl = std::min(colEnd, jb + kColBlock) - jb;
         const float *wBase = w.data() + jb;
-        for (std::size_t wb = 0; wb < words; wb += kWordBlock) {
-            const std::size_t we = std::min(words, wb + kWordBlock);
-            for (std::size_t r = rowBegin; r < rowEnd; ++r) {
-                float acc[kColBlock];
-                std::copy_n(act.row(r) + jb, jl, acc);
-                kt.addMaskedRows(wBase, stride, in.row(r), wb, we, acc,
-                                 jl);
-                std::copy_n(acc, jl, act.row(r) + jb);
-            }
-        }
+        for (std::size_t wi = 0; wi < words; ++wi)
+            for (std::size_t r = rowBegin; r < rowEnd; ++r)
+                if (in.row(r)[wi] != 0)
+                    kt.addMaskedRows(wBase, stride, in.row(r), wi, wi + 1,
+                                     act.row(r) + jb, jl);
     }
 }
 
@@ -123,86 +112,6 @@ copyBits(std::uint64_t *dst, std::size_t dstBit,
         blend(*dst, fetch(srcBit, count), (1ull << count) - 1);
 }
 
-std::size_t
-BitVector::countOnes() const
-{
-    std::size_t acc = 0;
-    for (const std::uint64_t word : words_)
-        acc += static_cast<std::size_t>(std::popcount(word));
-    return acc;
-}
-
-std::size_t
-countOnes(const simd::KernelTable &kt, const BitMatrix &m)
-{
-    // Rows are padded to whole words with zero pad bits, so the whole
-    // storage popcounts flat.
-    return kt.popcountWords(m.row(0), m.rows() * m.wordsPerRow());
-}
-
-std::size_t
-countOnes(const BitMatrix &m)
-{
-    return countOnes(simd::activeTable(), m);
-}
-
-std::size_t
-countNonZero(const Matrix &m, bool *binary01)
-{
-    // Accumulate both predicates branchlessly in one scan (the same
-    // vectorization argument as isBinary01).
-    std::size_t acc = 0;
-    int bad = 0;
-    const float *data = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i) {
-        const int nonZero = static_cast<int>(data[i] != 0.0f);
-        acc += static_cast<std::size_t>(nonZero);
-        bad |= nonZero & static_cast<int>(data[i] != 1.0f);
-    }
-    if (binary01)
-        *binary01 = bad == 0;
-    return acc;
-}
-
-void
-SparseBitView::build(const BitMatrix &m)
-{
-    const std::size_t rows = m.rows(), wordsPerRow = m.wordsPerRow();
-    offsets_.resize(rows + 1);
-    indices_.clear();
-    offsets_[0] = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint64_t *row = m.row(r);
-        for (std::size_t wi = 0; wi < wordsPerRow; ++wi) {
-            std::uint64_t word = row[wi];
-            const std::uint32_t base = static_cast<std::uint32_t>(wi * 64);
-            while (word) {
-                indices_.push_back(
-                    base +
-                    static_cast<std::uint32_t>(std::countr_zero(word)));
-                word &= word - 1;  // ascending within the word
-            }
-        }
-        offsets_[r + 1] = indices_.size();
-    }
-}
-
-void
-SparseBitView::build(const Matrix &m)
-{
-    const std::size_t rows = m.rows(), cols = m.cols();
-    offsets_.resize(rows + 1);
-    indices_.clear();
-    offsets_[0] = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-        const float *row = m.row(r);
-        for (std::size_t c = 0; c < cols; ++c)
-            if (row[c] != 0.0f)
-                indices_.push_back(static_cast<std::uint32_t>(c));
-        offsets_[r + 1] = indices_.size();
-    }
-}
-
 bool
 isBinary01(const float *x, std::size_t n)
 {
@@ -232,14 +141,9 @@ accumulateRowsMasked(const simd::KernelTable &kt, const Matrix &w,
     // Column-blocked so the accumulator slice lives in registers for
     // the whole row walk (same latency argument as the batched tile).
     const std::size_t words = bitWords(p);
-    for (std::size_t jb = 0; jb < q; jb += kColBlock) {
-        const std::size_t jl = std::min(q, jb + kColBlock) - jb;
-        float acc[kColBlock];
-        std::copy_n(act.data() + jb, jl, acc);
-        kt.addMaskedRows(w.data() + jb, q, bits.data(), 0, words, acc,
-                         jl);
-        std::copy_n(acc, jl, act.data() + jb);
-    }
+    for (std::size_t jb = 0; jb < q; jb += kColBlock)
+        kt.addMaskedRows(w.data() + jb, q, bits.data(), 0, words,
+                         act.data() + jb, std::min(q, jb + kColBlock) - jb);
 }
 
 void
@@ -417,169 +321,6 @@ outerCountDiff(const BitMatrix &a, const BitMatrix &b, const BitMatrix &c,
 {
     outerCountDiff(simd::activeTable(), a, b, c, d, out, rowBegin,
                    rowEnd);
-}
-
-void
-accumulateActiveRows(const simd::KernelTable &kt, const Matrix &w,
-                     const std::uint32_t *active, std::size_t count,
-                     const Vector &b, Vector &act)
-{
-    const std::size_t q = w.cols();
-    assert(b.size() == q);
-    act.resize(q);
-    std::copy(b.data(), b.data() + q, act.data());
-    kt.addActiveRows(w.data(), q, active, count, act.data(), q);
-}
-
-void
-accumulateActiveRows(const Matrix &w, const std::uint32_t *active,
-                     std::size_t count, const Vector &b, Vector &act)
-{
-    accumulateActiveRows(simd::activeTable(), w, active, count, b, act);
-}
-
-void
-affineSigmoidBernoulliSparse(const simd::KernelTable &kt, const Matrix &w,
-                             const BitVector &in, const Vector &b,
-                             BitVector &out, Vector &means, util::Rng &rng)
-{
-    assert(in.size() == w.rows());
-    // One pass over the words extracts the active list; the column
-    // blocks then stream it without re-scanning empty words.
-    std::uint32_t stackIdx[256];
-    std::vector<std::uint32_t> heapIdx;
-    std::size_t count = in.countOnes();
-    std::uint32_t *idx = stackIdx;
-    if (count > std::size(stackIdx)) {
-        heapIdx.resize(count);
-        idx = heapIdx.data();
-    }
-    std::size_t at = 0;
-    for (std::size_t wi = 0; wi < in.words(); ++wi) {
-        std::uint64_t word = in.data()[wi];
-        const std::uint32_t base = static_cast<std::uint32_t>(wi * 64);
-        while (word) {
-            idx[at++] =
-                base + static_cast<std::uint32_t>(std::countr_zero(word));
-            word &= word - 1;
-        }
-    }
-    accumulateActiveRows(kt, w, idx, count, b, means);
-
-    const std::size_t q = w.cols();
-    out.resize(q);
-    std::uint64_t *ow = out.data();
-    float *md = means.data();
-    for (std::size_t j = 0; j < q; ++j) {
-        const float pj = util::sigmoidf(md[j]);
-        md[j] = pj;
-        ow[j >> 6] |=
-            static_cast<std::uint64_t>(rng.uniformFloat() < pj)
-            << (j & 63);
-    }
-}
-
-void
-affineSigmoidBernoulliSparse(const Matrix &w, const BitVector &in,
-                             const Vector &b, BitVector &out,
-                             Vector &means, util::Rng &rng)
-{
-    affineSigmoidBernoulliSparse(simd::activeTable(), w, in, b, out,
-                                 means, rng);
-}
-
-void
-accumulateActiveTile(const simd::KernelTable &kt, const Matrix &w,
-                     const SparseBitView &in, const Vector &b, Matrix &act,
-                     std::size_t rowBegin, std::size_t rowEnd,
-                     std::size_t colBegin, std::size_t colEnd)
-{
-    assert(in.rows() == act.rows() && b.size() == w.cols());
-    assert(act.cols() == w.cols());
-    assert(rowEnd <= act.rows() && colEnd <= w.cols());
-    const std::size_t stride = w.cols();
-    const std::size_t colLen = colEnd - colBegin;
-    for (std::size_t r = rowBegin; r < rowEnd; ++r) {
-        float *arow = act.row(r) + colBegin;
-        const float *bp = b.data() + colBegin;
-        for (std::size_t j = 0; j < colLen; ++j)
-            arow[j] = bp[j];
-        kt.addActiveRows(w.data() + colBegin, stride, in.rowIndices(r),
-                         in.rowCount(r), arow, colLen);
-    }
-}
-
-void
-accumulateActiveTile(const Matrix &w, const SparseBitView &in,
-                     const Vector &b, Matrix &act, std::size_t rowBegin,
-                     std::size_t rowEnd, std::size_t colBegin,
-                     std::size_t colEnd)
-{
-    accumulateActiveTile(simd::activeTable(), w, in, b, act, rowBegin,
-                         rowEnd, colBegin, colEnd);
-}
-
-void
-outerCountDiffSparse(const SparseBitView &vpos, const SparseBitView &hpos,
-                     const SparseBitView &vneg, const SparseBitView &hneg,
-                     Matrix &out, std::size_t rowBegin, std::size_t rowEnd)
-{
-    const std::size_t batch = vpos.rows();
-    assert(hpos.rows() == batch && vneg.rows() == batch &&
-           hneg.rows() == batch);
-    assert(rowEnd <= out.rows());
-    const std::size_t n = out.cols();
-    for (std::size_t i = rowBegin; i < rowEnd; ++i)
-        std::fill_n(out.row(i), n, 0.0f);
-    (void)n;
-
-    // Scatter +/-1 per (active visible in range, active hidden) pair.
-    // Visible indices are ascending, so each position's in-range slice
-    // is contiguous; rows of out are disjoint across [rowBegin,
-    // rowEnd) chunks, which keeps threaded reduces deterministic.
-    // Stays un-tiered: random-access scatter adds gain nothing from
-    // wider vectors (the win would be a hardware scatter, which the
-    // exact-integer semantics do not need).
-    const auto scatter = [&](const SparseBitView &v,
-                             const SparseBitView &h, float delta) {
-        for (std::size_t k = 0; k < batch; ++k) {
-            const std::uint32_t *vi = v.rowIndices(k);
-            const std::uint32_t *vEnd = vi + v.rowCount(k);
-            const std::uint32_t *lo = std::lower_bound(
-                vi, vEnd, static_cast<std::uint32_t>(rowBegin));
-            const std::uint32_t *hi = std::lower_bound(
-                lo, vEnd, static_cast<std::uint32_t>(rowEnd));
-            if (lo == hi)
-                continue;
-            const std::uint32_t *hj = h.rowIndices(k);
-            const std::size_t hCount = h.rowCount(k);
-            for (const std::uint32_t *it = lo; it != hi; ++it) {
-                float *orow = out.row(*it);
-                for (std::size_t c = 0; c < hCount; ++c)
-                    orow[hj[c]] += delta;
-            }
-        }
-    };
-    scatter(vpos, hpos, 1.0f);
-    scatter(vneg, hneg, -1.0f);
-}
-
-void
-columnCountDiffSparse(const SparseBitView &pos, const SparseBitView &neg,
-                      float *out, std::size_t n)
-{
-    assert(pos.rows() == neg.rows());
-    std::fill_n(out, n, 0.0f);
-    for (std::size_t k = 0; k < pos.rows(); ++k) {
-        const std::uint32_t *idx = pos.rowIndices(k);
-        for (std::size_t c = 0; c < pos.rowCount(k); ++c)
-            out[idx[c]] += 1.0f;
-    }
-    for (std::size_t k = 0; k < neg.rows(); ++k) {
-        const std::uint32_t *idx = neg.rowIndices(k);
-        for (std::size_t c = 0; c < neg.rowCount(k); ++c)
-            out[idx[c]] -= 1.0f;
-    }
 }
 
 void

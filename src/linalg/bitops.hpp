@@ -6,7 +6,10 @@
  * multiply-accumulate every weight entry (skipping zeros with a
  * branch), the packed kernels iterate the *set* input units with
  * count-trailing-zeros and add whole weight rows, and the batched
- * variant walks W once per minibatch instead of once per chain.
+ * variant walks W once per minibatch instead of once per chain.  An
+ * empty input word costs the batched walk one test, so the same
+ * kernels serve every activity level, from near-empty rows to
+ * saturated ones.
  *
  * Reproducibility contract (bit-for-bit with the float path):
  *
@@ -45,18 +48,6 @@ namespace ising::linalg {
 bool isBinary01(const float *x, std::size_t n);
 bool isBinary01(const Matrix &m);
 
-/** Set bits across the whole matrix: the batch activity probe (one
- *  popcount per existing packed word; pad bits are kept zero). */
-std::size_t countOnes(const BitMatrix &m);
-std::size_t countOnes(const simd::KernelTable &kt, const BitMatrix &m);
-
-/** Nonzero entries of a float state matrix (activity probe for states
- *  that have not been packed yet; on binary data equals countOnes of
- *  the packed form).  When @p binary01 is non-null it also receives
- *  the isBinary01 verdict from the same pass, so dispatchers probe
- *  packability and activity with one scan of the input. */
-std::size_t countNonZero(const Matrix &m, bool *binary01 = nullptr);
-
 /**
  * act = b + sum of w rows whose input bit is set, in ascending
  * input-unit order.  w is (p x q), bits holds p packed inputs, b/act
@@ -85,8 +76,10 @@ void affineSigmoidBernoulli(const simd::KernelTable &kt, const Matrix &w,
  * Batched pre-activation tile: for every chain r in [rowBegin,
  * rowEnd), act(r, j) = b[j] + masked row sum of w over columns
  * [colBegin, colEnd).  The traversal is cache-tiled over blocks of
- * input units so a W block is reused across all chains in the tile;
- * per (chain, j) the addition order is still ascending input unit,
+ * input units so a W block is reused across all chains in the tile,
+ * and a chain whose input word is zero costs one test for that word,
+ * so the walk's cost follows the set bits at any activity.  Per
+ * (chain, j) the addition order is still ascending input unit,
  * preserving the reproducibility contract.  act must be pre-sized
  * (in.rows() x w.cols()); only the addressed tile is written.
  */
@@ -150,88 +143,6 @@ void outerCountDiff(const simd::KernelTable &kt, const BitMatrix &a,
 void rowCounts(const BitMatrix &m, float *counts);
 void rowCounts(const simd::KernelTable &kt, const BitMatrix &m,
                float *counts);
-
-// --------------------------------------------------------------------
-// Sparse-streamed kernels: the third tier of the hierarchy.  The
-// packed kernels above iterate set bits with countr_zero but still
-// walk every word of every row and round-trip the column-block
-// accumulator once per word block; at low batch activity (sparse
-// minibatches, saturated hidden layers of trained models) that fixed
-// per-word cost dominates the useful row adds.  These kernels stream
-// a SparseBitView's active-index lists instead, so per output column
-// the work is one accumulator round-trip plus exactly the active row
-// adds.  The float addition sequence per (chain, output unit) is the
-// same ascending-input-unit order as the packed kernels, so every
-// reproducibility guarantee of the file contract carries over
-// unchanged -- sparse and dense paths are bit-identical.
-
-/**
- * Sparse counterpart of accumulateRowsMasked: act = b + the w rows of
- * @p active[0..count), which must be ascending input-unit indices
- * (a SparseBitView row).  w is (p x q), b/act length q.
- */
-void accumulateActiveRows(const Matrix &w, const std::uint32_t *active,
-                          std::size_t count, const Vector &b,
-                          Vector &act);
-void accumulateActiveRows(const simd::KernelTable &kt, const Matrix &w,
-                          const std::uint32_t *active, std::size_t count,
-                          const Vector &b, Vector &act);
-
-/**
- * Fused sparse scalar half-sweep: extract the set bits of @p in once,
- * gather-accumulate their w rows, then sigmoid + Bernoulli latch --
- * the sparse twin of affineSigmoidBernoulli (identical draws, means
- * and bits).
- */
-void affineSigmoidBernoulliSparse(const Matrix &w, const BitVector &in,
-                                  const Vector &b, BitVector &out,
-                                  Vector &means, util::Rng &rng);
-void affineSigmoidBernoulliSparse(const simd::KernelTable &kt,
-                                  const Matrix &w, const BitVector &in,
-                                  const Vector &b, BitVector &out,
-                                  Vector &means, util::Rng &rng);
-
-/**
- * Sparse twin of accumulateBatchTile: for every chain r in [rowBegin,
- * rowEnd), act(r, j) = b[j] + sum of w rows listed in @p in row r,
- * over columns [colBegin, colEnd).  act must be pre-sized (in.rows()
- * x w.cols()); only the addressed tile is written.
- */
-void accumulateActiveTile(const Matrix &w, const SparseBitView &in,
-                          const Vector &b, Matrix &act,
-                          std::size_t rowBegin, std::size_t rowEnd,
-                          std::size_t colBegin, std::size_t colEnd);
-void accumulateActiveTile(const simd::KernelTable &kt, const Matrix &w,
-                          const SparseBitView &in, const Vector &b,
-                          Matrix &act, std::size_t rowBegin,
-                          std::size_t rowEnd, std::size_t colBegin,
-                          std::size_t colEnd);
-
-/**
- * Sparse CD gradient reduce: out(i, j) = |{k : i in vpos[k], j in
- * hpos[k]}| - |{k : i in vneg[k], j in hneg[k]}| for visible rows i in
- * [rowBegin, rowEnd), accumulated by scattering +/-1 per (active
- * visible, active hidden) pair per batch position k -- only (active x
- * active) cells are touched, vs the m x n AND-popcounts of
- * outerCountDiff.  The views run over the *untransposed* (batch x
- * units) states.  All partial sums are small integers, so the result
- * is exactly outerCountDiff's for any summation order.  Rows
- * [rowBegin, rowEnd) of @p out are overwritten (zeroed first).
- */
-void outerCountDiffSparse(const SparseBitView &vpos,
-                          const SparseBitView &hpos,
-                          const SparseBitView &vneg,
-                          const SparseBitView &hneg, Matrix &out,
-                          std::size_t rowBegin, std::size_t rowEnd);
-
-/**
- * Sparse bias reduce: out[u] = |{k : u in pos[k]}| - |{k : u in
- * neg[k]}| over n units -- the column-count difference the dense path
- * gets from rowCounts over transposed bits.  Exact integer counts.
- */
-void columnCountDiffSparse(const SparseBitView &pos,
-                           const SparseBitView &neg, float *out,
-                           std::size_t n);
 
 } // namespace ising::linalg
 

@@ -7,8 +7,9 @@
  * test every entry against zero.  BitVector/BitMatrix pack one unit
  * per bit into uint64 words (32x smaller, cache-resident for every
  * model size the paper uses) so the packed kernels in bitops.hpp can
- * iterate set units with count-trailing-zeros instead of branching on
- * floats.
+ * iterate set units with count-trailing-zeros, and pass over 64
+ * inactive units with one test of an empty word, instead of branching
+ * on floats.
  *
  * Packing convention: unit i lives in word i/64 at bit i%64; a float
  * entry packs to 1 iff it is nonzero (binary states are exactly 0.0f
@@ -27,8 +28,6 @@
 #include <vector>
 
 namespace ising::linalg {
-
-class Matrix;
 
 /** Words needed to hold @p bits bits. */
 inline std::size_t
@@ -116,9 +115,6 @@ class BitVector
         for (std::size_t i = 0; i < bits_; ++i)
             dst[i] = static_cast<float>((words_[i >> 6] >> (i & 63)) & 1u);
     }
-
-    /** Number of set bits. */
-    std::size_t countOnes() const;
 
   private:
     std::size_t bits_ = 0;
@@ -212,61 +208,6 @@ class BitMatrix
     std::size_t cols_ = 0;
     std::size_t wordsPerRow_ = 0;
     std::vector<std::uint64_t> words_;
-};
-
-/**
- * Per-row active-index lists over a BitMatrix: the sparse-streaming
- * counterpart of the packed layout.  At low activity the packed
- * kernels still walk (and copy accumulators across) every word of
- * every row; a view extracts the set-bit indices once, so the sparse
- * kernels in bitops.hpp touch only active units.  Indices are stored
- * ascending per row -- the same traversal order as the set-bit
- * iteration of the packed kernels, which is what keeps the sparse
- * float paths bit-identical to the dense ones.
- *
- * Storage is CSR-like (one shared index pool plus row offsets) and is
- * reused across build() calls, so steady-state rebuilds allocate
- * nothing once the pool has grown to the working activity level.
- */
-class SparseBitView
-{
-  public:
-    /** Extract every row's set-bit indices from @p m (ascending). */
-    void build(const BitMatrix &m);
-
-    /**
-     * Extract directly from a binary float matrix (index c listed iff
-     * row[c] != 0, ascending) -- one scan, no intermediate BitMatrix,
-     * which is what lets the sparse dispatch path skip the packing
-     * stage the dense path pays.
-     */
-    void build(const Matrix &m);
-
-    std::size_t rows() const
-    {
-        return offsets_.empty() ? 0 : offsets_.size() - 1;
-    }
-
-    /** Ascending active-unit indices of row r. */
-    const std::uint32_t *rowIndices(std::size_t r) const
-    {
-        assert(r + 1 < offsets_.size());
-        return indices_.data() + offsets_[r];
-    }
-
-    /** Active-unit count of row r. */
-    std::size_t rowCount(std::size_t r) const
-    {
-        assert(r + 1 < offsets_.size());
-        return offsets_[r + 1] - offsets_[r];
-    }
-
-    /** Set bits across all rows (the view's total work volume). */
-    std::size_t totalActive() const { return indices_.size(); }
-
-  private:
-    std::vector<std::uint32_t> indices_;
-    std::vector<std::size_t> offsets_;
 };
 
 } // namespace ising::linalg

@@ -9,7 +9,7 @@
  * kernels_avx512.cpp for why no inline header code may be
  * instantiated here.
  *
- * The accumulate kernels vectorize across output lanes with 8-wide
+ * The accumulate kernel vectorizes across output lanes with 8-wide
  * ymm adds (per lane the ascending set-bit addition order of the
  * generic tier, no FMA, no reassociation).  The gradient reduce and
  * popcount are the portable bodies of popcount_kernels.hpp compiled
@@ -106,31 +106,13 @@ addMaskedRowsAvx2(const float *w, std::size_t stride,
     }
 }
 
-void
-addActiveRowsAvx2(const float *w, std::size_t stride,
-                  const std::uint32_t *active, std::size_t count,
-                  float *acc, std::size_t colLen)
-{
-    for (std::size_t k = 0; k < count; ++k) {
-        const float *row = w + active[k] * stride;
-        std::size_t j = 0;
-        for (; j + 8 <= colLen; j += 8)
-            _mm256_storeu_ps(acc + j,
-                             _mm256_add_ps(_mm256_loadu_ps(acc + j),
-                                           _mm256_loadu_ps(row + j)));
-        for (; j < colLen; ++j)
-            acc[j] += row[j];
-    }
-}
-
 } // namespace
 
 // extern: namespace-scope const defaults to internal linkage, but the
 // dispatcher in simd_dispatch.cpp links against this definition.
 extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
-    IsaTier::Avx2,      "avx2",
-    addMaskedRowsAvx2,  addActiveRowsAvx2,
+    IsaTier::Avx2,      "avx2",            addMaskedRowsAvx2,
     outerCountDiffBody, popcountWordsBody,
 };
 

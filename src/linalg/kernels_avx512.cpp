@@ -9,8 +9,8 @@
  * on raw pointers so no inline header code with external linkage is
  * instantiated in this wider-ISA translation unit.
  *
- * Bit-identity with the generic tier: the accumulate kernels
- * vectorize across output lanes only -- per lane the float additions
+ * Bit-identity with the generic tier: the accumulate kernel
+ * vectorizes across output lanes only -- per lane the float additions
  * run in the identical ascending set-bit order, one vector add per
  * input row, no FMA, no horizontal reductions.  The gradient reduce
  * and popcount are the portable bodies of popcount_kernels.hpp, which
@@ -106,37 +106,14 @@ addMaskedRowsAvx512(const float *w, std::size_t stride,
     }
 }
 
-void
-addActiveRowsAvx512(const float *w, std::size_t stride,
-                    const std::uint32_t *active, std::size_t count,
-                    float *acc, std::size_t colLen)
-{
-    const __mmask16 tail =
-        static_cast<__mmask16>((1u << (colLen & 15)) - 1);
-    for (std::size_t k = 0; k < count; ++k) {
-        const float *row = w + active[k] * stride;
-        std::size_t j = 0;
-        for (; j + 16 <= colLen; j += 16)
-            _mm512_storeu_ps(acc + j,
-                             _mm512_add_ps(_mm512_loadu_ps(acc + j),
-                                           _mm512_loadu_ps(row + j)));
-        if (tail)
-            _mm512_mask_storeu_ps(
-                acc + j, tail,
-                _mm512_add_ps(_mm512_maskz_loadu_ps(tail, acc + j),
-                              _mm512_maskz_loadu_ps(tail, row + j)));
-    }
-}
-
 } // namespace
 
 // extern: namespace-scope const defaults to internal linkage, but the
 // dispatcher in simd_dispatch.cpp links against this definition.
 extern const KernelTable kAvx512Table;
 const KernelTable kAvx512Table = {
-    IsaTier::Avx512,     "avx512",
-    addMaskedRowsAvx512, addActiveRowsAvx512,
-    outerCountDiffBody,  popcountWordsBody,
+    IsaTier::Avx512,    "avx512",          addMaskedRowsAvx512,
+    outerCountDiffBody, popcountWordsBody,
 };
 
 } // namespace ising::linalg::simd::detail

@@ -57,22 +57,9 @@ addMaskedRowsGeneric(const float *w, std::size_t stride,
     }
 }
 
-void
-addActiveRowsGeneric(const float *w, std::size_t stride,
-                     const std::uint32_t *active, std::size_t count,
-                     float *__restrict acc, std::size_t colLen)
-{
-    for (std::size_t k = 0; k < count; ++k) {
-        const float *__restrict wrow = w + active[k] * stride;
-        for (std::size_t j = 0; j < colLen; ++j)
-            acc[j] += wrow[j];
-    }
-}
-
 const KernelTable kGenericTable = {
-    IsaTier::Generic,     "generic",
-    addMaskedRowsGeneric, addActiveRowsGeneric,
-    outerCountDiffBody,   popcountWordsBody,
+    IsaTier::Generic,   "generic",          addMaskedRowsGeneric,
+    outerCountDiffBody, popcountWordsBody,
 };
 
 // ------------------------------------------------------------- CPUID probe

@@ -6,8 +6,7 @@
  * at the baseline ISA, explicit AVX2 and AVX-512 variants compile in
  * their own translation units behind -mavx2 / -mavx512f -mavx512bw
  * -mavx512vpopcntdq, and a CPUID probe picks the highest tier the
- * host can actually run the first time a kernel is needed.  This is
- * the PR 5 dense/sparse dispatcher pattern one tier down: the
+ * host can actually run the first time a kernel is needed.  The
  * function-pointer table moves time, never results.
  *
  * Bit-reproducibility bounds what the SIMD variants may do (see
@@ -47,9 +46,6 @@ namespace ising::linalg::simd {
  */
 enum class IsaTier { Auto = 0, Scalar, Generic, Avx2, Avx512 };
 
-/** Number of IsaTier values (bounds per-tier caches). */
-constexpr int kNumIsaTiers = 5;
-
 /** Lower-case tag: auto|scalar|generic|avx2|avx512. */
 const char *tierName(IsaTier tier);
 
@@ -78,14 +74,6 @@ struct KernelTable
     void (*addMaskedRows)(const float *w, std::size_t stride,
                           const std::uint64_t *words,
                           std::size_t wordBegin, std::size_t wordEnd,
-                          float *acc, std::size_t colLen);
-
-    /**
-     * acc[0..colLen) += the w rows listed in active[0..count)
-     * (ascending input-unit indices; callers seed acc with the bias).
-     */
-    void (*addActiveRows)(const float *w, std::size_t stride,
-                          const std::uint32_t *active, std::size_t count,
                           float *acc, std::size_t colLen);
 
     /**

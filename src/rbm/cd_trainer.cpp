@@ -174,93 +174,37 @@ CdTrainer::trainBatch(const data::Dataset &train,
     // --- Reduce <v+ h+> - <v- h-> into the accumulators.  Rows of W
     // (and dbv) are disjoint across chunks: deterministic for any
     // worker count.  Three tiers, fastest applicable first.
-    // One fused probe pass per state matrix: packability for the tier
-    // choice plus the nonzero counts the sparse-reduce dispatch needs.
-    bool vposB = false, vnegB = false, hstatB = false, hnegB = false;
-    const std::size_t nnzVp = linalg::countNonZero(vpos_, &vposB);
-    const std::size_t nnzVn = linalg::countNonZero(vnegs_, &vnegB);
-    const std::size_t nnzHp = linalg::countNonZero(hstat_, &hstatB);
-    const std::size_t nnzHn = linalg::countNonZero(hnegs_, &hnegB);
-    const bool binaryV = vposB && vnegB;
+    const bool binaryV =
+        linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_);
     // The reduce runs the same resolved kernel tier as the sweeps;
     // null (Scalar) forces the float fallback branch, exercising the
     // exact pipeline the packed tiers must match byte-for-byte.
     const linalg::simd::KernelTable *kt = backend.kernelTable();
-    if (kt && binaryV && hstatB && hnegB) {
+    if (kt && binaryV && linalg::isBinary01(hstat_) &&
+        linalg::isBinary01(hnegs_)) {
         // All states binary (the default): every dW entry is a count
-        // of batch positions where both units fired.  Two exact
-        // integer reduces exist: sparse batches scatter +/-1 over
-        // only (active x active) pairs, dense batches AND+popcount
-        // over per-unit bit columns.  Both are exactly the
-        // float-accumulated result under any summation order, so the
-        // dispatch never changes gradients.
-        //
-        // The reduce has its own crossover, higher than the sweeps':
-        // dense cost is m*n*words(batch) popcounts regardless of
-        // activity, sparse cost is the scatter volume
-        // sum_k |v_k|*|h_k| -- quadratic in activity -- so sparse
-        // wins whenever the estimated scatter volume is a fraction of
-        // the dense popcount volume (~a <= 12% at equal activities,
-        // batch-size independent).  An explicit SamplingOptions
-        // threshold instead compares mean state activity, giving
-        // tests and benches a way to force either path.
-        const double scatterEst =
-            (static_cast<double>(nnzVp) * static_cast<double>(nnzHp) +
-             static_cast<double>(nnzVn) * static_cast<double>(nnzHn)) /
-            static_cast<double>(batch);
-        const double denseVolume =
-            static_cast<double>(m) * static_cast<double>(n) *
-            static_cast<double>(linalg::bitWords(batch));
-        // Scatter adds cost ~1.7x a vectorized popcount lane while dW
-        // stays cache-resident, but become latency-bound line misses
-        // once the accumulator outgrows L2 -- hence the much more
-        // conservative ratio for large models (measured on the
-        // AVX-512 calibration host; the sweep in BENCH_sparse.json
-        // tracks both regimes).
-        const bool dwInCache = m * n * sizeof(float) <= (4u << 20);
-        const double kScatterCostRatio = dwInCache ? 0.5 : 0.12;
-        bool sparseReduce =
-            scatterEst <= kScatterCostRatio * denseVolume;
-        if (config_.sampling.sparseThreshold >= 0.0)
-            sparseReduce =
-                static_cast<double>(nnzVp + nnzHp + nnzVn + nnzHn) <=
-                config_.sampling.sparseThreshold *
-                    static_cast<double>(2 * batch * (m + n));
-        if (sparseReduce) {
-            vposView_.build(vpos_);
-            hposView_.build(hstat_);
-            vnegView_.build(vnegs_);
-            hnegView_.build(hnegs_);
-            exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
-                                                 std::size_t rowEnd) {
-                linalg::outerCountDiffSparse(vposView_, hposView_,
-                                             vnegView_, hnegView_, dw_,
-                                             rowBegin, rowEnd);
-            });
-            linalg::columnCountDiffSparse(vposView_, vnegView_,
-                                          dbv_.data(), m);
-            linalg::columnCountDiffSparse(hposView_, hnegView_,
-                                          dbh_.data(), n);
-        } else {
-            linalg::packTransposed(vpos_, posT_);
-            linalg::packTransposed(vnegs_, negT_);
-            linalg::packTransposed(hstat_, hposT_);
-            linalg::packTransposed(hnegs_, hnegT_);
-            exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
-                                                 std::size_t rowEnd) {
-                linalg::outerCountDiff(*kt, posT_, hposT_, negT_, hnegT_,
-                                       dw_, rowBegin, rowEnd);
-            });
-            linalg::Vector tmp(std::max(m, n));
-            linalg::rowCounts(*kt, posT_, dbv_.data());
-            linalg::rowCounts(*kt, negT_, tmp.data());
-            for (std::size_t i = 0; i < m; ++i)
-                dbv_[i] -= tmp[i];
-            linalg::rowCounts(*kt, hposT_, dbh_.data());
-            linalg::rowCounts(*kt, hnegT_, tmp.data());
-            for (std::size_t j = 0; j < n; ++j)
-                dbh_[j] -= tmp[j];
-        }
+        // of batch positions where both units fired, reduced by
+        // AND+popcount over per-unit bit columns.  The counts are
+        // exactly the float-accumulated result under any summation
+        // order.
+        linalg::packTransposed(vpos_, posT_);
+        linalg::packTransposed(vnegs_, negT_);
+        linalg::packTransposed(hstat_, hposT_);
+        linalg::packTransposed(hnegs_, hnegT_);
+        exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
+                                             std::size_t rowEnd) {
+            linalg::outerCountDiff(*kt, posT_, hposT_, negT_, hnegT_, dw_,
+                                   rowBegin, rowEnd);
+        });
+        linalg::Vector tmp(std::max(m, n));
+        linalg::rowCounts(*kt, posT_, dbv_.data());
+        linalg::rowCounts(*kt, negT_, tmp.data());
+        for (std::size_t i = 0; i < m; ++i)
+            dbv_[i] -= tmp[i];
+        linalg::rowCounts(*kt, hposT_, dbh_.data());
+        linalg::rowCounts(*kt, hnegT_, tmp.data());
+        for (std::size_t j = 0; j < n; ++j)
+            dbh_[j] -= tmp[j];
     } else {
         dw_.fill(0.0f);
         dbv_.fill(0.0f);

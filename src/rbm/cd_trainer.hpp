@@ -43,10 +43,9 @@ struct CdConfig
      */
     exec::ThreadPool *pool = nullptr;
     /**
-     * Kernel tuning forwarded to the per-batch sampling backend and
-     * shared with the gradient-reduce dispatch: batches at or below
-     * the sparse threshold stream active-index lists instead of the
-     * dense packed kernels (bit-identical either way).
+     * Kernel tuning forwarded to the per-batch sampling backend; the
+     * gradient reduce runs the same resolved tier (bit-identical to
+     * every other tier either way).
      */
     SamplingOptions sampling;
 };
@@ -137,11 +136,8 @@ class CdTrainer
     linalg::Matrix vpos_, hstat_, vnegs_, hnegs_;
     linalg::Matrix phpos_, pvScratch_, phScratch_;
     // Packed reduce scratch, reused across batches: transposed bit
-    // columns for the dense popcount reduce, active-index views
-    // (built straight from the float states) for the sparse scatter
-    // reduce.
+    // columns for the popcount reduce.
     linalg::BitMatrix posT_, negT_, hposT_, hnegT_;
-    linalg::SparseBitView vposView_, hposView_, vnegView_, hnegView_;
     // PCD particles: persistent hidden states.
     std::vector<linalg::Vector> particles_;
     std::size_t nextParticle_ = 0;

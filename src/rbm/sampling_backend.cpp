@@ -6,136 +6,14 @@
 #include "rbm/sampling_backend.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <cstdlib>
-#include <mutex>
 
 #include "exec/parallel_for.hpp"
 #include "linalg/bitops.hpp"
 #include "linalg/ops.hpp"
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 namespace ising::rbm {
-
-namespace {
-
-/**
- * Micro-probe the dense/sparse crossover on this host: time the dense
- * tiled accumulate against the sparse view build + gather at falling
- * activity levels on a synthetic layer, and report the highest level
- * where sparse wins.  The dense kernel already skips zero rows with
- * count-trailing-zeros and keeps its W tiles L1-resident across
- * chains, so the streamed path only wins where the per-word
- * accumulator round-trips and word scans dominate the row adds --
- * genuinely sparse batches (single-digit activity on typical hosts).
- * The probe shape is wide enough (16 input words) to expose that
- * per-word cost, each timing covers several kernel repetitions so a
- * scheduler blip cannot flip the decision, and the probe runs once
- * per process at the first backend construction that needs the
- * default.  Clamped to [0.005, 0.40]: above ~40% the dense tile's W
- * reuse always wins, and the floor keeps near-empty batches on the
- * streamed path even on a noisy host.
- */
-double
-measureSparseCrossover(const linalg::simd::KernelTable &kt)
-{
-    constexpr std::size_t p = 1024, q = 512, batch = 32;
-    constexpr int kernelReps = 4;
-    linalg::Matrix w(p, q);
-    for (std::size_t i = 0; i < w.size(); ++i)
-        w.data()[i] = static_cast<float>((i % 17) - 8) * 0.01f;
-    const linalg::Vector b(q);
-    linalg::Matrix act(batch, q);
-    linalg::SparseBitView view;
-    util::Rng rng(0x5eca11b8);
-
-    const auto timeBest = [](auto &&fn) {
-        double best = 1e300;
-        for (int rep = 0; rep < 3; ++rep) {
-            util::Stopwatch sw;
-            for (int k = 0; k < kernelReps; ++k)
-                fn();
-            best = std::min(best, sw.seconds());
-        }
-        return best;
-    };
-
-    double crossover = 0.005;
-    for (const double level :
-         {0.12, 0.08, 0.05, 0.035, 0.025, 0.015, 0.008}) {
-        linalg::BitMatrix in(batch, p);
-        for (std::size_t r = 0; r < batch; ++r)
-            for (std::size_t i = 0; i < p; ++i)
-                in.set(r, i, rng.bernoulli(level));
-        const double dense = timeBest([&] {
-            linalg::accumulateBatchTile(kt, w, in, b, act, 0, batch, 0,
-                                        q);
-        });
-        const double sparse = timeBest([&] {
-            view.build(in);
-            linalg::accumulateActiveTile(kt, w, view, b, act, 0, batch, 0,
-                                         q);
-        });
-        if (sparse <= dense) {
-            crossover = level;
-            break;
-        }
-    }
-    return std::clamp(crossover, 0.005, 0.40);
-}
-
-double
-calibratedSparseThreshold(const linalg::simd::KernelTable &kt)
-{
-    // One probe per kernel tier, at the first backend construction
-    // that needs that tier's default: the crossover moves with the
-    // dense kernels' speed, so a faster tier gets a lower threshold.
-    static std::mutex mutex;
-    static std::array<double, linalg::simd::kNumIsaTiers> cache;
-    static std::array<bool, linalg::simd::kNumIsaTiers> probed;
-    const std::size_t slot = static_cast<std::size_t>(kt.tier);
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!probed[slot]) {
-        cache[slot] = measureSparseCrossover(kt);
-        probed[slot] = true;
-    }
-    return cache[slot];
-}
-
-/**
- * ISINGRBM_SPARSE_THRESHOLD pin, re-read per call: a parseable value
- * in [0, 1] replaces the micro-probe (but not an explicit option /
- * --sparse-threshold flag).  Pinning makes runs reproducible in
- * *timing decisions* across hosts -- results never depend on the
- * threshold -- which is what the CI canaries and the bench harness
- * want.
- */
-bool
-envSparseThreshold(double &out)
-{
-    const char *env = std::getenv("ISINGRBM_SPARSE_THRESHOLD");
-    if (!env || !*env)
-        return false;
-    char *end = nullptr;
-    const double value = std::strtod(env, &end);
-    if (end == env || *end != '\0' || value < 0.0 || value > 1.0) {
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            util::warn(util::strcat(
-                "isingrbm: ISINGRBM_SPARSE_THRESHOLD='", env,
-                "' is not a number in [0, 1]; using the calibrated "
-                "default"));
-        }
-        return false;
-    }
-    out = value;
-    return true;
-}
-
-} // namespace
 
 linalg::simd::IsaTier
 resolveIsaTier(const SamplingOptions &opts)
@@ -158,20 +36,6 @@ resolveIsaTier(const SamplingOptions &opts)
         }
     }
     return linalg::simd::defaultTier();
-}
-
-double
-resolveSparseThreshold(const SamplingOptions &opts)
-{
-    if (opts.sparseThreshold >= 0.0)
-        return opts.sparseThreshold;
-    double pinned = 0.0;
-    if (envSparseThreshold(pinned))
-        return pinned;
-    const linalg::simd::IsaTier tier = resolveIsaTier(opts);
-    if (tier == linalg::simd::IsaTier::Scalar)
-        return 0.0;  // float pipeline: the packed dispatch never runs
-    return calibratedSparseThreshold(*linalg::simd::table(tier));
 }
 
 namespace {
@@ -325,9 +189,7 @@ SamplingBackend::sampleVisibleBatchPacked(const linalg::BitMatrix &h,
 SoftwareGibbsBackend::SoftwareGibbsBackend(const Rbm &model,
                                            exec::ThreadPool *pool,
                                            SamplingOptions options)
-    : model_(&model), pool_(pool),
-      threshold_(resolveSparseThreshold(options)),
-      isa_(resolveIsaTier(options)),
+    : model_(&model), pool_(pool), isa_(resolveIsaTier(options)),
       kt_(linalg::simd::table(isa_))  // null iff Scalar
 {
     linalg::transposeInto(model.weights(), wT_);
@@ -377,28 +239,14 @@ SoftwareGibbsBackend::anneal(int steps, linalg::Vector &v,
         return;
     }
     // The chain state stays packed across every sweep; only the means
-    // and the final samples are materialized as floats.  Each
-    // half-sweep re-probes its input's activity: a sparse visible
-    // state and a saturated hidden state of the same chain want
-    // different kernels, and both produce identical bits.
-    const auto halfSweep = [&](const linalg::Matrix &w,
-                               const linalg::Vector &b,
-                               const linalg::BitVector &in,
-                               linalg::BitVector &out,
-                               linalg::Vector &means) {
-        if (static_cast<double>(in.countOnes()) <=
-            threshold_ * static_cast<double>(in.size()))
-            linalg::affineSigmoidBernoulliSparse(*kt_, w, in, b, out,
-                                                 means, rng);
-        else
-            linalg::affineSigmoidBernoulli(*kt_, w, in, b, out, means,
-                                           rng);
-    };
+    // and the final samples are materialized as floats.
     linalg::BitVector hb, vb;
     hb.packFrom(h.data(), h.size());
     for (int s = 0; s < steps; ++s) {
-        halfSweep(wT_, model_->visibleBias(), hb, vb, pv);
-        halfSweep(model_->weights(), model_->hiddenBias(), vb, hb, ph);
+        linalg::affineSigmoidBernoulli(*kt_, wT_, hb,
+                                       model_->visibleBias(), vb, pv, rng);
+        linalg::affineSigmoidBernoulli(*kt_, model_->weights(), vb,
+                                       model_->hiddenBias(), hb, ph, rng);
     }
     v.resize(numVisible());
     vb.unpackTo(v.data());
@@ -445,63 +293,6 @@ SoftwareGibbsBackend::packedLayerBatch(const linalg::Matrix &w,
 }
 
 void
-SoftwareGibbsBackend::sparseLayerBatch(const linalg::Matrix &w,
-                                       const linalg::Vector &b,
-                                       const linalg::SparseBitView &in,
-                                       linalg::BitMatrix &out,
-                                       linalg::Matrix &means,
-                                       util::Rng *rngs) const
-{
-    exec::ThreadPool &pool = pool_ ? *pool_ : exec::globalPool();
-    const std::size_t batch = in.rows(), q = w.cols();
-    ensureShape(means, batch, q);
-    ensureShape(out, batch, q);
-    // Same threading shapes as the dense body; the accumulate streams
-    // each chain's active-index list instead of walking packed words.
-    if (batch >= pool.numWorkers()) {
-        exec::parallelForChunks(pool, batch, [&](std::size_t rowBegin,
-                                                 std::size_t rowEnd) {
-            linalg::accumulateActiveTile(*kt_, w, in, b, means, rowBegin,
-                                         rowEnd, 0, q);
-            for (std::size_t r = rowBegin; r < rowEnd; ++r)
-                linalg::sampleBatchRow(means, r, out, rngs[r]);
-        });
-    } else {
-        exec::parallelForChunks(pool, q, [&](std::size_t colBegin,
-                                             std::size_t colEnd) {
-            linalg::accumulateActiveTile(*kt_, w, in, b, means, 0, batch,
-                                         colBegin, colEnd);
-        });
-        exec::parallelFor(pool, batch, [&](std::size_t r) {
-            linalg::sampleBatchRow(means, r, out, rngs[r]);
-        });
-    }
-}
-
-void
-SoftwareGibbsBackend::layerBatch(const linalg::Matrix &w,
-                                 const linalg::Vector &b,
-                                 const linalg::BitMatrix &in,
-                                 linalg::BitMatrix &out,
-                                 linalg::Matrix &means, util::Rng *rngs,
-                                 linalg::SparseBitView &view) const
-{
-    // Dispatcher probe for packed chain states: one popcount pass
-    // decides dense tiled vs sparse streamed for this (batch,
-    // direction).  Both paths are bit-identical; the decision only
-    // moves time.
-    const std::size_t totalBits = in.rows() * in.cols();
-    if (totalBits == 0 ||
-        static_cast<double>(linalg::countOnes(*kt_, in)) <=
-            threshold_ * static_cast<double>(totalBits)) {
-        view.build(in);
-        sparseLayerBatch(w, b, view, out, means, rngs);
-    } else {
-        packedLayerBatch(w, b, in, out, means, rngs);
-    }
-}
-
-void
 SoftwareGibbsBackend::sampleHiddenBatch(const linalg::Matrix &v,
                                         linalg::Matrix &h,
                                         linalg::Matrix &ph,
@@ -509,29 +300,15 @@ SoftwareGibbsBackend::sampleHiddenBatch(const linalg::Matrix &v,
 {
     const std::size_t batch = v.rows(), m = numVisible(), n = numHidden();
     assert(v.cols() == m);
-    // Float entry probe, one fused scan: packability plus activity.
-    // Sparse inputs build the active-index view straight from the
-    // float rows, skipping the packing pass the dense path needs.
-    bool binary = false;
-    const std::size_t nnz = linalg::countNonZero(v, &binary);
-    if (!kt_ || !binary) {
+    if (!kt_ || !linalg::isBinary01(v)) {
         SamplingBackend::sampleHiddenBatch(v, h, ph, rngs);
         return;
     }
-    linalg::BitMatrix hb;
-    if (static_cast<double>(nnz) <=
-        threshold_ * static_cast<double>(v.size())) {
-        linalg::SparseBitView view;
-        view.build(v);
-        sparseLayerBatch(model_->weights(), model_->hiddenBias(), view,
-                         hb, ph, rngs);
-    } else {
-        linalg::BitMatrix vb(batch, m);
-        for (std::size_t r = 0; r < batch; ++r)
-            vb.packRowFrom(r, v.row(r));
-        packedLayerBatch(model_->weights(), model_->hiddenBias(), vb, hb,
-                         ph, rngs);
-    }
+    linalg::BitMatrix vb(batch, m), hb;
+    for (std::size_t r = 0; r < batch; ++r)
+        vb.packRowFrom(r, v.row(r));
+    packedLayerBatch(model_->weights(), model_->hiddenBias(), vb, hb, ph,
+                     rngs);
     ensureShape(h, batch, n);
     for (std::size_t r = 0; r < batch; ++r)
         hb.unpackRowTo(r, h.row(r));
@@ -545,24 +322,14 @@ SoftwareGibbsBackend::sampleVisibleBatch(const linalg::Matrix &h,
 {
     const std::size_t batch = h.rows(), m = numVisible(), n = numHidden();
     assert(h.cols() == n);
-    bool binary = false;
-    const std::size_t nnz = linalg::countNonZero(h, &binary);
-    if (!kt_ || !binary) {
+    if (!kt_ || !linalg::isBinary01(h)) {
         SamplingBackend::sampleVisibleBatch(h, v, pv, rngs);
         return;
     }
-    linalg::BitMatrix vb;
-    if (static_cast<double>(nnz) <=
-        threshold_ * static_cast<double>(h.size())) {
-        linalg::SparseBitView view;
-        view.build(h);
-        sparseLayerBatch(wT_, model_->visibleBias(), view, vb, pv, rngs);
-    } else {
-        linalg::BitMatrix hb(batch, n);
-        for (std::size_t r = 0; r < batch; ++r)
-            hb.packRowFrom(r, h.row(r));
-        packedLayerBatch(wT_, model_->visibleBias(), hb, vb, pv, rngs);
-    }
+    linalg::BitMatrix hb(batch, n), vb;
+    for (std::size_t r = 0; r < batch; ++r)
+        hb.packRowFrom(r, h.row(r));
+    packedLayerBatch(wT_, model_->visibleBias(), hb, vb, pv, rngs);
     ensureShape(v, batch, m);
     for (std::size_t r = 0; r < batch; ++r)
         vb.unpackRowTo(r, v.row(r));
@@ -579,12 +346,8 @@ SoftwareGibbsBackend::sampleHiddenBatchPacked(const linalg::BitMatrix &v,
         return;
     }
     assert(v.cols() == numVisible());
-    // layerBatch probes activity on the packed words and picks dense
-    // tiled vs sparse streamed -- the same decision (same counts, same
-    // threshold) the float entry points make, so the bits match them.
-    linalg::SparseBitView view;
-    layerBatch(model_->weights(), model_->hiddenBias(), v, h, ph, rngs,
-               view);
+    packedLayerBatch(model_->weights(), model_->hiddenBias(), v, h, ph,
+                     rngs);
 }
 
 void
@@ -598,8 +361,7 @@ SoftwareGibbsBackend::sampleVisibleBatchPacked(const linalg::BitMatrix &h,
         return;
     }
     assert(h.cols() == numHidden());
-    linalg::SparseBitView view;
-    layerBatch(wT_, model_->visibleBias(), h, v, pv, rngs, view);
+    packedLayerBatch(wT_, model_->visibleBias(), h, v, pv, rngs);
 }
 
 void
@@ -618,17 +380,13 @@ SoftwareGibbsBackend::annealBatch(int steps, linalg::Matrix &v,
     }
     // States stay packed for the whole walk: per step the minibatch
     // does two tiled passes over W / W^T instead of 2 * batch gemv's.
-    // Each half-sweep re-probes its input's activity through
-    // layerBatch(), so a walk whose hidden layer saturates low picks
-    // the streamed kernel for that direction only.
     linalg::BitMatrix hb(batch, n), vb;
-    linalg::SparseBitView view;  // index storage shared by all sweeps
     for (std::size_t r = 0; r < batch; ++r)
         hb.packRowFrom(r, h.row(r));
     for (int s = 0; s < steps; ++s) {
-        layerBatch(wT_, model_->visibleBias(), hb, vb, pv, rngs, view);
-        layerBatch(model_->weights(), model_->hiddenBias(), vb, hb, ph,
-                   rngs, view);
+        packedLayerBatch(wT_, model_->visibleBias(), hb, vb, pv, rngs);
+        packedLayerBatch(model_->weights(), model_->hiddenBias(), vb, hb,
+                         ph, rngs);
     }
     ensureShape(v, batch, m);
     ensureShape(h, batch, n);

@@ -35,29 +35,9 @@
 
 namespace ising::rbm {
 
-/**
- * Tuning knobs for the software sampling kernels.
- *
- * The batched software backend picks between two bit-identical kernel
- * shapes per call: the dense packed tiled walk (every word of every
- * row scanned, W tiles cache-reused across chains) and the
- * sparse-streamed walk (per-row active-index lists, only active rows
- * gathered).  The crossover depends on the host's relative cost of
- * word scans vs gathered row adds, so the default threshold is
- * calibrated once per process by a micro-probe at first backend
- * construction; set @p sparseThreshold to override it.
- */
+/** Tuning knob for the software sampling kernels. */
 struct SamplingOptions
 {
-    /**
-     * Batch activity (set bits / total bits) at or below which the
-     * sparse-streamed kernels run.  Negative selects the calibrated
-     * default (overridable by ISINGRBM_SPARSE_THRESHOLD); 0 effectively
-     * disables the sparse path (only exactly empty batches qualify); 1
-     * forces it for every binary batch.
-     */
-    double sparseThreshold = -1.0;
-
     /**
      * SIMD kernel tier for the packed hot path.  Auto defers to the
      * ISINGRBM_ISA environment variable and then the CPUID probe
@@ -76,17 +56,6 @@ struct SamplingOptions
  * returns Auto.
  */
 linalg::simd::IsaTier resolveIsaTier(const SamplingOptions &opts);
-
-/**
- * The activity threshold @p opts resolves to: the override when
- * non-negative, else the ISINGRBM_SPARSE_THRESHOLD environment pin,
- * else the micro-probe calibration for the resolved kernel tier (run
- * once per tier, cached; the crossover moves with the dense kernels'
- * speed, so each tier gets its own probe).  Shared by the backend
- * dispatcher and CdTrainer's gradient-reduce dispatch so both switch
- * tiers at the same point.
- */
-double resolveSparseThreshold(const SamplingOptions &opts);
 
 /** One conditional-sampling engine: the two Gibbs half-sweeps. */
 class SamplingBackend
@@ -201,16 +170,10 @@ class SamplingBackend
  * it is shallow.  Both layouts and both threading shapes produce
  * bit-identical chains to the scalar float path (the kernels share
  * its addition order and RNG consumption order); non-binary inputs
- * fall back to the float path transparently.
- *
- * Sparsity dispatch: every packed half-sweep first probes the batch's
- * activity (popcount over the already-packed words) and streams the
- * sparse active-index kernels instead of the dense tiled walk when it
- * falls at or below the SamplingOptions threshold -- per (batch,
- * direction), so a sparse data sweep and a dense hidden sweep of the
- * same chain each get the right kernel.  Sparse and dense paths are
- * bit-identical (same addition order, same draws), so the dispatch
- * decision never changes results, only speed.
+ * fall back to the float path transparently.  The tiled walk skips
+ * empty input words, so one packed path serves every activity level:
+ * a near-empty data sweep and a saturated hidden sweep of the same
+ * chain run the same kernels.
  */
 class SoftwareGibbsBackend final : public SamplingBackend
 {
@@ -219,7 +182,7 @@ class SoftwareGibbsBackend final : public SamplingBackend
      * @param model sampled model (borrowed; must outlive the backend)
      * @param pool pool for the batched kernels (borrowed; nullptr
      *        selects exec::globalPool())
-     * @param options kernel tuning (sparse crossover threshold)
+     * @param options kernel tuning (ISA tier)
      */
     explicit SoftwareGibbsBackend(const Rbm &model,
                                   exec::ThreadPool *pool = nullptr,
@@ -231,9 +194,6 @@ class SoftwareGibbsBackend final : public SamplingBackend
     std::size_t numVisible() const override { return model_->numVisible(); }
     std::size_t numHidden() const override { return model_->numHidden(); }
     const char *name() const override { return "software"; }
-
-    /** The resolved dense/sparse crossover activity this backend uses. */
-    double sparseThreshold() const { return threshold_; }
 
     /** The resolved kernel tier (never Auto). */
     linalg::simd::IsaTier isaTier() const { return isa_; }
@@ -265,7 +225,7 @@ class SoftwareGibbsBackend final : public SamplingBackend
                      linalg::Matrix &pv, linalg::Matrix &ph,
                      util::Rng *rngs) const override;
 
-    /** Packed input straight into the layerBatch dispatcher: no float
+    /** Packed input straight into the packed half-sweep: no float
      *  detour at all on the serving miss path. */
     void sampleHiddenBatchPacked(const linalg::BitMatrix &v,
                                  linalg::BitMatrix &h, linalg::Matrix &ph,
@@ -279,40 +239,18 @@ class SoftwareGibbsBackend final : public SamplingBackend
 
   private:
     /**
-     * One dense packed batched half-sweep in -> out over @p w (rows =
-     * input units): threads chains over workers for deep batches,
-     * units within the sweep for shallow ones.
+     * One packed batched half-sweep in -> out over @p w (rows = input
+     * units): threads chains over workers for deep batches, units
+     * within the sweep for shallow ones.
      */
     void packedLayerBatch(const linalg::Matrix &w, const linalg::Vector &b,
                           const linalg::BitMatrix &in,
                           linalg::BitMatrix &out, linalg::Matrix &means,
                           util::Rng *rngs) const;
 
-    /**
-     * Sparse-streamed batched half-sweep: the same sweep driven by a
-     * pre-built active-index view instead of packed words, with the
-     * identical threading shapes and bit-identical results.
-     */
-    void sparseLayerBatch(const linalg::Matrix &w, const linalg::Vector &b,
-                          const linalg::SparseBitView &in,
-                          linalg::BitMatrix &out, linalg::Matrix &means,
-                          util::Rng *rngs) const;
-
-    /**
-     * Dispatch a half-sweep over an already-packed state: popcount
-     * probe, then the dense or sparse body.  @p view is caller-owned
-     * scratch for the sparse side, so a multi-step walk reuses its
-     * index storage instead of reallocating per half-sweep.
-     */
-    void layerBatch(const linalg::Matrix &w, const linalg::Vector &b,
-                    const linalg::BitMatrix &in, linalg::BitMatrix &out,
-                    linalg::Matrix &means, util::Rng *rngs,
-                    linalg::SparseBitView &view) const;
-
     const Rbm *model_;
     linalg::Matrix wT_;  ///< cached transpose for the visible sweep
     exec::ThreadPool *pool_;
-    double threshold_;   ///< resolved sparse crossover activity
     linalg::simd::IsaTier isa_;            ///< resolved tier (never Auto)
     const linalg::simd::KernelTable *kt_;  ///< null iff isa_ == Scalar
 };

@@ -36,11 +36,6 @@ struct TrainOptions
     bool persistentCd = false;    ///< PCD: keep negative chains
     std::size_t cdParticles = 16; ///< persistent chain count
     /**
-     * Sparse kernel crossover forwarded to CdConfig::sampling
-     * (negative = the calibrated default; see rbm::SamplingOptions).
-     */
-    double sparseThreshold = -1.0;
-    /**
      * SIMD kernel tier forwarded to CdConfig::sampling (Auto = the
      * ISINGRBM_ISA env, then CPUID; see rbm::SamplingOptions::isa).
      */

@@ -6,6 +6,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -89,7 +90,10 @@ CliArgs::getDouble(const std::string &name, double dflt) const
     }
     char *end = nullptr;
     const double v = std::strtod(it->second.c_str(), &end);
-    if (!end || *end != '\0') {
+    // strtod also parses "nan" and "inf"; a non-finite value would
+    // silently disable every comparison gate it feeds (x > NaN is
+    // always false), so it counts as malformed too.
+    if (!end || *end != '\0' || !std::isfinite(v)) {
         warn(strcat("cli: malformed number '", it->second, "' for --",
                     name, "; using default ", dflt));
         return dflt;

@@ -39,7 +39,8 @@ class CliArgs
     /** Integer flag with default (warns on malformed values). */
     long getInt(const std::string &name, long dflt) const;
 
-    /** Floating-point flag with default (warns on malformed values). */
+    /** Floating-point flag with default (warns on malformed or
+     *  non-finite values). */
     double getDouble(const std::string &name, double dflt) const;
 
     /** Boolean flag: present without value, or value in {0,1,true,false}. */

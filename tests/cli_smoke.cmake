@@ -84,25 +84,6 @@ if(NOT EXISTS ${WORK}/samples.txt)
   message(FATAL_ERROR "cli_smoke: sample --out wrote nothing")
 endif()
 
-# Sparse-dispatch determinism canary: the same sample request with the
-# sparse path forced off (threshold 0) and forced on (threshold 1)
-# must emit byte-identical samples -- the bit-reproducibility contract
-# the dispatcher rides on.  A diff here means the sparse kernels
-# drifted from the dense ones.
-run_step(${CLI} sample --registry ${WORK} --model smoke
-         --count 2 --burnin 5 --seed 99 --sparse-threshold 0
-         --out ${WORK}/samples-dense.txt)
-run_step(${CLI} sample --registry ${WORK} --model smoke
-         --count 2 --burnin 5 --seed 99 --sparse-threshold 1
-         --out ${WORK}/samples-sparse.txt)
-file(READ ${WORK}/samples-dense.txt dense_bits)
-file(READ ${WORK}/samples-sparse.txt sparse_bits)
-if(NOT dense_bits STREQUAL sparse_bits)
-  message(FATAL_ERROR "cli_smoke: sparse path produced different "
-                      "samples than the dense path (determinism "
-                      "contract broken)")
-endif()
-
 # SIMD-tier determinism canary: the same train + sample run with the
 # kernel tier forced to generic and with auto dispatch (AVX2/AVX-512
 # where the host has it) must be byte-identical end to end -- the

@@ -4,14 +4,16 @@
  *
  *  - the software backend's bit-packed batched kernels must reproduce
  *    the scalar float chains bit-for-bit (same per-chain RNG streams);
- *  - results must be invariant to the worker count and to the
- *    chains-over-threads vs units-over-threads kernel shape;
+ *  - results must be invariant to the worker count, to the
+ *    chains-over-threads vs units-over-threads kernel shape and to how
+ *    a batch is split across calls, at any input activity;
  *  - backends without a native batched path (the analog fabric) must
  *    keep working through the scalar-loop default implementations.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "accel/fabric_backend.hpp"
@@ -71,12 +73,13 @@ testModel(std::size_t m = 67, std::size_t n = 35)
 }
 
 linalg::Matrix
-randomBinaryBatch(std::size_t rows, std::size_t cols, Rng &rng)
+randomBinaryBatch(std::size_t rows, std::size_t cols, Rng &rng,
+                  double activity = 0.5)
 {
     linalg::Matrix out(rows, cols);
     for (std::size_t r = 0; r < rows; ++r)
         for (std::size_t c = 0; c < cols; ++c)
-            out(r, c) = rng.bernoulli(0.5) ? 1.0f : 0.0f;
+            out(r, c) = rng.bernoulli(activity) ? 1.0f : 0.0f;
     return out;
 }
 
@@ -100,12 +103,13 @@ expectSameMatrix(const linalg::Matrix &a, const linalg::Matrix &b,
 }
 
 data::Dataset
-binaryDataset(std::size_t rows, std::size_t cols, std::uint64_t seed)
+binaryDataset(std::size_t rows, std::size_t cols, std::uint64_t seed,
+              double activity = 0.5)
 {
     Rng rng(seed);
     data::Dataset ds;
     ds.name = "synthetic-binary";
-    ds.samples = randomBinaryBatch(rows, cols, rng);
+    ds.samples = randomBinaryBatch(rows, cols, rng, activity);
     return ds;
 }
 
@@ -118,14 +122,22 @@ TEST(BatchedSampling, PackedHiddenSweepMatchesScalarFloatPath)
     const ScalarOnlyBackend scalar(software);
 
     Rng init(41);
-    const linalg::Matrix v = randomBinaryBatch(9, model.numVisible(), init);
+    // Half-active, empty, 2% and saturated batches, plus one set bit.
+    std::vector<linalg::Matrix> inputs;
+    for (const double activity : {0.5, 0.0, 0.02, 1.0})
+        inputs.push_back(
+            randomBinaryBatch(9, model.numVisible(), init, activity));
+    inputs.emplace_back(9, model.numVisible());
+    inputs.back()(4, 33) = 1.0f;
 
-    std::vector<Rng> a = streams(5, 9), b = streams(5, 9);
-    linalg::Matrix hPacked, phPacked, hFloat, phFloat;
-    software.sampleHiddenBatch(v, hPacked, phPacked, a.data());
-    scalar.sampleHiddenBatch(v, hFloat, phFloat, b.data());
-    expectSameMatrix(hPacked, hFloat, "hidden samples");
-    expectSameMatrix(phPacked, phFloat, "hidden means");
+    for (const linalg::Matrix &v : inputs) {
+        std::vector<Rng> a = streams(5, 9), b = streams(5, 9);
+        linalg::Matrix hPacked, phPacked, hFloat, phFloat;
+        software.sampleHiddenBatch(v, hPacked, phPacked, a.data());
+        scalar.sampleHiddenBatch(v, hFloat, phFloat, b.data());
+        expectSameMatrix(hPacked, hFloat, "hidden samples");
+        expectSameMatrix(phPacked, phFloat, "hidden means");
+    }
 }
 
 TEST(BatchedSampling, PackedVisibleSweepMatchesScalarFloatPath)
@@ -163,6 +175,18 @@ TEST(BatchedSampling, PackedAnnealMatchesScalarFloatChains)
     expectSameMatrix(hA, hB, "hidden walk");
     expectSameMatrix(pvA, pvB, "visible means");
     expectSameMatrix(phA, phB, "hidden means");
+
+    // The packed single-chain walk from a near-empty hidden state.
+    linalg::Vector v1, h1(model.numHidden()), pv1, ph1;
+    linalg::Vector v2, h2(model.numHidden()), pv2, ph2;
+    h1[3] = h2[3] = 1.0f;
+    Rng c(53), d(53);
+    software.anneal(6, v1, h1, pv1, ph1, c);
+    scalar.anneal(6, v2, h2, pv2, ph2, d);
+    EXPECT_TRUE(v1 == v2);
+    EXPECT_TRUE(h1 == h2);
+    EXPECT_TRUE(pv1 == pv2);
+    EXPECT_TRUE(ph1 == ph2);
 }
 
 TEST(BatchedSampling, NonBinaryInputFallsBackToFloatPath)
@@ -192,19 +216,48 @@ TEST(BatchedSampling, KernelShapeAndWorkerCountDoNotChangeResults)
 
     Rng init(45);
     // batch 2 < 8 workers forces the units-over-threads shape on the
-    // wide pool while the serial pool runs chains-over-threads.
-    for (const std::size_t batch : {2u, 16u}) {
-        const linalg::Matrix h0 =
-            randomBinaryBatch(batch, model.numHidden(), init);
-        std::vector<Rng> a = streams(9, batch), b = streams(9, batch);
-        linalg::Matrix vA, hA = h0, pvA, phA;
-        linalg::Matrix vB, hB = h0, pvB, phB;
-        one.annealBatch(3, vA, hA, pvA, phA, a.data());
-        many.annealBatch(3, vB, hB, pvB, phB, b.data());
-        expectSameMatrix(vA, vB, "visible walk");
-        expectSameMatrix(hA, hB, "hidden walk");
-        expectSameMatrix(pvA, pvB, "visible means");
-        expectSameMatrix(phA, phB, "hidden means");
+    // wide pool while the serial pool runs chains-over-threads.  At 8%
+    // activity most hidden words of the first sweep are empty.
+    for (const double activity : {0.5, 0.08}) {
+        for (const std::size_t batch : {2u, 16u}) {
+            const linalg::Matrix h0 =
+                randomBinaryBatch(batch, model.numHidden(), init, activity);
+            std::vector<Rng> a = streams(9, batch), b = streams(9, batch);
+            linalg::Matrix vA, hA = h0, pvA, phA;
+            linalg::Matrix vB, hB = h0, pvB, phB;
+            one.annealBatch(3, vA, hA, pvA, phA, a.data());
+            many.annealBatch(3, vB, hB, pvB, phB, b.data());
+            expectSameMatrix(vA, vB, "visible walk");
+            expectSameMatrix(hA, hB, "hidden walk");
+            expectSameMatrix(pvA, pvB, "visible means");
+            expectSameMatrix(phA, phB, "hidden means");
+
+            // The same chains annealed in two calls, each row's
+            // stream travelling with the row.
+            const std::size_t cut = std::max<std::size_t>(1, batch / 3);
+            std::vector<Rng> c = streams(9, batch);
+            linalg::Matrix vC(batch, model.numVisible()),
+                hC(batch, model.numHidden());
+            for (const auto &[begin, end] :
+                 {std::pair<std::size_t, std::size_t>{0, cut},
+                  std::pair<std::size_t, std::size_t>{cut, batch}}) {
+                linalg::Matrix hPart(end - begin, model.numHidden()), vPart,
+                    pvPart, phPart;
+                for (std::size_t r = begin; r < end; ++r)
+                    std::copy_n(h0.row(r), model.numHidden(),
+                                hPart.row(r - begin));
+                many.annealBatch(3, vPart, hPart, pvPart, phPart,
+                                 c.data() + begin);
+                for (std::size_t r = begin; r < end; ++r) {
+                    std::copy_n(vPart.row(r - begin), model.numVisible(),
+                                vC.row(r));
+                    std::copy_n(hPart.row(r - begin), model.numHidden(),
+                                hC.row(r));
+                }
+            }
+            expectSameMatrix(vA, vC, "visible walk in two calls");
+            expectSameMatrix(hA, hC, "hidden walk in two calls");
+        }
     }
 }
 
@@ -239,35 +292,39 @@ TEST(BatchedSampling, ConditionalSamplesIdenticalOnPackedAndFloatPaths)
 
 TEST(BatchedSampling, CdTrainerIsWorkerCountInvariant)
 {
-    const data::Dataset train = binaryDataset(40, 67, 61);
-    for (const bool persistent : {false, true}) {
-        exec::ThreadPool serial(1), wide(3);
-        rbm::Rbm a = testModel(), b = testModel();
-        Rng rngA(71), rngB(71);
+    // Half-active data, and 6% data whose sweeps mostly see empty
+    // words; CD and PCD for each.
+    for (const double activity : {0.5, 0.06}) {
+        const data::Dataset train = binaryDataset(40, 67, 61, activity);
+        for (const bool persistent : {false, true}) {
+            exec::ThreadPool serial(1), wide(3);
+            rbm::Rbm a = testModel(), b = testModel();
+            Rng rngA(71), rngB(71);
 
-        rbm::CdConfig cfg;
-        cfg.k = 2;
-        cfg.batchSize = 13;  // ragged: exercises short final batches
-        cfg.persistent = persistent;
-        cfg.numParticles = 5;  // ragged round-robin over positions
-        cfg.learningRate = 0.05;
-        cfg.momentum = 0.5;
-        cfg.weightDecay = 1e-4;
+            rbm::CdConfig cfg;
+            cfg.k = 2;
+            cfg.batchSize = 13;  // ragged: exercises short final batches
+            cfg.persistent = persistent;
+            cfg.numParticles = 5;  // ragged round-robin over positions
+            cfg.learningRate = 0.05;
+            cfg.momentum = 0.5;
+            cfg.weightDecay = 1e-4;
 
-        rbm::CdConfig cfgA = cfg, cfgB = cfg;
-        cfgA.pool = &serial;
-        cfgB.pool = &wide;
-        rbm::CdTrainer trainerA(a, cfgA, rngA);
-        rbm::CdTrainer trainerB(b, cfgB, rngB);
-        trainerA.trainEpoch(train);
-        trainerA.trainEpoch(train);
-        trainerB.trainEpoch(train);
-        trainerB.trainEpoch(train);
+            rbm::CdConfig cfgA = cfg, cfgB = cfg;
+            cfgA.pool = &serial;
+            cfgB.pool = &wide;
+            rbm::CdTrainer trainerA(a, cfgA, rngA);
+            rbm::CdTrainer trainerB(b, cfgB, rngB);
+            trainerA.trainEpoch(train);
+            trainerA.trainEpoch(train);
+            trainerB.trainEpoch(train);
+            trainerB.trainEpoch(train);
 
-        expectSameMatrix(a.weights(), b.weights(),
-                         persistent ? "pcd weights" : "cd weights");
-        EXPECT_TRUE(a.visibleBias() == b.visibleBias());
-        EXPECT_TRUE(a.hiddenBias() == b.hiddenBias());
+            expectSameMatrix(a.weights(), b.weights(),
+                             persistent ? "pcd weights" : "cd weights");
+            EXPECT_TRUE(a.visibleBias() == b.visibleBias());
+            EXPECT_TRUE(a.hiddenBias() == b.hiddenBias());
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "linalg/bitops.hpp"
@@ -53,6 +54,13 @@ const std::vector<std::pair<std::size_t, std::size_t>> kShapes = {
     {1, 1}, {63, 17}, {64, 64}, {65, 128}, {100, 35}, {130, 70},
 };
 
+/** Set bits over a packed store (pad bits are kept zero). */
+std::size_t
+popcount(const std::uint64_t *words, std::size_t n)
+{
+    return linalg::simd::activeTable().popcountWords(words, n);
+}
+
 } // namespace
 
 TEST(BitVector, PackUnpackRoundTripsRaggedSizes)
@@ -69,7 +77,7 @@ TEST(BitVector, PackUnpackRoundTripsRaggedSizes)
         std::size_t ones = 0;
         for (std::size_t i = 0; i < n; ++i)
             ones += v[i] != 0.0f;
-        EXPECT_EQ(bits.countOnes(), ones) << "n=" << n;
+        EXPECT_EQ(popcount(bits.data(), bits.words()), ones) << "n=" << n;
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_EQ(bits.test(i), v[i] != 0.0f);
     }
@@ -99,7 +107,9 @@ TEST(BitOps, AccumulateRowsMaskedMatchesFloatGemvT)
     for (const auto &[p, q] : kShapes) {
         const Model model(p, q, rng);
         for (int trial = 0; trial < 8; ++trial) {
-            const Vector x = randomBinary(p, rng);
+            // Empty, 2%, half and fully active inputs.
+            const double activity[] = {0.0, 0.02, 0.5, 1.0};
+            const Vector x = randomBinary(p, rng, activity[trial % 4]);
             BitVector bits;
             bits.packFrom(x.data(), p);
 
@@ -197,33 +207,57 @@ TEST(BitOps, AccumulateBatchTileCoversArbitrarySplits)
 {
     // Column/row tiles must compose to the same result as one full
     // tile -- this is what lets the backend thread over units within
-    // a sweep without changing a single bit.
+    // a sweep without changing a single bit -- and every chain of the
+    // tile must equal the float gemv of its input, whichever of its
+    // words are empty (the walk skips those).
     Rng rng(24);
     const std::size_t p = 130, q = 70, batch = 5;
     const Model model(p, q, rng);
-    BitMatrix in(batch, p);
-    for (std::size_t r = 0; r < batch; ++r) {
-        const Vector row = randomBinary(p, rng);
-        in.packRowFrom(r, row.data());
-    }
-
-    Matrix whole(batch, q), split(batch, q);
-    linalg::accumulateBatchTile(model.w, in, model.b, whole, 0, batch, 0,
-                                q);
-    for (const std::size_t cut : {1u, 33u, 64u, 69u}) {
-        split.fill(-1.0f);
-        linalg::accumulateBatchTile(model.w, in, model.b, split, 0, 2, 0,
-                                    cut);
-        linalg::accumulateBatchTile(model.w, in, model.b, split, 0, 2,
-                                    cut, q);
-        linalg::accumulateBatchTile(model.w, in, model.b, split, 2,
-                                    batch, 0, cut);
-        linalg::accumulateBatchTile(model.w, in, model.b, split, 2,
-                                    batch, cut, q);
+    // Input levels: half-active, empty, 2%, saturated, a single set
+    // bit, and chains alternating all-zero with half-active ones.
+    std::vector<std::vector<Vector>> levels;
+    for (const double activity : {0.5, 0.0, 0.02, 1.0}) {
+        levels.emplace_back();
         for (std::size_t r = 0; r < batch; ++r)
+            levels.back().push_back(randomBinary(p, rng, activity));
+    }
+    levels.emplace_back(batch, Vector(p));
+    levels.back()[batch / 2][p / 2] = 1.0f;
+    levels.emplace_back();
+    for (std::size_t r = 0; r < batch; ++r)
+        levels.back().push_back(r % 2 ? randomBinary(p, rng) : Vector(p));
+
+    for (const std::vector<Vector> &rows : levels) {
+        BitMatrix in(batch, p);
+        for (std::size_t r = 0; r < batch; ++r)
+            in.packRowFrom(r, rows[r].data());
+
+        Matrix whole(batch, q, -1.0f), split(batch, q);
+        linalg::accumulateBatchTile(model.w, in, model.b, whole, 0, batch,
+                                    0, q);
+        for (std::size_t r = 0; r < batch; ++r) {
+            Vector want;
+            linalg::gemvT(model.w, rows[r], model.b, want);
             for (std::size_t j = 0; j < q; ++j)
-                EXPECT_EQ(split(r, j), whole(r, j))
-                    << "cut " << cut << " at (" << r << ", " << j << ")";
+                ASSERT_EQ(whole(r, j), want[j])
+                    << "chain " << r << " unit " << j;
+        }
+        for (const std::size_t cut : {1u, 33u, 64u, 69u}) {
+            split.fill(-1.0f);
+            linalg::accumulateBatchTile(model.w, in, model.b, split, 0, 2,
+                                        0, cut);
+            linalg::accumulateBatchTile(model.w, in, model.b, split, 0, 2,
+                                        cut, q);
+            linalg::accumulateBatchTile(model.w, in, model.b, split, 2,
+                                        batch, 0, cut);
+            linalg::accumulateBatchTile(model.w, in, model.b, split, 2,
+                                        batch, cut, q);
+            for (std::size_t r = 0; r < batch; ++r)
+                for (std::size_t j = 0; j < q; ++j)
+                    EXPECT_EQ(split(r, j), whole(r, j))
+                        << "cut " << cut << " at (" << r << ", " << j
+                        << ")";
+        }
     }
 }
 
@@ -258,7 +292,10 @@ TEST(BitOps, PackTransposedMirrorsTheFloatMatrix)
                 EXPECT_EQ(t.test(c, r), src(r, c) != 0.0f)
                     << rows << " rows (" << r << ", " << c << ")";
         // No bit is set past the last row: the pad bits stay zero.
-        EXPECT_EQ(linalg::countOnes(t), linalg::countNonZero(src))
+        const std::size_t nonZero = static_cast<std::size_t>(
+            std::count_if(src.data(), src.data() + src.size(),
+                          [](float x) { return x != 0.0f; }));
+        EXPECT_EQ(popcount(t.row(0), t.rows() * t.wordsPerRow()), nonZero)
             << rows << " rows";
     }
 }

@@ -7,12 +7,11 @@
  *    the generic kernel bit for bit, kernel by kernel, on ragged
  *    shapes (column widths 1..129 crossing the 128-wide accumulator
  *    block and the 8/16-lane vector tails, word counts 1..18 crossing
- *    every word group of the shared reduce body);
+ *    every word group of the shared reduce body) and at every input
+ *    activity from an empty batch to a saturated one;
  *  - the dispatcher's table() / detectedTier() / envTier() /
  *    defaultTier() invariants hold, including the ISINGRBM_ISA env
  *    override and its precedence below SamplingOptions::isa;
- *  - the ISINGRBM_SPARSE_THRESHOLD env pin sits between an explicit
- *    option and the per-tier probe, and rejects out-of-range values;
  *  - SoftwareGibbsBackend chains and CdTrainer weights are
  *    byte-identical across every tier (including the Scalar float
  *    route) at worker counts 1 and 4.
@@ -20,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -130,6 +130,27 @@ class EnvGuard
  *  accumulator block with a one-column overhang. */
 const std::size_t kWidths[] = {1, 7, 8, 16, 37, 64, 70, 127, 128, 129};
 
+/**
+ * Input batches for the tiled walk, which skips a chain's zero words:
+ * empty, a single set bit, 2% and 30% activity, chains alternating
+ * all-zero with half-active ones, and saturated.
+ */
+std::vector<linalg::Matrix>
+activityLevels(std::size_t rows, std::size_t cols, Rng &rng)
+{
+    std::vector<linalg::Matrix> levels;
+    levels.emplace_back(rows, cols);
+    levels.emplace_back(rows, cols);
+    levels.back()(rows / 2, cols / 2) = 1.0f;
+    levels.push_back(activityBatch(rows, cols, 0.02, rng));
+    levels.push_back(activityBatch(rows, cols, 0.3, rng));
+    levels.push_back(activityBatch(rows, cols, 0.5, rng));
+    for (std::size_t r = 0; r < rows; r += 2)
+        std::fill_n(levels.back().row(r), cols, 0.0f);
+    levels.emplace_back(rows, cols, 1.0f);
+    return levels;
+}
+
 } // namespace
 
 TEST(SimdKernels, AccumulateRowsMaskedMatchesGenericOnRaggedShapes)
@@ -156,7 +177,7 @@ TEST(SimdKernels, AccumulateRowsMaskedMatchesGenericOnRaggedShapes)
     }
 }
 
-TEST(SimdKernels, BatchAndActiveTilesMatchGenericAcrossColumnRanges)
+TEST(SimdKernels, BatchTilesMatchGenericAcrossColumnRanges)
 {
     const simd::KernelTable &gen = *simd::table(simd::IsaTier::Generic);
     Rng rng(13);
@@ -164,11 +185,6 @@ TEST(SimdKernels, BatchAndActiveTilesMatchGenericAcrossColumnRanges)
     for (const simd::KernelTable *kt : simdTiers()) {
         for (const std::size_t n : kWidths) {
             const rbm::Rbm model = testModel(m, n, 5 + n);
-            const linalg::Matrix v = activityBatch(batch, m, 0.3, rng);
-            const linalg::BitMatrix bits = packRows(v);
-            linalg::SparseBitView view;
-            view.build(bits);
-
             // Column splits crossing the 128-wide accumulator block
             // boundary and sub-block ranges.
             std::vector<std::pair<std::size_t, std::size_t>> ranges = {
@@ -177,30 +193,22 @@ TEST(SimdKernels, BatchAndActiveTilesMatchGenericAcrossColumnRanges)
                 ranges.push_back({n / 3, n - 1});
             if (n > 128)
                 ranges.push_back({100, n});
-            for (const auto &[cb, ce] : ranges) {
-                linalg::Matrix ref(batch, n), got(batch, n);
-                linalg::accumulateBatchTile(gen, model.weights(), bits,
-                                            model.hiddenBias(), ref, 0,
-                                            batch, cb, ce);
-                linalg::accumulateBatchTile(*kt, model.weights(), bits,
-                                            model.hiddenBias(), got, 0,
-                                            batch, cb, ce);
-                for (std::size_t r = 0; r < batch; ++r)
-                    for (std::size_t c = cb; c < ce; ++c)
-                        ASSERT_EQ(ref(r, c), got(r, c))
-                            << kt->name << " " << n << " [" << cb << ","
-                            << ce << ") @" << r << "," << c;
-
-                linalg::accumulateActiveTile(gen, model.weights(), view,
-                                             model.hiddenBias(), ref, 0,
-                                             batch, cb, ce);
-                linalg::accumulateActiveTile(*kt, model.weights(), view,
-                                             model.hiddenBias(), got, 0,
-                                             batch, cb, ce);
-                for (std::size_t r = 0; r < batch; ++r)
-                    for (std::size_t c = cb; c < ce; ++c)
-                        ASSERT_EQ(ref(r, c), got(r, c))
-                            << kt->name << " sparse " << n;
+            for (const linalg::Matrix &v : activityLevels(batch, m, rng)) {
+                const linalg::BitMatrix bits = packRows(v);
+                for (const auto &[cb, ce] : ranges) {
+                    linalg::Matrix ref(batch, n), got(batch, n);
+                    linalg::accumulateBatchTile(gen, model.weights(), bits,
+                                                model.hiddenBias(), ref, 0,
+                                                batch, cb, ce);
+                    linalg::accumulateBatchTile(*kt, model.weights(), bits,
+                                                model.hiddenBias(), got, 0,
+                                                batch, cb, ce);
+                    for (std::size_t r = 0; r < batch; ++r)
+                        for (std::size_t c = cb; c < ce; ++c)
+                            ASSERT_EQ(ref(r, c), got(r, c))
+                                << kt->name << " " << n << " [" << cb
+                                << "," << ce << ") @" << r << "," << c;
+                }
             }
         }
     }
@@ -230,17 +238,6 @@ TEST(SimdKernels, FusedHalfSweepsMatchGenericWithIdenticalDraws)
             for (std::size_t j = 0; j < n; ++j)
                 ASSERT_EQ(refOut.test(j), gotOut.test(j))
                     << kt->name << " bit " << j;
-
-            Rng sparseRng = Rng::stream(5, 0);
-            linalg::BitVector sparseOut;
-            linalg::Vector sparseMeans;
-            linalg::affineSigmoidBernoulliSparse(
-                *kt, model.weights(), in, model.hiddenBias(), sparseOut,
-                sparseMeans, sparseRng);
-            ASSERT_EQ(refMeans, sparseMeans) << kt->name << " sparse";
-            for (std::size_t j = 0; j < n; ++j)
-                ASSERT_EQ(refOut.test(j), sparseOut.test(j))
-                    << kt->name << " sparse bit " << j;
         }
     }
 }
@@ -284,7 +281,9 @@ TEST(SimdKernels, GradientReduceMatchesGenericAcrossWordCounts)
                 }
             linalg::Vector refCounts(m);
             linalg::rowCounts(gen, posT, refCounts.data());
-            const std::size_t refOnes = linalg::countOnes(gen, posT);
+            const std::size_t storedWords = posT.rows() * posT.wordsPerRow();
+            const std::size_t refOnes =
+                gen.popcountWords(posT.row(0), storedWords);
 
             for (const simd::KernelTable *kt : simdTiers()) {
                 // Stale contents the reduce must overwrite, not add to.
@@ -300,7 +299,8 @@ TEST(SimdKernels, GradientReduceMatchesGenericAcrossWordCounts)
                 linalg::Vector counts(m);
                 linalg::rowCounts(*kt, posT, counts.data());
                 ASSERT_EQ(refCounts, counts) << kt->name;
-                ASSERT_EQ(refOnes, linalg::countOnes(*kt, posT))
+                ASSERT_EQ(refOnes,
+                          kt->popcountWords(posT.row(0), storedWords))
                     << kt->name;
             }
         }
@@ -395,7 +395,6 @@ TEST(SimdDispatch, OptionsBeatEnvAndScalarIsHonored)
     const rbm::Rbm model = testModel(16, 8);
     rbm::SamplingOptions scalarOpts;
     scalarOpts.isa = simd::IsaTier::Scalar;
-    scalarOpts.sparseThreshold = 0.0;
     const rbm::SoftwareGibbsBackend scalarBackend(model, nullptr,
                                                   scalarOpts);
     EXPECT_EQ(scalarBackend.isaTier(), simd::IsaTier::Scalar);
@@ -403,38 +402,10 @@ TEST(SimdDispatch, OptionsBeatEnvAndScalarIsHonored)
 
     rbm::SamplingOptions genOpts;
     genOpts.isa = simd::IsaTier::Generic;
-    genOpts.sparseThreshold = 0.0;
     const rbm::SoftwareGibbsBackend genBackend(model, nullptr, genOpts);
     EXPECT_EQ(genBackend.isaTier(), simd::IsaTier::Generic);
     ASSERT_NE(genBackend.kernelTable(), nullptr);
     EXPECT_EQ(genBackend.kernelTable()->tier, simd::IsaTier::Generic);
-}
-
-TEST(SimdDispatch, SparseThresholdEnvPin)
-{
-    EnvGuard guard("ISINGRBM_SPARSE_THRESHOLD");
-
-    // The env pin replaces the per-tier probe...
-    ::setenv("ISINGRBM_SPARSE_THRESHOLD", "0.25", 1);
-    rbm::SamplingOptions opts;
-    EXPECT_EQ(rbm::resolveSparseThreshold(opts), 0.25);
-
-    // ...but an explicit option outranks the pin.
-    opts.sparseThreshold = 0.75;
-    EXPECT_EQ(rbm::resolveSparseThreshold(opts), 0.75);
-
-    // Out-of-range or trailing-garbage values are rejected (warn once,
-    // fall through).  Resolving with the Scalar tier avoids invoking
-    // the timing probe inside a unit test: its fall-through is 0.
-    opts.sparseThreshold = -1.0;
-    opts.isa = simd::IsaTier::Scalar;
-    for (const char *bad : {"1.5", "-0.1", "0.2x", "nope"}) {
-        ::setenv("ISINGRBM_SPARSE_THRESHOLD", bad, 1);
-        EXPECT_EQ(rbm::resolveSparseThreshold(opts), 0.0) << bad;
-    }
-
-    ::unsetenv("ISINGRBM_SPARSE_THRESHOLD");
-    EXPECT_EQ(rbm::resolveSparseThreshold(opts), 0.0);
 }
 
 TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
@@ -447,37 +418,30 @@ TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
         const linalg::Matrix h0 = activityBatch(8, 37, activity, rng);
         linalg::Matrix refH, refPh, refAv, refAh;
         bool first = true;
-        // Thresholds 0 and 1 pin the dense and sparse paths per tier
-        // (the calibrated probe is covered by test_sparse_kernels).
         for (const simd::IsaTier tier : backendTiers()) {
-            for (const double threshold : {0.0, 1.0}) {
-                for (exec::ThreadPool *pool : {&serial, &threaded}) {
-                    rbm::SamplingOptions opts;
-                    opts.isa = tier;
-                    opts.sparseThreshold = threshold;
-                    const rbm::SoftwareGibbsBackend backend(model, pool,
-                                                            opts);
-                    auto rngs = streams(6, 31);
-                    linalg::Matrix h, ph;
-                    backend.sampleHiddenBatch(v, h, ph, rngs.data());
+            for (exec::ThreadPool *pool : {&serial, &threaded}) {
+                rbm::SamplingOptions opts;
+                opts.isa = tier;
+                const rbm::SoftwareGibbsBackend backend(model, pool, opts);
+                auto rngs = streams(6, 31);
+                linalg::Matrix h, ph;
+                backend.sampleHiddenBatch(v, h, ph, rngs.data());
 
-                    linalg::Matrix ah = h0, av, pav, pah;
-                    auto annealRngs = streams(8, 41);
-                    backend.annealBatch(5, av, ah, pav, pah,
-                                        annealRngs.data());
-                    if (first) {
-                        refH = h;
-                        refPh = ph;
-                        refAv = av;
-                        refAh = ah;
-                        first = false;
-                    } else {
-                        const char *name = simd::tierName(tier);
-                        EXPECT_EQ(refH, h) << name << " " << threshold;
-                        EXPECT_EQ(refPh, ph) << name << " " << threshold;
-                        EXPECT_EQ(refAv, av) << name << " " << threshold;
-                        EXPECT_EQ(refAh, ah) << name << " " << threshold;
-                    }
+                linalg::Matrix ah = h0, av, pav, pah;
+                auto annealRngs = streams(8, 41);
+                backend.annealBatch(5, av, ah, pav, pah, annealRngs.data());
+                if (first) {
+                    refH = h;
+                    refPh = ph;
+                    refAv = av;
+                    refAh = ah;
+                    first = false;
+                } else {
+                    const char *name = simd::tierName(tier);
+                    EXPECT_EQ(refH, h) << name;
+                    EXPECT_EQ(refPh, ph) << name;
+                    EXPECT_EQ(refAv, av) << name;
+                    EXPECT_EQ(refAh, ah) << name;
                 }
             }
         }
@@ -503,7 +467,6 @@ TEST(SimdTrainer, CdTrainingBitIdenticalAcrossTiersAndWorkers)
             cfg.momentum = 0.5;
             cfg.pool = pool;
             cfg.sampling.isa = tier;
-            cfg.sampling.sparseThreshold = 0.0;  // dense reduce path
             Rng rng(51);
             rbm::CdTrainer trainer(model, cfg, rng);
             trainer.trainEpoch(train);
