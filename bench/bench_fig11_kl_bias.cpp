@@ -62,9 +62,9 @@ klAfterCd(const data::Dataset &train, const std::vector<double> &truth,
     cfg.learningRate = 0.1;
     cfg.k = k;
     cfg.batchSize = 20;
-    rbm::CdTrainer trainer(model, cfg, rng);
+    rbm::CdTrainer trainer(model, cfg);
     for (int e = 0; e < epochs; ++e)
-        trainer.trainEpoch(train);
+        trainer.trainEpoch(train, rng);
     return eval::klDivergence(truth,
                               rbm::exact::visibleDistribution(model));
 }

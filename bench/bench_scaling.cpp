@@ -264,8 +264,9 @@ printKernelScaling(bool full, std::vector<benchtool::JsonRecord> &json)
     const double minSec = full ? 1.0 : 0.25;
     std::vector<double> sweepSpeedups, cdSpeedups, freeSpeedups;
 
-    benchtool::Table sweeps({"shape", "scalar float (PR-1)", "packed",
-                             "batched packed", "speedup"});
+    benchtool::Table sweeps({"shape", "scalar float (PR-1)",
+                             "packed, 1-row batches", "batched packed",
+                             "speedup"});
     benchtool::Table endToEnd({"workload", "shape", "PR-1 (s)",
                                "batched packed (s)", "speedup"});
 
@@ -286,7 +287,8 @@ printKernelScaling(bool full, std::vector<benchtool::JsonRecord> &json)
         for (std::size_t r = 0; r < batch; ++r)
             rngs.push_back(util::Rng::stream(29, r));
 
-        // -- hidden half-sweep, three tiers (ns per chain half-sweep).
+        // -- hidden half-sweep, three ways (ns per chain half-sweep):
+        // float per chain, packed per chain, packed per minibatch.
         const double tScalar = timeIt(minSec, [&] {
             linalg::Vector vr(m), h, ph;
             for (std::size_t r = 0; r < batch; ++r) {
@@ -296,14 +298,16 @@ printKernelScaling(bool full, std::vector<benchtool::JsonRecord> &json)
                 refSampleBinary(ph, h, rngs[r]);
             }
         }) / batch;
+        // One chain at a time, each a one-row batch: what a lone
+        // chain's anneal runs per half-sweep.
+        const linalg::simd::KernelTable &kt = linalg::simd::activeTable();
         const double tPacked = timeIt(minSec, [&] {
-            linalg::BitVector vb, hb;
-            linalg::Vector ph;
+            linalg::BitMatrix vb(1, m), hb;
+            linalg::Matrix ph;
             for (std::size_t r = 0; r < batch; ++r) {
-                vb.packFrom(v.row(r), m);
-                linalg::affineSigmoidBernoulli(model.weights(), vb,
-                                               model.hiddenBias(), hb,
-                                               ph, rngs[r]);
+                vb.packRowFrom(0, v.row(r));
+                linalg::sampleBatch(kt, model.weights(), vb,
+                                    model.hiddenBias(), hb, ph, &rngs[r]);
             }
         }) / batch;
         const double tBatched = timeIt(minSec, [&] {
@@ -383,8 +387,8 @@ printKernelScaling(bool full, std::vector<benchtool::JsonRecord> &json)
             cfg.learningRate = 0.1 / 500.0;
             cfg.k = 1;
             cfg.batchSize = cdBatch;
-            rbm::CdTrainer trainer(work, cfg, rng);
-            trainer.trainEpoch(train);
+            rbm::CdTrainer trainer(work, cfg);
+            trainer.trainEpoch(train, rng);
         });
         cdSpeedups.push_back(tCdRef / tCdFast);
         endToEnd.addRow({"CD-1 epoch", tag, fmtSci(tCdRef),
@@ -448,8 +452,9 @@ hostMetadata()
 /**
  * Per-ISA kernel-tier comparison: the same dense packed hot kernels
  * timed through each compiled-in tier the host can run (generic
- * std::popcount baseline, AVX2, AVX-512+VPOPCNTDQ), pinned via
- * SamplingOptions::isa / the explicit KernelTable overloads.  All
+ * std::popcount baseline, AVX2, AVX-512+VPOPCNTDQ), pinned through
+ * ISINGRBM_ISA while each backend is built and through the
+ * KernelTable argument of the reduce.  All
  * tiers produce byte-identical results (test_simd_kernels proves it),
  * so the deltas here are pure time: the fused batched half-sweep
  * (accumulate-bound) and the popcount gradient reduce
@@ -480,6 +485,11 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
         if (const simd::KernelTable *kt = simd::table(tier))
             tiers.push_back(kt);
 
+    // The caller's ISINGRBM_ISA, restored after each pinned backend.
+    const char *envIsa = std::getenv("ISINGRBM_ISA");
+    const std::string savedIsa = envIsa ? envIsa : "";
+    const bool hadIsa = envIsa != nullptr;
+
     benchtool::Table sweeps({"shape", "tier", "half-sweep", "vs generic"});
     benchtool::Table reduces(
         {"shape", "batch", "words", "tier", "reduce", "vs generic"});
@@ -500,10 +510,13 @@ printIsaScaling(bool full, std::vector<benchtool::JsonRecord> &json)
 
         double sweepGeneric = 0.0;
         for (const simd::KernelTable *kt : tiers) {
-            rbm::SamplingOptions opts;
-            opts.isa = kt->tier;
-            const rbm::SoftwareGibbsBackend backend(model, nullptr,
-                                                    opts);
+            // A backend resolves its tier when it is constructed.
+            ::setenv("ISINGRBM_ISA", kt->name, 1);
+            const rbm::SoftwareGibbsBackend backend(model);
+            if (hadIsa)
+                ::setenv("ISINGRBM_ISA", savedIsa.c_str(), 1);
+            else
+                ::unsetenv("ISINGRBM_ISA");
             const double tSweep = timeIt(minSec, [&] {
                 linalg::Matrix h, ph;
                 backend.sampleHiddenBatch(v, h, ph, rngs.data());

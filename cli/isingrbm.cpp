@@ -26,6 +26,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -162,23 +163,7 @@ const std::vector<util::FlagHelp> kTrainFlags = {
                         "for P epochs (implies monitoring; the stop "
                         "epoch rides in the checkpoint meta, so "
                         "--resume afterwards is a no-op)"},
-    {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
-                    "(default auto: ISINGRBM_ISA env, then CPUID; all "
-                    "tiers are bit-identical)"},
 };
-
-/** Sampling-kernel tuning shared by every registry-backed command. */
-rbm::SamplingOptions
-samplingFlags(const util::CliArgs &args)
-{
-    rbm::SamplingOptions opts;
-    const std::string isa = args.get("isa", "auto");
-    if (!linalg::simd::tierFromName(isa, opts.isa))
-        util::fatal(util::strcat("isingrbm: --isa '", isa,
-                                 "' is not a known tier "
-                                 "(auto|scalar|generic|avx2|avx512)"));
-    return opts;
-}
 
 /** Square side of a dataset's images; fatal when not square. */
 std::size_t
@@ -254,13 +239,6 @@ cmdTrain(const util::CliArgs &args)
     options.persistentCd = args.getBool("pcd", false);
     options.bgfReplicas = std::max<std::size_t>(
         1, sizeFlag(args, "replicas", 1));
-    options.isa = samplingFlags(args).isa;
-    // Only the CD engine's kernels take the tier; the GS/BGF substrate
-    // settle loops construct default-option backends.
-    if (args.has("isa") && trainer != train::Trainer::CdK)
-        util::warn(std::string("isingrbm: --isa only selects the cd "
-                               "trainer's kernels; the ") +
-                   train::trainerName(trainer) + " path ignores it");
 
     train::Schedule schedule = eval::trainSchedule(spec);
     schedule.learningRate.end =
@@ -480,8 +458,6 @@ const std::vector<util::FlagHelp> kSampleFlags = {
     {"seed", "S", "request seed (default 7)"},
     {"ascii", "", "render square samples as ASCII art"},
     {"out", "path", "write samples as a text matrix"},
-    {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
-                    "(default auto; bit-identical)"},
 };
 
 int
@@ -491,8 +467,7 @@ cmdSample(const util::CliArgs &args)
                     "isingrbm sample --registry DIR --model ID [flags]",
                     kSampleFlags))
         return 0;
-    engine::ModelRegistry registry(requireFlag(args, "registry"),
-                                   nullptr, samplingFlags(args));
+    engine::ModelRegistry registry(requireFlag(args, "registry"));
     engine::Server server(registry);
     const std::string name = requireFlag(args, "model");
 
@@ -555,8 +530,6 @@ const std::vector<util::FlagHelp> kEvalFlags = {
     {"test-frac", "F", "test split fraction (default 0.25)"},
     {"seed", "S", "split/head seed (default 9)"},
     {"head-epochs", "E", "logistic head epochs (default 30)"},
-    {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
-                    "(default auto; bit-identical)"},
 };
 
 int
@@ -565,8 +538,7 @@ cmdEval(const util::CliArgs &args)
     if (!checkFlags(args, "isingrbm eval --registry DIR --model ID [flags]",
                     kEvalFlags))
         return 0;
-    engine::ModelRegistry registry(requireFlag(args, "registry"),
-                                   nullptr, samplingFlags(args));
+    engine::ModelRegistry registry(requireFlag(args, "registry"));
     engine::Server server(registry);
     const std::string name = requireFlag(args, "model");
     const auto model = registry.get(name);
@@ -642,8 +614,6 @@ const std::vector<util::FlagHelp> kServeBenchFlags = {
                          "cache off)"},
     {"out", "file", "write the final rep's response bytes (hex floats) "
                     "for cross-run comparison"},
-    {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
-                    "(default auto; bit-identical)"},
 };
 
 int
@@ -654,8 +624,7 @@ cmdServeBench(const util::CliArgs &args)
                     "[flags]",
                     kServeBenchFlags))
         return 0;
-    engine::ModelRegistry registry(requireFlag(args, "registry"),
-                                   nullptr, samplingFlags(args));
+    engine::ModelRegistry registry(requireFlag(args, "registry"));
     engine::ServerConfig config;
     config.maxBatchRows = sizeFlag(args, "max-batch", 256);
     config.cacheBytes = sizeFlag(args, "cache-bytes", 0);
@@ -744,8 +713,6 @@ const std::vector<util::FlagHelp> kPromoteFlags = {
     {"poll-ms", "M", "health poll interval for --live (default 200)"},
     {"timeout-sec", "S", "give up on --live after S seconds "
                          "(default 60)"},
-    {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
-                    "(default auto; bit-identical)"},
 };
 
 /** --port, or the --port-file handshake: poll up to 10 s for the port
@@ -882,8 +849,7 @@ cmdPromote(const util::CliArgs &args)
         return 0;
     if (args.getBool("live", false))
         return cmdPromoteLive(args);
-    engine::ModelRegistry registry(requireFlag(args, "registry"),
-                                   nullptr, samplingFlags(args));
+    engine::ModelRegistry registry(requireFlag(args, "registry"));
     const std::string name = requireFlag(args, "name");
     const std::string candidate = requireFlag(args, "candidate");
 
@@ -924,8 +890,6 @@ const std::vector<util::FlagHelp> kServeLoopFlags = {
                          "passes)"},
     {"out-dir", "dir", "write each epoch's response bytes to "
                        "<dir>/epoch-<E>.txt for cross-run comparison"},
-    {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
-                    "(default auto; bit-identical)"},
 };
 
 /**
@@ -949,8 +913,7 @@ cmdServeLoop(const util::CliArgs &args)
         return 0;
     // Short reload backoff: the loop's whole job is to watch archives
     // churn, so a quarantined name should re-probe quickly.
-    engine::ModelRegistry registry(requireFlag(args, "registry"),
-                                   nullptr, samplingFlags(args),
+    engine::ModelRegistry registry(requireFlag(args, "registry"), nullptr,
                                    engine::RegistryConfig{10, 200});
     engine::ServerConfig serverConfig;
     serverConfig.cacheBytes = sizeFlag(args, "cache-bytes", 0);
@@ -1103,8 +1066,6 @@ const std::vector<util::FlagHelp> kServeFlags = {
                                    "shadowed request (default 0.05)"},
     {"stats-every-ms", "M", "print a one-line serving/canary ledger to "
                             "stderr every M ms (default 0 = off)"},
-    {"isa", "tier", "SIMD kernel tier: auto|scalar|generic|avx2|avx512 "
-                    "(default auto; bit-identical)"},
 };
 
 /**
@@ -1125,8 +1086,7 @@ cmdServe(const util::CliArgs &args)
                     kServeFlags))
         return 0;
     util::installShutdownHandler();
-    engine::ModelRegistry registry(requireFlag(args, "registry"),
-                                   nullptr, samplingFlags(args));
+    engine::ModelRegistry registry(requireFlag(args, "registry"));
     net::NetConfig config;
     config.bindAddress = args.get("bind", "127.0.0.1");
     config.port = static_cast<std::uint16_t>(args.getInt("port", 0));
@@ -1462,6 +1422,10 @@ cmdHelp()
 int
 main(int argc, char **argv)
 {
+    // A reader that exits first (`isingrbm train ... | head`) must not
+    // kill the command mid-run: a write to the closed pipe then fails
+    // with EPIPE instead, and train still publishes its checkpoint.
+    std::signal(SIGPIPE, SIG_IGN);
     const util::CliArgs args(argc, argv);
     const std::string sub = args.subcommand();
     if (sub == "train")

@@ -65,18 +65,17 @@ opFromName(const std::string &name)
                 "' (use sample, featurize, classify or reconstruct)");
 }
 
-Model::Model(rbm::Checkpoint ckpt, exec::ThreadPool *pool,
-             rbm::SamplingOptions options)
+Model::Model(rbm::Checkpoint ckpt, exec::ThreadPool *pool)
     : ckpt_(std::move(ckpt)), pool_(pool)
 {
     switch (family()) {
       case rbm::ModelFamily::Rbm:
         flat_ = std::make_unique<rbm::SoftwareGibbsBackend>(
-            std::get<rbm::Rbm>(ckpt_.model), pool_, options);
+            std::get<rbm::Rbm>(ckpt_.model), pool_);
         break;
       case rbm::ModelFamily::ClassRbm:
         flat_ = std::make_unique<rbm::SoftwareGibbsBackend>(
-            std::get<rbm::ClassRbm>(ckpt_.model).joint(), pool_, options);
+            std::get<rbm::ClassRbm>(ckpt_.model).joint(), pool_);
         break;
       case rbm::ModelFamily::CfRbm: {
         // Re-host the softmax-group parameters as a plain RBM: the
@@ -88,8 +87,7 @@ Model::Model(rbm::Checkpoint ckpt, exec::ThreadPool *pool,
         cfFlat_.visibleBias() = cf.visibleBias();
         cfFlat_.hiddenBias() = cf.hiddenBias();
         flat_ = std::make_unique<rbm::SoftwareGibbsBackend>(cfFlat_,
-                                                            pool_,
-                                                            options);
+                                                            pool_);
         break;
       }
       case rbm::ModelFamily::Dbn: {
@@ -97,7 +95,7 @@ Model::Model(rbm::Checkpoint ckpt, exec::ThreadPool *pool,
         for (std::size_t l = 0; l < stack.numLayers(); ++l)
             layers_.push_back(
                 std::make_unique<rbm::SoftwareGibbsBackend>(
-                    stack.layer(l), pool_, options));
+                    stack.layer(l), pool_));
         break;
       }
       case rbm::ModelFamily::ConvRbm:

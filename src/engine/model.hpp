@@ -17,8 +17,9 @@
  * row-independent -- row r of a batch reads only rngs[r] (stochastic
  * ops) or no randomness at all (featurize/classify), and the batched
  * kernels underneath guarantee a row's bits do not depend on batch
- * depth or worker count.  Serving a row alone or coalesced with any
- * other rows therefore produces identical bits.
+ * depth, worker count or the kernel tier the backends resolved at
+ * construction (linalg::simd::defaultTier()).  Serving a row alone or
+ * coalesced with any other rows therefore produces identical bits.
  */
 
 #ifndef ISINGRBM_ENGINE_MODEL_HPP
@@ -73,12 +74,9 @@ class Model
      * @param ckpt checkpoint to serve (taken by value and owned)
      * @param pool worker pool for the batched kernels (borrowed;
      *        nullptr selects exec::globalPool())
-     * @param options sampling-kernel tuning forwarded to every
-     *        software backend this model constructs (the ISA tier)
      */
     explicit Model(rbm::Checkpoint ckpt,
-                   exec::ThreadPool *pool = nullptr,
-                   rbm::SamplingOptions options = {});
+                   exec::ThreadPool *pool = nullptr);
 
     Model(const Model &) = delete;
     Model &operator=(const Model &) = delete;

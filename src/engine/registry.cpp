@@ -16,9 +16,8 @@ namespace ising::engine {
 namespace fs = std::filesystem;
 
 ModelRegistry::ModelRegistry(std::string dir, exec::ThreadPool *pool,
-                             rbm::SamplingOptions options,
                              RegistryConfig config)
-    : dir_(std::move(dir)), pool_(pool), options_(options), config_(config)
+    : dir_(std::move(dir)), pool_(pool), config_(config)
 {
     if (dir_.empty())
         util::fatal("registry: empty checkpoint directory");
@@ -96,8 +95,7 @@ ModelRegistry::loadModelFile(const std::string &path,
         // Model construction validates shapes and can reject archives
         // that parsed but cannot be served; contain that too.
         util::FatalThrowScope scope;
-        auto model = std::make_shared<Model>(std::move(*ckpt), pool_,
-                                             options_);
+        auto model = std::make_shared<Model>(std::move(*ckpt), pool_);
         if (stamp.hasTrailer)
             model->setStamp(stamp.trailer);
         return std::shared_ptr<const Model>(std::move(model));
@@ -222,8 +220,7 @@ ModelRegistry::put(const std::string &name, rbm::Checkpoint ckpt)
     const std::string path = pathFor(name);
     rbm::saveCheckpoint(ckpt, path);
     const FileStamp stamp = stampFor(path);
-    auto model =
-        std::make_shared<Model>(std::move(ckpt), pool_, options_);
+    auto model = std::make_shared<Model>(std::move(ckpt), pool_);
     if (stamp.hasTrailer)
         model->setStamp(stamp.trailer);
     return install(name, std::move(model), stamp);

@@ -57,13 +57,10 @@ class ModelRegistry
      * @param dir checkpoint directory (created lazily on first put())
      * @param pool worker pool handed to loaded models (borrowed;
      *        nullptr selects exec::globalPool())
-     * @param options sampling-kernel tuning handed to loaded models
-     *        (the ISA tier)
      * @param config fault-handling knobs
      */
     explicit ModelRegistry(std::string dir,
                            exec::ThreadPool *pool = nullptr,
-                           rbm::SamplingOptions options = {},
                            RegistryConfig config = {});
 
     const std::string &dir() const { return dir_; }
@@ -244,7 +241,6 @@ class ModelRegistry
 
     std::string dir_;
     exec::ThreadPool *pool_;
-    rbm::SamplingOptions options_;
     RegistryConfig config_;
     mutable std::mutex mutex_;
     std::map<std::string, Entry> cache_;

@@ -4,9 +4,9 @@
  *
  * The tiling, probing and latch logic lives here at the baseline ISA;
  * the per-row accumulate and popcount inner loops route through the
- * simd::KernelTable so the CPUID-selected (or caller-pinned) tier
- * runs them.  Set-bit iteration is branchless via countr_zero over
- * the packed words in every tier.
+ * caller's simd::KernelTable, so that table's tier runs them.  Set-bit
+ * iteration is branchless via countr_zero over the packed words in
+ * every tier.
  */
 
 #include "linalg/bitops.hpp"
@@ -131,61 +131,6 @@ isBinary01(const Matrix &m)
 }
 
 void
-accumulateRowsMasked(const simd::KernelTable &kt, const Matrix &w,
-                     const BitVector &bits, const Vector &b, Vector &act)
-{
-    const std::size_t p = w.rows(), q = w.cols();
-    assert(bits.size() == p && b.size() == q);
-    act.resize(q);
-    std::copy(b.data(), b.data() + q, act.data());
-    // Column-blocked so the accumulator slice lives in registers for
-    // the whole row walk (same latency argument as the batched tile).
-    const std::size_t words = bitWords(p);
-    for (std::size_t jb = 0; jb < q; jb += kColBlock)
-        kt.addMaskedRows(w.data() + jb, q, bits.data(), 0, words,
-                         act.data() + jb, std::min(q, jb + kColBlock) - jb);
-}
-
-void
-accumulateRowsMasked(const Matrix &w, const BitVector &bits,
-                     const Vector &b, Vector &act)
-{
-    accumulateRowsMasked(simd::activeTable(), w, bits, b, act);
-}
-
-void
-affineSigmoidBernoulli(const simd::KernelTable &kt, const Matrix &w,
-                       const BitVector &in, const Vector &b,
-                       BitVector &out, Vector &means, util::Rng &rng)
-{
-    const std::size_t q = w.cols();
-    accumulateRowsMasked(kt, w, in, b, means);
-    out.resize(q);
-    std::uint64_t *ow = out.data();
-    float *md = means.data();
-    for (std::size_t j = 0; j < q; ++j) {
-        const float pj = util::sigmoidf(md[j]);
-        md[j] = pj;
-        // Branchless latch: the comparison outcome is a coin flip, so
-        // a conditional store would mispredict half the time.  The
-        // latch is contract-pinned scalar in every tier (one draw per
-        // unit, ascending).
-        ow[j >> 6] |=
-            static_cast<std::uint64_t>(rng.uniformFloat() < pj)
-            << (j & 63);
-    }
-}
-
-void
-affineSigmoidBernoulli(const Matrix &w, const BitVector &in,
-                       const Vector &b, BitVector &out, Vector &means,
-                       util::Rng &rng)
-{
-    affineSigmoidBernoulli(simd::activeTable(), w, in, b, out, means,
-                           rng);
-}
-
-void
 accumulateBatchTile(const simd::KernelTable &kt, const Matrix &w,
                     const BitMatrix &in, const Vector &b, Matrix &act,
                     std::size_t rowBegin, std::size_t rowEnd,
@@ -205,15 +150,6 @@ accumulateBatchTile(const simd::KernelTable &kt, const Matrix &w,
 }
 
 void
-accumulateBatchTile(const Matrix &w, const BitMatrix &in, const Vector &b,
-                    Matrix &act, std::size_t rowBegin, std::size_t rowEnd,
-                    std::size_t colBegin, std::size_t colEnd)
-{
-    accumulateBatchTile(simd::activeTable(), w, in, b, act, rowBegin,
-                        rowEnd, colBegin, colEnd);
-}
-
-void
 sampleBatchRow(Matrix &act, std::size_t r, BitMatrix &out, util::Rng &rng)
 {
     const std::size_t q = act.cols();
@@ -224,6 +160,10 @@ sampleBatchRow(Matrix &act, std::size_t r, BitMatrix &out, util::Rng &rng)
     for (std::size_t j = 0; j < q; ++j) {
         const float pj = util::sigmoidf(arow[j]);
         arow[j] = pj;
+        // Branchless latch: the comparison outcome is a coin flip, so
+        // a conditional store would mispredict half the time.  The
+        // latch is contract-pinned scalar in every tier (one draw per
+        // unit, ascending).
         ow[j >> 6] |=
             static_cast<std::uint64_t>(rng.uniformFloat() < pj)
             << (j & 63);
@@ -241,13 +181,6 @@ sampleBatch(const simd::KernelTable &kt, const Matrix &w,
     accumulateBatchTile(kt, w, in, b, means, 0, batch, 0, q);
     for (std::size_t r = 0; r < batch; ++r)
         sampleBatchRow(means, r, out, rngs[r]);
-}
-
-void
-sampleBatch(const Matrix &w, const BitMatrix &in, const Vector &b,
-            BitMatrix &out, Matrix &means, util::Rng *rngs)
-{
-    sampleBatch(simd::activeTable(), w, in, b, out, means, rngs);
 }
 
 void
@@ -315,26 +248,11 @@ outerCountDiff(const simd::KernelTable &kt, const BitMatrix &a,
 }
 
 void
-outerCountDiff(const BitMatrix &a, const BitMatrix &b, const BitMatrix &c,
-               const BitMatrix &d, Matrix &out, std::size_t rowBegin,
-               std::size_t rowEnd)
-{
-    outerCountDiff(simd::activeTable(), a, b, c, d, out, rowBegin,
-                   rowEnd);
-}
-
-void
 rowCounts(const simd::KernelTable &kt, const BitMatrix &m, float *counts)
 {
     for (std::size_t r = 0; r < m.rows(); ++r)
         counts[r] = static_cast<float>(
             kt.popcountWords(m.row(r), m.wordsPerRow()));
-}
-
-void
-rowCounts(const BitMatrix &m, float *counts)
-{
-    rowCounts(simd::activeTable(), m, counts);
 }
 
 } // namespace ising::linalg

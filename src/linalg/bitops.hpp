@@ -5,10 +5,10 @@
  * These are the Gibbs hot-path kernels: where the float kernels
  * multiply-accumulate every weight entry (skipping zeros with a
  * branch), the packed kernels iterate the *set* input units with
- * count-trailing-zeros and add whole weight rows, and the batched
- * variant walks W once per minibatch instead of once per chain.  An
- * empty input word costs the batched walk one test, so the same
- * kernels serve every activity level, from near-empty rows to
+ * count-trailing-zeros and add whole weight rows, walking W once per
+ * minibatch instead of once per chain (a single chain is a one-row
+ * minibatch).  An empty input word costs the walk one test, so the
+ * same kernels serve every activity level, from near-empty rows to
  * saturated ones.
  *
  * Reproducibility contract (bit-for-bit with the float path):
@@ -36,57 +36,33 @@
 
 namespace ising::linalg {
 
-// Every packed kernel below comes in two shapes: the plain overload
-// dispatches through simd::activeTable() (the CPUID/env-selected tier
-// of this process), the simd::KernelTable overload runs a specific
-// tier -- the handle SoftwareGibbsBackend and CdTrainer thread their
-// resolved SamplingOptions::isa through, and the one the tier
-// byte-identity tests compare with.  All tiers are bit-identical, so
-// the choice moves time, never results.
+// Every packed kernel below takes the simd::KernelTable of the tier it
+// runs: SoftwareGibbsBackend and CdTrainer pass the table they
+// resolved at construction, the tier byte-identity tests pass each
+// tier in turn, and other callers pass simd::activeTable() (this
+// process's tier).  All tiers are bit-identical, so the table moves
+// time, never results.  A single chain is a one-row batch: there is
+// one walk, the batched one.
 
 /** True when every entry is exactly 0.0f or 1.0f (packable). */
 bool isBinary01(const float *x, std::size_t n);
 bool isBinary01(const Matrix &m);
 
 /**
- * act = b + sum of w rows whose input bit is set, in ascending
- * input-unit order.  w is (p x q), bits holds p packed inputs, b/act
- * length q.  This replaces the float multiply-accumulate of
- * affineSigmoid with conditional row adds over packed words.
- */
-void accumulateRowsMasked(const Matrix &w, const BitVector &bits,
-                          const Vector &b, Vector &act);
-void accumulateRowsMasked(const simd::KernelTable &kt, const Matrix &w,
-                          const BitVector &bits, const Vector &b,
-                          Vector &act);
-
-/**
- * Fused packed half-sweep: act = b + masked row sum, means =
- * sigmoid(act), out bit j = (uniformFloat() < means[j]).  Consumes one
- * draw per output unit in ascending order (see the file contract).
- */
-void affineSigmoidBernoulli(const Matrix &w, const BitVector &in,
-                            const Vector &b, BitVector &out,
-                            Vector &means, util::Rng &rng);
-void affineSigmoidBernoulli(const simd::KernelTable &kt, const Matrix &w,
-                            const BitVector &in, const Vector &b,
-                            BitVector &out, Vector &means, util::Rng &rng);
-
-/**
  * Batched pre-activation tile: for every chain r in [rowBegin,
- * rowEnd), act(r, j) = b[j] + masked row sum of w over columns
- * [colBegin, colEnd).  The traversal is cache-tiled over blocks of
- * input units so a W block is reused across all chains in the tile,
- * and a chain whose input word is zero costs one test for that word,
- * so the walk's cost follows the set bits at any activity.  Per
- * (chain, j) the addition order is still ascending input unit,
- * preserving the reproducibility contract.  act must be pre-sized
- * (in.rows() x w.cols()); only the addressed tile is written.
+ * rowEnd), act(r, j) = b[j] + the w rows (restricted to columns
+ * [colBegin, colEnd)) of the set input bits of row r, added in
+ * ascending input-unit order -- conditional row adds over packed
+ * words in place of the float multiply-accumulate of affineSigmoid.
+ * w is (p x q), in holds p packed inputs per row.  The traversal is
+ * cache-tiled over blocks of input units so a W block is reused
+ * across all chains in the tile, and a chain whose input word is zero
+ * costs one test for that word, so the walk's cost follows the set
+ * bits at any activity.  Per (chain, j) the addition order is still
+ * ascending input unit, preserving the reproducibility contract.  act
+ * must be pre-sized (in.rows() x w.cols()); only the addressed tile is
+ * written.
  */
-void accumulateBatchTile(const Matrix &w, const BitMatrix &in,
-                         const Vector &b, Matrix &act,
-                         std::size_t rowBegin, std::size_t rowEnd,
-                         std::size_t colBegin, std::size_t colEnd);
 void accumulateBatchTile(const simd::KernelTable &kt, const Matrix &w,
                          const BitMatrix &in, const Vector &b, Matrix &act,
                          std::size_t rowBegin, std::size_t rowEnd,
@@ -103,12 +79,13 @@ void sampleBatchRow(Matrix &act, std::size_t r, BitMatrix &out,
 /**
  * Whole-minibatch packed half-sweep: out/means row r is the sampled
  * state / conditional means of chain r given input row r, with rngs[r]
- * driving chain r.  Serial reference composition of the tile and
+ * driving chain r: means = sigmoid(act), out bit j = (uniformFloat() <
+ * means[j]), one draw per output unit in ascending order (see the file
+ * contract).  Serial reference composition of the tile and
  * row-sampling kernels; callers that want threading split the tiles
- * across a pool themselves (see SoftwareGibbsBackend).
+ * across a pool themselves (see SoftwareGibbsBackend), and a single
+ * chain runs it as a one-row batch.
  */
-void sampleBatch(const Matrix &w, const BitMatrix &in, const Vector &b,
-                 BitMatrix &out, Matrix &means, util::Rng *rngs);
 void sampleBatch(const simd::KernelTable &kt, const Matrix &w,
                  const BitMatrix &in, const Vector &b, BitMatrix &out,
                  Matrix &means, util::Rng *rngs);
@@ -131,16 +108,12 @@ void packTransposed(const Matrix &src, BitMatrix &dst);
  * order.  a/c have out.rows() rows, b/d out.cols() rows, all with the
  * same (batch) bit count.
  */
-void outerCountDiff(const BitMatrix &a, const BitMatrix &b,
-                    const BitMatrix &c, const BitMatrix &d, Matrix &out,
-                    std::size_t rowBegin, std::size_t rowEnd);
 void outerCountDiff(const simd::KernelTable &kt, const BitMatrix &a,
                     const BitMatrix &b, const BitMatrix &c,
                     const BitMatrix &d, Matrix &out, std::size_t rowBegin,
                     std::size_t rowEnd);
 
 /** Set bits per row: counts[r] = popcount(m row r). */
-void rowCounts(const BitMatrix &m, float *counts);
 void rowCounts(const simd::KernelTable &kt, const BitMatrix &m,
                float *counts);
 

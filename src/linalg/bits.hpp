@@ -4,12 +4,12 @@
  *
  * Gibbs chains over Bernoulli RBMs only ever hold {0,1} states, yet
  * the float containers spend 32 bits per unit and force the kernels to
- * test every entry against zero.  BitVector/BitMatrix pack one unit
- * per bit into uint64 words (32x smaller, cache-resident for every
- * model size the paper uses) so the packed kernels in bitops.hpp can
- * iterate set units with count-trailing-zeros, and pass over 64
- * inactive units with one test of an empty word, instead of branching
- * on floats.
+ * test every entry against zero.  BitMatrix packs one unit per bit
+ * into uint64 words (32x smaller, cache-resident for every model size
+ * the paper uses) so the packed kernels in bitops.hpp can iterate set
+ * units with count-trailing-zeros, and pass over 64 inactive units
+ * with one test of an empty word, instead of branching on floats.  A
+ * single state is a one-row BitMatrix.
  *
  * Packing convention: unit i lives in word i/64 at bit i%64; a float
  * entry packs to 1 iff it is nonzero (binary states are exactly 0.0f
@@ -48,78 +48,6 @@ bitWords(std::size_t bits)
 void copyBits(std::uint64_t *dst, std::size_t dstBit,
               const std::uint64_t *src, std::size_t srcBit,
               std::size_t count);
-
-/** One packed binary state vector. */
-class BitVector
-{
-  public:
-    BitVector() = default;
-    explicit BitVector(std::size_t n) { resize(n); }
-
-    std::size_t size() const { return bits_; }
-    std::size_t words() const { return words_.size(); }
-
-    std::uint64_t *data() { return words_.data(); }
-    const std::uint64_t *data() const { return words_.data(); }
-
-    /** Resize to n bits, clearing all of them. */
-    void
-    resize(std::size_t n)
-    {
-        bits_ = n;
-        words_.assign(bitWords(n), 0);
-    }
-
-    void
-    clear()
-    {
-        std::fill(words_.begin(), words_.end(), 0);
-    }
-
-    bool
-    test(std::size_t i) const
-    {
-        assert(i < bits_);
-        return (words_[i >> 6] >> (i & 63)) & 1u;
-    }
-
-    void
-    set(std::size_t i, bool value)
-    {
-        assert(i < bits_);
-        const std::uint64_t mask = 1ull << (i & 63);
-        if (value)
-            words_[i >> 6] |= mask;
-        else
-            words_[i >> 6] &= ~mask;
-    }
-
-    /**
-     * Pack n floats: bit i set iff src[i] != 0.  Pad bits stay zero.
-     * Branchless: a data-dependent store-if branch mispredicts on
-     * every other unit of a random binary state.
-     */
-    void
-    packFrom(const float *src, std::size_t n)
-    {
-        resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            words_[i >> 6] |=
-                static_cast<std::uint64_t>(src[i] != 0.0f) << (i & 63);
-    }
-
-    /** Unpack into dst[0..size) as 1.0f / 0.0f (branchless). */
-    void
-    unpackTo(float *dst) const
-    {
-        for (std::size_t i = 0; i < bits_; ++i)
-            dst[i] = static_cast<float>((words_[i >> 6] >> (i & 63)) & 1u);
-    }
-
-  private:
-    std::size_t bits_ = 0;
-    std::vector<std::uint64_t> words_;
-};
 
 /** A batch of packed binary states, one state per (padded) row. */
 class BitMatrix

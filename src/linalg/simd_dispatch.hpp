@@ -23,10 +23,10 @@
  * ascending order and therefore stays scalar common code outside this
  * table.  Every tier is byte-identical to the generic reference.
  *
- * Tier selection precedence (lowest to highest): CPUID probe <
- * ISINGRBM_ISA env < SamplingOptions::isa < CLI --isa (the flag
- * writes the options field).  "scalar" is not a kernel table: it
- * routes the callers (SoftwareGibbsBackend, CdTrainer) onto the float
+ * Tier selection is made here and nowhere above: the CPUID probe,
+ * unless the ISINGRBM_ISA environment variable names a tier this host
+ * can run.  "scalar" is not a kernel table: it routes the callers
+ * (SoftwareGibbsBackend, and CdTrainer through it) onto the float
  * pipeline and is never auto-selected.
  */
 
@@ -41,8 +41,8 @@ namespace ising::linalg::simd {
 
 /**
  * Kernel ISA tiers, in dispatch-preference order.  Auto defers to the
- * env override / CPUID probe; Scalar forces the float pipeline (no
- * packed kernels at all); the rest name concrete kernel tables.
+ * CPUID probe; Scalar forces the float pipeline (no packed kernels at
+ * all); the rest name concrete kernel tables.
  */
 enum class IsaTier { Auto = 0, Scalar, Generic, Avx2, Avx512 };
 

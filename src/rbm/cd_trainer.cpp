@@ -12,7 +12,6 @@
 #include "linalg/bitops.hpp"
 #include "linalg/ops.hpp"
 #include "rbm/sampling_backend.hpp"
-#include "util/logging.hpp"
 
 namespace ising::rbm {
 
@@ -26,21 +25,6 @@ CdTrainer::CdTrainer(Rbm &model, const CdConfig &config)
     mw_.reset(m, n);
     mbv_.resize(m);
     mbh_.resize(n);
-}
-
-CdTrainer::CdTrainer(Rbm &model, const CdConfig &config, util::Rng &rng)
-    : CdTrainer(model, config)
-{
-    rng_ = &rng;
-}
-
-util::Rng &
-CdTrainer::boundRng() const
-{
-    if (!rng_)
-        util::fatal("cd_trainer: no bound rng; use the per-call "
-                    "overloads with a session-constructed trainer");
-    return *rng_;
 }
 
 void
@@ -74,13 +58,6 @@ CdTrainer::ensureParticles(const data::Dataset &train, util::Rng &rng)
 
 void
 CdTrainer::trainBatch(const data::Dataset &train,
-                      const std::vector<std::size_t> &indices)
-{
-    trainBatch(train, indices, boundRng());
-}
-
-void
-CdTrainer::trainBatch(const data::Dataset &train,
                       const std::vector<std::size_t> &indices,
                       util::Rng &rng)
 {
@@ -104,7 +81,7 @@ CdTrainer::trainBatch(const data::Dataset &train,
     // tiled walk over W, one traversal per half-sweep instead of one
     // per chain.  CD-k is ill-defined below one sweep (the negative
     // sample would not exist), hence the clamp.
-    const SoftwareGibbsBackend backend(model_, &pool, config_.sampling);
+    const SoftwareGibbsBackend backend(model_, &pool);
     const int k = std::max(1, config_.k);
 
     // --- Positive phase (Algorithm 1 lines 9-10), one chain per batch
@@ -176,9 +153,10 @@ CdTrainer::trainBatch(const data::Dataset &train,
     // worker count.  Three tiers, fastest applicable first.
     const bool binaryV =
         linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_);
-    // The reduce runs the same resolved kernel tier as the sweeps;
-    // null (Scalar) forces the float fallback branch, exercising the
-    // exact pipeline the packed tiers must match byte-for-byte.
+    // The reduce runs the backend's kernel table, the same tier as the
+    // sweeps; null (ISINGRBM_ISA=scalar) forces the float fallback
+    // branch, exercising the exact pipeline the packed tiers must match
+    // byte-for-byte.
     const linalg::simd::KernelTable *kt = backend.kernelTable();
     if (kt && binaryV && linalg::isBinary01(hstat_) &&
         linalg::isBinary01(hnegs_)) {
@@ -299,23 +277,11 @@ CdTrainer::trainBatch(const data::Dataset &train,
 }
 
 void
-CdTrainer::trainEpoch(const data::Dataset &train)
-{
-    trainEpoch(train, boundRng());
-}
-
-void
 CdTrainer::trainEpoch(const data::Dataset &train, util::Rng &rng)
 {
     data::MinibatchPlan plan(train.size(), config_.batchSize, rng);
     for (std::size_t b = 0; b < plan.numBatches(); ++b)
         trainBatch(train, plan.batch(b), rng);
-}
-
-double
-CdTrainer::reconstructionError(const data::Dataset &ds)
-{
-    return reconstructionError(ds, boundRng());
 }
 
 double

@@ -6,7 +6,10 @@
  * This is the reference von Neumann implementation the accelerator
  * architectures are measured against.  The trainer exposes per-batch
  * hooks so the experiment harnesses can record log-probability
- * trajectories (Fig. 7/8) during training.
+ * trajectories (Fig. 7/8) during training.  It holds no randomness of
+ * its own: every drawing method takes the caller's generator, and the
+ * sampling backend it builds per batch runs the process's kernel tier
+ * (linalg::simd::defaultTier()).
  */
 
 #ifndef ISINGRBM_RBM_CD_TRAINER_HPP
@@ -42,12 +45,6 @@ struct CdConfig
      * stream, so training is reproducible for any worker count.
      */
     exec::ThreadPool *pool = nullptr;
-    /**
-     * Kernel tuning forwarded to the per-batch sampling backend; the
-     * gradient reduce runs the same resolved tier (bit-identical to
-     * every other tier either way).
-     */
-    SamplingOptions sampling;
 };
 
 /** Minibatch CD-k / PCD trainer. */
@@ -64,14 +61,7 @@ class CdTrainer
      */
     CdTrainer(Rbm &model, const CdConfig &config);
 
-    /**
-     * Legacy construction with a bound randomness source (borrowed);
-     * the rng-less method overloads below draw from it.
-     */
-    CdTrainer(Rbm &model, const CdConfig &config, util::Rng &rng);
-
     /** One full pass over the training set in shuffled minibatches. */
-    void trainEpoch(const data::Dataset &train);
     void trainEpoch(const data::Dataset &train, util::Rng &rng);
 
     /**
@@ -79,13 +69,10 @@ class CdTrainer
      * that interleave evaluation with training.
      */
     void trainBatch(const data::Dataset &train,
-                    const std::vector<std::size_t> &indices);
-    void trainBatch(const data::Dataset &train,
                     const std::vector<std::size_t> &indices,
                     util::Rng &rng);
 
     /** Mean squared reconstruction error over a dataset (monitor). */
-    double reconstructionError(const data::Dataset &ds);
     double reconstructionError(const data::Dataset &ds, util::Rng &rng);
 
     /** Number of parameter updates performed so far. */
@@ -118,11 +105,9 @@ class CdTrainer
 
   private:
     void ensureParticles(const data::Dataset &train, util::Rng &rng);
-    util::Rng &boundRng() const;
 
     Rbm &model_;
     CdConfig config_;
-    util::Rng *rng_ = nullptr;  ///< legacy bound source (may be null)
 
     // Gradient accumulators reused across batches (dwNeg_ holds the
     // negative-phase half of the batched reduce).

@@ -41,9 +41,9 @@ Dbm::pretrain(const data::Dataset &train, const DbmConfig &config,
     CdConfig cd;
     cd.learningRate = config.learningRate;
     cd.batchSize = config.batchSize;
-    CdTrainer trainer1(layer1, cd, rng);
+    CdTrainer trainer1(layer1, cd);
     for (int e = 0; e < config.pretrainEpochs; ++e)
-        trainer1.trainEpoch(train);
+        trainer1.trainEpoch(train, rng);
     w1_ = layer1.weights();
     bv_ = layer1.visibleBias();
     b1_ = layer1.hiddenBias();
@@ -59,9 +59,9 @@ Dbm::pretrain(const data::Dataset &train, const DbmConfig &config,
     }
     Rbm layer2(hidden1(), hidden2());
     layer2.initRandom(rng);
-    CdTrainer trainer2(layer2, cd, rng);
+    CdTrainer trainer2(layer2, cd);
     for (int e = 0; e < config.pretrainEpochs; ++e)
-        trainer2.trainEpoch(up);
+        trainer2.trainEpoch(up, rng);
     w2_ = layer2.weights();
     b2_ = layer2.hiddenBias();
 }

@@ -11,32 +11,8 @@
 #include "exec/parallel_for.hpp"
 #include "linalg/bitops.hpp"
 #include "linalg/ops.hpp"
-#include "util/logging.hpp"
 
 namespace ising::rbm {
-
-linalg::simd::IsaTier
-resolveIsaTier(const SamplingOptions &opts)
-{
-    using linalg::simd::IsaTier;
-    const IsaTier requested = opts.isa;
-    if (requested == IsaTier::Scalar)
-        return requested;
-    if (requested != IsaTier::Auto) {
-        if (linalg::simd::table(requested))
-            return requested;
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            util::warn(util::strcat(
-                "isingrbm: requested kernel tier '",
-                linalg::simd::tierName(requested),
-                "' is not available on this host/build; using "
-                "auto-detection"));
-        }
-    }
-    return linalg::simd::defaultTier();
-}
 
 namespace {
 
@@ -187,10 +163,10 @@ SamplingBackend::sampleVisibleBatchPacked(const linalg::BitMatrix &h,
 }
 
 SoftwareGibbsBackend::SoftwareGibbsBackend(const Rbm &model,
-                                           exec::ThreadPool *pool,
-                                           SamplingOptions options)
-    : model_(&model), pool_(pool), isa_(resolveIsaTier(options)),
-      kt_(linalg::simd::table(isa_))  // null iff Scalar
+                                           exec::ThreadPool *pool)
+    : model_(&model), pool_(pool),
+      // The process's tier (ISINGRBM_ISA, else CPUID); null iff Scalar.
+      kt_(linalg::simd::table(linalg::simd::defaultTier()))
 {
     linalg::transposeInto(model.weights(), wT_);
 }
@@ -238,20 +214,27 @@ SoftwareGibbsBackend::anneal(int steps, linalg::Vector &v,
         SamplingBackend::anneal(steps, v, h, pv, ph, rng);
         return;
     }
-    // The chain state stays packed across every sweep; only the means
+    // A chain is a one-row batch: the state stays packed across every
+    // sweep, each half-sweep is the serial batched walk on the calling
+    // thread (one row gains nothing from the pool), and only the means
     // and the final samples are materialized as floats.
-    linalg::BitVector hb, vb;
-    hb.packFrom(h.data(), h.size());
+    const std::size_t m = numVisible(), n = numHidden();
+    linalg::BitMatrix hb(1, n), vb;
+    hb.packRowFrom(0, h.data());
+    linalg::Matrix pvb, phb;
     for (int s = 0; s < steps; ++s) {
-        linalg::affineSigmoidBernoulli(*kt_, wT_, hb,
-                                       model_->visibleBias(), vb, pv, rng);
-        linalg::affineSigmoidBernoulli(*kt_, model_->weights(), vb,
-                                       model_->hiddenBias(), hb, ph, rng);
+        linalg::sampleBatch(*kt_, wT_, hb, model_->visibleBias(), vb, pvb,
+                            &rng);
+        linalg::sampleBatch(*kt_, model_->weights(), vb,
+                            model_->hiddenBias(), hb, phb, &rng);
     }
-    v.resize(numVisible());
-    vb.unpackTo(v.data());
-    h.resize(numHidden());
-    hb.unpackTo(h.data());
+    v.resize(m);
+    vb.unpackRowTo(0, v.data());
+    hb.unpackRowTo(0, h.data());
+    pv.resize(m);
+    std::copy_n(pvb.row(0), m, pv.data());
+    ph.resize(n);
+    std::copy_n(phb.row(0), n, ph.data());
 }
 
 void

@@ -35,28 +35,6 @@
 
 namespace ising::rbm {
 
-/** Tuning knob for the software sampling kernels. */
-struct SamplingOptions
-{
-    /**
-     * SIMD kernel tier for the packed hot path.  Auto defers to the
-     * ISINGRBM_ISA environment variable and then the CPUID probe
-     * (precedence: env < this field < the CLI --isa flag, which writes
-     * this field); Scalar forces the float pipeline (no packed
-     * kernels at all); Generic/Avx2/Avx512 pin a kernel table.  Every
-     * tier is bit-identical, so this knob moves time, never results.
-     */
-    linalg::simd::IsaTier isa = linalg::simd::IsaTier::Auto;
-};
-
-/**
- * The kernel tier @p opts resolves to: the field when it names a tier
- * this build/host can run (warns and falls back otherwise), else the
- * simd::defaultTier() chain (ISINGRBM_ISA env, then CPUID).  Never
- * returns Auto.
- */
-linalg::simd::IsaTier resolveIsaTier(const SamplingOptions &opts);
-
 /** One conditional-sampling engine: the two Gibbs half-sweeps. */
 class SamplingBackend
 {
@@ -167,13 +145,18 @@ class SamplingBackend
  * bit and run the linalg/bitops.hpp kernels: conditional row adds
  * over packed words, cache-tiled over the minibatch, threaded over
  * chains when the batch is deep and over units within the sweep when
- * it is shallow.  Both layouts and both threading shapes produce
- * bit-identical chains to the scalar float path (the kernels share
- * its addition order and RNG consumption order); non-binary inputs
- * fall back to the float path transparently.  The tiled walk skips
- * empty input words, so one packed path serves every activity level:
- * a near-empty data sweep and a saturated hidden sweep of the same
- * chain run the same kernels.
+ * it is shallow.  A single chain (anneal) is a one-row batch swept
+ * serially on the calling thread.  Every shape produces bit-identical
+ * chains to the scalar float path (the kernels share its addition
+ * order and RNG consumption order); non-binary inputs fall back to
+ * the float path transparently.  The tiled walk skips empty input
+ * words, so one packed path serves every activity level: a near-empty
+ * data sweep and a saturated hidden sweep of the same chain run the
+ * same kernels.
+ *
+ * The kernel tier is linalg::simd::defaultTier() at construction: the
+ * ISINGRBM_ISA override, else the CPUID probe.  Every tier is
+ * bit-identical, so the tier moves time, never results.
  */
 class SoftwareGibbsBackend final : public SamplingBackend
 {
@@ -182,11 +165,9 @@ class SoftwareGibbsBackend final : public SamplingBackend
      * @param model sampled model (borrowed; must outlive the backend)
      * @param pool pool for the batched kernels (borrowed; nullptr
      *        selects exec::globalPool())
-     * @param options kernel tuning (ISA tier)
      */
     explicit SoftwareGibbsBackend(const Rbm &model,
-                                  exec::ThreadPool *pool = nullptr,
-                                  SamplingOptions options = {});
+                                  exec::ThreadPool *pool = nullptr);
 
     /** Re-point at a model and refresh the cached transpose. */
     void setModel(const Rbm &model);
@@ -195,13 +176,10 @@ class SoftwareGibbsBackend final : public SamplingBackend
     std::size_t numHidden() const override { return model_->numHidden(); }
     const char *name() const override { return "software"; }
 
-    /** The resolved kernel tier (never Auto). */
-    linalg::simd::IsaTier isaTier() const { return isa_; }
-
     /**
-     * The kernel table the packed paths run, or nullptr when the
-     * resolved tier is Scalar (every batched call then takes the
-     * float fallback route through the base class).
+     * The kernel table the packed paths run, or nullptr under
+     * ISINGRBM_ISA=scalar (every call then takes the float fallback
+     * route through the base class).
      */
     const linalg::simd::KernelTable *kernelTable() const { return kt_; }
 
@@ -210,7 +188,7 @@ class SoftwareGibbsBackend final : public SamplingBackend
     void sampleVisible(const linalg::Vector &h, linalg::Vector &v,
                        linalg::Vector &pv, util::Rng &rng) const override;
 
-    /** Packed scalar chain: state stays bit-packed across all sweeps. */
+    /** One-row packed batch: the state stays packed across all sweeps. */
     void anneal(int steps, linalg::Vector &v, linalg::Vector &h,
                 linalg::Vector &pv, linalg::Vector &ph,
                 util::Rng &rng) const override;
@@ -251,8 +229,7 @@ class SoftwareGibbsBackend final : public SamplingBackend
     const Rbm *model_;
     linalg::Matrix wT_;  ///< cached transpose for the visible sweep
     exec::ThreadPool *pool_;
-    linalg::simd::IsaTier isa_;            ///< resolved tier (never Auto)
-    const linalg::simd::KernelTable *kt_;  ///< null iff isa_ == Scalar
+    const linalg::simd::KernelTable *kt_;  ///< null iff the tier is Scalar
 };
 
 } // namespace ising::rbm

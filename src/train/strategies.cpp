@@ -102,7 +102,6 @@ class CdEngine : public RbmEngine
         cfg.persistent = options.persistentCd;
         cfg.numParticles = options.cdParticles;
         cfg.pool = options.pool;
-        cfg.sampling.isa = options.isa;
         return cfg;
     }
 

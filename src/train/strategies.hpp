@@ -21,7 +21,6 @@
 #include "data/ratings.hpp"
 #include "exec/thread_pool.hpp"
 #include "ising/noise.hpp"
-#include "linalg/simd_dispatch.hpp"
 #include "train/session.hpp"
 
 namespace ising::train {
@@ -35,11 +34,6 @@ struct TrainOptions
     // CD-specific structure.
     bool persistentCd = false;    ///< PCD: keep negative chains
     std::size_t cdParticles = 16; ///< persistent chain count
-    /**
-     * SIMD kernel tier forwarded to CdConfig::sampling (Auto = the
-     * ISINGRBM_ISA env, then CPUID; see rbm::SamplingOptions::isa).
-     */
-    linalg::simd::IsaTier isa = linalg::simd::IsaTier::Auto;
 
     // Substrate trainers (GS/BGF and cf_rbm hardware mode).
     machine::NoiseSpec noise;     ///< analog (variation, noise) RMS

@@ -85,23 +85,27 @@ if(NOT EXISTS ${WORK}/samples.txt)
 endif()
 
 # SIMD-tier determinism canary: the same train + sample run with the
-# kernel tier forced to generic and with auto dispatch (AVX2/AVX-512
-# where the host has it) must be byte-identical end to end -- the
-# tiers move time, never results.  The scalar float pipeline rides the
-# same contract, so a third sampling leg pins --isa scalar against the
-# auto-dispatched model.
+# kernel tier pinned to generic (ISINGRBM_ISA, the one tier override)
+# and with auto dispatch (AVX2/AVX-512 where the host has it) must be
+# byte-identical end to end -- the tiers move time, never results.
+# The scalar float pipeline rides the same contract, so a third
+# sampling leg pins ISINGRBM_ISA=scalar against the auto-dispatched
+# model.
 run_step(${CLI} train --registry ${WORK} --name smoke-isa-auto
-         --samples 120 --hidden 12 --epochs 1 --k 1 --isa auto)
-run_step(${CLI} train --registry ${WORK} --name smoke-isa-generic
-         --samples 120 --hidden 12 --epochs 1 --k 1 --isa generic)
+         --samples 120 --hidden 12 --epochs 1 --k 1)
+run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=generic
+         ${CLI} train --registry ${WORK} --name smoke-isa-generic
+         --samples 120 --hidden 12 --epochs 1 --k 1)
 run_step(${CLI} sample --registry ${WORK} --model smoke-isa-auto
-         --count 2 --burnin 5 --seed 99 --isa auto
+         --count 2 --burnin 5 --seed 99
          --out ${WORK}/samples-isa-auto.txt)
-run_step(${CLI} sample --registry ${WORK} --model smoke-isa-generic
-         --count 2 --burnin 5 --seed 99 --isa generic
+run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=generic
+         ${CLI} sample --registry ${WORK} --model smoke-isa-generic
+         --count 2 --burnin 5 --seed 99
          --out ${WORK}/samples-isa-generic.txt)
-run_step(${CLI} sample --registry ${WORK} --model smoke-isa-auto
-         --count 2 --burnin 5 --seed 99 --isa scalar
+run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=scalar
+         ${CLI} sample --registry ${WORK} --model smoke-isa-auto
+         --count 2 --burnin 5 --seed 99
          --out ${WORK}/samples-isa-scalar.txt)
 file(READ ${WORK}/samples-isa-auto.txt isa_auto_bits)
 file(READ ${WORK}/samples-isa-generic.txt isa_generic_bits)
@@ -154,6 +158,31 @@ run_step(${CMAKE_COMMAND} -E env ISINGRBM_FAULTS=failwrite:retry-smoke@1
          ${CLI} train --registry ${WORK} --name retry-smoke
          --samples 120 --hidden 10 --epochs 1 --k 1)
 run_step(${CLI} list --registry ${WORK} --verify)
+
+# A stdout reader that exits first: train writes its progress into a
+# pipe whose reader exits at once without reading, so every flushed
+# line after that fails.  The write must fail with EPIPE rather than
+# kill the trainer: the run finishes, publishes its archive and exits
+# 0 (the concurrent train + serve-loop leg below relies on this when
+# serve-loop exits on seeing epoch 4).
+execute_process(
+  COMMAND ${CLI} train --registry ${WORK}/pipe-reg --name a
+          --samples 120 --hidden 10 --epochs 2 --k 1
+  COMMAND ${CMAKE_COMMAND} -E true
+  RESULTS_VARIABLE pipe_codes
+  ERROR_VARIABLE pipe_err)
+message(STATUS "cli_smoke: train into a pipe whose reader exited")
+foreach(code IN LISTS pipe_codes)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "cli_smoke: train into a closed pipe failed "
+                        "(exit codes: ${pipe_codes}): ${pipe_err}")
+  endif()
+endforeach()
+if(NOT EXISTS ${WORK}/pipe-reg/a.ckpt)
+  message(FATAL_ERROR "cli_smoke: train into a closed pipe published "
+                      "no archive")
+endif()
+run_step(${CLI} list --registry ${WORK}/pipe-reg --verify)
 
 # Continuous training under torn writes: a trainer publishes four
 # per-epoch checkpoints of 'live' with the epoch-2 publish truncated

@@ -313,12 +313,12 @@ TEST(BatchedSampling, CdTrainerIsWorkerCountInvariant)
             rbm::CdConfig cfgA = cfg, cfgB = cfg;
             cfgA.pool = &serial;
             cfgB.pool = &wide;
-            rbm::CdTrainer trainerA(a, cfgA, rngA);
-            rbm::CdTrainer trainerB(b, cfgB, rngB);
-            trainerA.trainEpoch(train);
-            trainerA.trainEpoch(train);
-            trainerB.trainEpoch(train);
-            trainerB.trainEpoch(train);
+            rbm::CdTrainer trainerA(a, cfgA);
+            rbm::CdTrainer trainerB(b, cfgB);
+            trainerA.trainEpoch(train, rngA);
+            trainerA.trainEpoch(train, rngA);
+            trainerB.trainEpoch(train, rngB);
+            trainerB.trainEpoch(train, rngB);
 
             expectSameMatrix(a.weights(), b.weights(),
                              persistent ? "pcd weights" : "cd weights");

@@ -4,6 +4,9 @@
  * agree *bit-for-bit* with the float path on binary states, including
  * ragged sizes not divisible by the 64-bit word width, because the
  * sampling backends select between the two representations freely.
+ * A single chain is a one-row batch, so the one-row cases below are
+ * the single-chain sweep.  Kernels run this process's tier
+ * (simd::activeTable()); test_simd_kernels compares the tiers.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +20,6 @@
 
 using namespace ising;
 using linalg::BitMatrix;
-using linalg::BitVector;
 using linalg::Matrix;
 using linalg::Vector;
 using util::Rng;
@@ -63,23 +65,25 @@ popcount(const std::uint64_t *words, std::size_t n)
 
 } // namespace
 
-TEST(BitVector, PackUnpackRoundTripsRaggedSizes)
+TEST(BitMatrix, OneRowPackUnpackRoundTripsRaggedSizes)
 {
     Rng rng(11);
     for (const std::size_t n : {1u, 63u, 64u, 65u, 100u, 130u, 257u}) {
         const Vector v = randomBinary(n, rng);
-        BitVector bits;
-        bits.packFrom(v.data(), n);
-        ASSERT_EQ(bits.size(), n);
+        BitMatrix bits(1, n);
+        bits.packRowFrom(0, v.data());
+        ASSERT_EQ(bits.cols(), n);
+        ASSERT_EQ(bits.wordsPerRow(), linalg::bitWords(n));
         Vector back(n);
-        bits.unpackTo(back.data());
+        bits.unpackRowTo(0, back.data());
         EXPECT_TRUE(back == v) << "n=" << n;
         std::size_t ones = 0;
         for (std::size_t i = 0; i < n; ++i)
             ones += v[i] != 0.0f;
-        EXPECT_EQ(popcount(bits.data(), bits.words()), ones) << "n=" << n;
+        EXPECT_EQ(popcount(bits.row(0), bits.wordsPerRow()), ones)
+            << "n=" << n;
         for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(bits.test(i), v[i] != 0.0f);
+            EXPECT_EQ(bits.test(0, i), v[i] != 0.0f);
     }
 }
 
@@ -101,8 +105,9 @@ TEST(BitMatrix, RowPackingKeepsPadBitsZero)
     EXPECT_EQ(bm.row(1)[1] >> 6, 0ull);
 }
 
-TEST(BitOps, AccumulateRowsMaskedMatchesFloatGemvT)
+TEST(BitOps, OneRowBatchTileMatchesFloatGemvT)
 {
+    const linalg::simd::KernelTable &kt = linalg::simd::activeTable();
     Rng rng(21);
     for (const auto &[p, q] : kShapes) {
         const Model model(p, q, rng);
@@ -110,28 +115,31 @@ TEST(BitOps, AccumulateRowsMaskedMatchesFloatGemvT)
             // Empty, 2%, half and fully active inputs.
             const double activity[] = {0.0, 0.02, 0.5, 1.0};
             const Vector x = randomBinary(p, rng, activity[trial % 4]);
-            BitVector bits;
-            bits.packFrom(x.data(), p);
+            BitMatrix bits(1, p);
+            bits.packRowFrom(0, x.data());
 
-            Vector want, got;
+            Vector want;
             linalg::gemvT(model.w, x, model.b, want);
-            linalg::accumulateRowsMasked(model.w, bits, model.b, got);
-            ASSERT_EQ(got.size(), want.size());
+            Matrix got(1, q, -1.0f);
+            linalg::accumulateBatchTile(kt, model.w, bits, model.b, got, 0,
+                                        1, 0, q);
+            ASSERT_EQ(want.size(), q);
             for (std::size_t j = 0; j < q; ++j)
-                EXPECT_EQ(got[j], want[j])
+                EXPECT_EQ(got(0, j), want[j])
                     << p << "x" << q << " unit " << j;
         }
     }
 }
 
-TEST(BitOps, FusedKernelMatchesFloatSigmoidThenSample)
+TEST(BitOps, OneRowSampleBatchMatchesFloatSigmoidThenSample)
 {
+    const linalg::simd::KernelTable &kt = linalg::simd::activeTable();
     Rng rng(22);
     for (const auto &[p, q] : kShapes) {
         const Model model(p, q, rng);
         const Vector x = randomBinary(p, rng);
-        BitVector bits;
-        bits.packFrom(x.data(), p);
+        BitMatrix bits(1, p);
+        bits.packRowFrom(0, x.data());
 
         // Float pipeline: affineSigmoid then Rbm::sampleBinary.
         Vector wantMeans, wantSample;
@@ -139,18 +147,19 @@ TEST(BitOps, FusedKernelMatchesFloatSigmoidThenSample)
         linalg::affineSigmoid(model.w, x.data(), model.b, wantMeans);
         rbm::Rbm::sampleBinary(wantMeans, wantSample, floatRng);
 
-        // Packed fused kernel on an identical stream.
-        BitVector outBits;
-        Vector gotMeans;
+        // Packed one-row half-sweep on an identical stream.
+        BitMatrix outBits;
+        Matrix gotMeans;
         Rng packedRng(777);
-        linalg::affineSigmoidBernoulli(model.w, bits, model.b, outBits,
-                                       gotMeans, packedRng);
+        linalg::sampleBatch(kt, model.w, bits, model.b, outBits, gotMeans,
+                            &packedRng);
 
-        ASSERT_EQ(gotMeans.size(), q);
+        ASSERT_EQ(gotMeans.rows(), 1u);
+        ASSERT_EQ(gotMeans.cols(), q);
         for (std::size_t j = 0; j < q; ++j) {
-            EXPECT_EQ(gotMeans[j], wantMeans[j])
+            EXPECT_EQ(gotMeans(0, j), wantMeans[j])
                 << p << "x" << q << " mean " << j;
-            EXPECT_EQ(outBits.test(j), wantSample[j] != 0.0f)
+            EXPECT_EQ(outBits.test(0, j), wantSample[j] != 0.0f)
                 << p << "x" << q << " bit " << j;
         }
         // Identical consumption: both generators must be in the same
@@ -159,8 +168,9 @@ TEST(BitOps, FusedKernelMatchesFloatSigmoidThenSample)
     }
 }
 
-TEST(BitOps, SampleBatchMatchesPerChainFusedKernel)
+TEST(BitOps, SampleBatchMatchesPerChainFloatPipeline)
 {
+    const linalg::simd::KernelTable &kt = linalg::simd::activeTable();
     Rng rng(23);
     for (const auto &[p, q] : kShapes) {
         const Model model(p, q, rng);
@@ -181,24 +191,25 @@ TEST(BitOps, SampleBatchMatchesPerChainFusedKernel)
 
         BitMatrix out;
         Matrix means;
-        linalg::sampleBatch(model.w, in, model.b, out, means,
+        linalg::sampleBatch(kt, model.w, in, model.b, out, means,
                             batchRngs.data());
         ASSERT_EQ(means.rows(), batch);
         ASSERT_EQ(means.cols(), q);
 
+        // Each chain against the float pipeline on its own stream.
         for (std::size_t r = 0; r < batch; ++r) {
-            BitVector bits, wantBits;
-            bits.packFrom(inRows[r].data(), p);
-            Vector wantMeans;
-            linalg::affineSigmoidBernoulli(model.w, bits, model.b,
-                                           wantBits, wantMeans,
-                                           chainRngs[r]);
+            Vector wantMeans, wantSample;
+            linalg::affineSigmoid(model.w, inRows[r].data(), model.b,
+                                  wantMeans);
+            rbm::Rbm::sampleBinary(wantMeans, wantSample, chainRngs[r]);
             for (std::size_t j = 0; j < q; ++j) {
                 EXPECT_EQ(means.row(r)[j], wantMeans[j])
                     << p << "x" << q << " chain " << r << " mean " << j;
-                EXPECT_EQ(out.test(r, j), wantBits.test(j))
+                EXPECT_EQ(out.test(r, j), wantSample[j] != 0.0f)
                     << p << "x" << q << " chain " << r << " bit " << j;
             }
+            EXPECT_EQ(chainRngs[r].next(), batchRngs[r].next())
+                << p << "x" << q << " chain " << r;
         }
     }
 }
@@ -210,6 +221,7 @@ TEST(BitOps, AccumulateBatchTileCoversArbitrarySplits)
     // a sweep without changing a single bit -- and every chain of the
     // tile must equal the float gemv of its input, whichever of its
     // words are empty (the walk skips those).
+    const linalg::simd::KernelTable &kt = linalg::simd::activeTable();
     Rng rng(24);
     const std::size_t p = 130, q = 70, batch = 5;
     const Model model(p, q, rng);
@@ -233,8 +245,8 @@ TEST(BitOps, AccumulateBatchTileCoversArbitrarySplits)
             in.packRowFrom(r, rows[r].data());
 
         Matrix whole(batch, q, -1.0f), split(batch, q);
-        linalg::accumulateBatchTile(model.w, in, model.b, whole, 0, batch,
-                                    0, q);
+        linalg::accumulateBatchTile(kt, model.w, in, model.b, whole, 0,
+                                    batch, 0, q);
         for (std::size_t r = 0; r < batch; ++r) {
             Vector want;
             linalg::gemvT(model.w, rows[r], model.b, want);
@@ -244,14 +256,14 @@ TEST(BitOps, AccumulateBatchTileCoversArbitrarySplits)
         }
         for (const std::size_t cut : {1u, 33u, 64u, 69u}) {
             split.fill(-1.0f);
-            linalg::accumulateBatchTile(model.w, in, model.b, split, 0, 2,
-                                        0, cut);
-            linalg::accumulateBatchTile(model.w, in, model.b, split, 0, 2,
-                                        cut, q);
-            linalg::accumulateBatchTile(model.w, in, model.b, split, 2,
-                                        batch, 0, cut);
-            linalg::accumulateBatchTile(model.w, in, model.b, split, 2,
-                                        batch, cut, q);
+            linalg::accumulateBatchTile(kt, model.w, in, model.b, split,
+                                        0, 2, 0, cut);
+            linalg::accumulateBatchTile(kt, model.w, in, model.b, split,
+                                        0, 2, cut, q);
+            linalg::accumulateBatchTile(kt, model.w, in, model.b, split,
+                                        2, batch, 0, cut);
+            linalg::accumulateBatchTile(kt, model.w, in, model.b, split,
+                                        2, batch, cut, q);
             for (std::size_t r = 0; r < batch; ++r)
                 for (std::size_t j = 0; j < q; ++j)
                     EXPECT_EQ(split(r, j), whole(r, j))
@@ -305,6 +317,7 @@ TEST(BitOps, OuterCountDiffEqualsFloatGradientReduce)
     // The popcount reduce must agree exactly with the float-MAC
     // gradient reduce on binary states for batch sizes across the
     // word-specialization tiers (1, 2, 4, 8 words and the fallback).
+    const linalg::simd::KernelTable &kt = linalg::simd::activeTable();
     Rng rng(32);
     const std::size_t m = 37, n = 21;
     for (const std::size_t batch : {5u, 64u, 100u, 250u, 500u, 600u}) {
@@ -334,7 +347,7 @@ TEST(BitOps, OuterCountDiffEqualsFloatGradientReduce)
         linalg::packTransposed(hpos, hposT);
         linalg::packTransposed(hneg, hnegT);
         Matrix got(m, n);
-        linalg::outerCountDiff(posT, hposT, negT, hnegT, got, 0, m);
+        linalg::outerCountDiff(kt, posT, hposT, negT, hnegT, got, 0, m);
         for (std::size_t i = 0; i < m; ++i)
             for (std::size_t j = 0; j < n; ++j)
                 EXPECT_EQ(got(i, j), want(i, j))
@@ -342,7 +355,7 @@ TEST(BitOps, OuterCountDiffEqualsFloatGradientReduce)
 
         // Bias rows: counts along the batch axis.
         std::vector<float> counts(m);
-        linalg::rowCounts(posT, counts.data());
+        linalg::rowCounts(kt, posT, counts.data());
         for (std::size_t i = 0; i < m; ++i) {
             float want_i = 0.0f;
             for (std::size_t pos = 0; pos < batch; ++pos)

@@ -149,9 +149,9 @@ TEST(Anomaly, ReconstructionErrorSeparatesFraud)
     rbm::CdConfig cfg;
     cfg.learningRate = 0.05;
     cfg.batchSize = 50;
-    rbm::CdTrainer trainer(model, cfg, rng);
+    rbm::CdTrainer trainer(model, cfg);
     for (int e = 0; e < 15; ++e)
-        trainer.trainEpoch(all);
+        trainer.trainEpoch(all, rng);
 
     const auto scores = rbm::reconstructionScores(model, all);
     const double auc = eval::rocAuc(scores, all.labels);
@@ -184,9 +184,9 @@ TEST(Anomaly, ReconstructionScoreAlsoSeparates)
     rbm::CdConfig cfg;
     cfg.learningRate = 0.05;
     cfg.batchSize = 50;
-    rbm::CdTrainer trainer(model, cfg, rng);
+    rbm::CdTrainer trainer(model, cfg);
     for (int e = 0; e < 15; ++e)
-        trainer.trainEpoch(all);
+        trainer.trainEpoch(all, rng);
     const auto scores = rbm::reconstructionScores(model, all);
     EXPECT_GT(eval::rocAuc(scores, all.labels), 0.7);
 }

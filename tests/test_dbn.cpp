@@ -89,9 +89,9 @@ TEST(Dbn, GreedyTrainingWithCdLearns)
         rbm::CdConfig cfg;
         cfg.learningRate = 0.1;
         cfg.batchSize = 20;
-        rbm::CdTrainer trainer(layer, cfg, rng);
+        rbm::CdTrainer trainer(layer, cfg);
         for (int e = 0; e < 3; ++e)
-            trainer.trainEpoch(d);
+            trainer.trainEpoch(d, rng);
     });
     // Features at the top should not be degenerate: variance across
     // samples must be nonzero for a majority of units.

@@ -51,8 +51,8 @@ TEST(EdgeCases, SingleSampleTraining)
     model.initRandom(rng, 0.01f);
     rbm::CdConfig cfg;
     cfg.batchSize = 8;  // bigger than the dataset
-    rbm::CdTrainer trainer(model, cfg, rng);
-    trainer.trainEpoch(ds);  // must not crash
+    rbm::CdTrainer trainer(model, cfg);
+    trainer.trainEpoch(ds, rng);  // must not crash
     EXPECT_EQ(trainer.updatesDone(), 1u);
 }
 

@@ -478,8 +478,7 @@ TEST_F(FaultToleranceTest, InjectedTruncationProducesARejectedArchive)
 TEST_F(FaultToleranceTest, RegistryFallsBackToLastGoodAndRecovers)
 {
     // 1 ms backoff so the test can cross the retry window instantly.
-    ModelRegistry registry(dir_, nullptr, {},
-                           engine::RegistryConfig{1, 4});
+    ModelRegistry registry(dir_, nullptr, engine::RegistryConfig{1, 4});
     registry.put("m", makeCkpt(copyRbm(5), 1));
     const std::string file = registry.pathFor("m");
 
@@ -515,8 +514,7 @@ TEST_F(FaultToleranceTest, RegistryFallsBackToLastGoodAndRecovers)
 
 TEST_F(FaultToleranceTest, ColdLoadOfCorruptArchiveIsAnError)
 {
-    ModelRegistry registry(dir_, nullptr, {},
-                           engine::RegistryConfig{1, 4});
+    ModelRegistry registry(dir_, nullptr, engine::RegistryConfig{1, 4});
     spit(path("bad.ckpt"), "isingrbm-checkpoint v2\ngarbage");
     auto result = registry.tryGet("bad");
     ASSERT_FALSE(result.ok());

@@ -113,9 +113,9 @@ TEST(CdTrainer, ImprovesExactLikelihood)
     cfg.learningRate = 0.2;
     cfg.k = 1;
     cfg.batchSize = 10;
-    CdTrainer trainer(model, cfg, rng);
+    CdTrainer trainer(model, cfg);
     for (int epoch = 0; epoch < 60; ++epoch)
-        trainer.trainEpoch(ds);
+        trainer.trainEpoch(ds, rng);
     const double after = exact::meanLogLikelihood(model, ds);
     EXPECT_GT(after, before + 1.0);
 }
@@ -129,11 +129,11 @@ TEST(CdTrainer, ReconstructionErrorDrops)
     CdConfig cfg;
     cfg.learningRate = 0.1;
     cfg.batchSize = 10;
-    CdTrainer trainer(model, cfg, rng);
-    const double before = trainer.reconstructionError(ds);
+    CdTrainer trainer(model, cfg);
+    const double before = trainer.reconstructionError(ds, rng);
     for (int epoch = 0; epoch < 40; ++epoch)
-        trainer.trainEpoch(ds);
-    const double after = trainer.reconstructionError(ds);
+        trainer.trainEpoch(ds, rng);
+    const double after = trainer.reconstructionError(ds, rng);
     EXPECT_LT(after, before * 0.8);
 }
 
@@ -145,8 +145,8 @@ TEST(CdTrainer, CountsUpdates)
     model.initRandom(rng, 0.01f);
     CdConfig cfg;
     cfg.batchSize = 5;
-    CdTrainer trainer(model, cfg, rng);
-    trainer.trainEpoch(ds);
+    CdTrainer trainer(model, cfg);
+    trainer.trainEpoch(ds, rng);
     EXPECT_EQ(trainer.updatesDone(), 4u);
 }
 
@@ -160,10 +160,10 @@ TEST(CdTrainer, PersistentModeRuns)
     cfg.persistent = true;
     cfg.numParticles = 4;
     cfg.learningRate = 0.05;
-    CdTrainer trainer(model, cfg, rng);
+    CdTrainer trainer(model, cfg);
     const double before = exact::meanLogLikelihood(model, ds);
     for (int epoch = 0; epoch < 40; ++epoch)
-        trainer.trainEpoch(ds);
+        trainer.trainEpoch(ds, rng);
     EXPECT_GT(exact::meanLogLikelihood(model, ds), before);
 }
 
@@ -180,9 +180,9 @@ TEST(CdTrainer, HigherKIsNotWorse)
         cfg.k = k;
         cfg.learningRate = 0.2;
         cfg.batchSize = 10;
-        CdTrainer trainer(model, cfg, rng);
+        CdTrainer trainer(model, cfg);
         for (int epoch = 0; epoch < 50; ++epoch)
-            trainer.trainEpoch(ds);
+            trainer.trainEpoch(ds, rng);
         return exact::meanLogLikelihood(model, ds);
     };
     const double ll1 = runWithK(1);
@@ -200,9 +200,9 @@ TEST(CdTrainer, MomentumAndDecayStable)
     cfg.momentum = 0.9;
     cfg.weightDecay = 1e-3;
     cfg.learningRate = 0.05;
-    CdTrainer trainer(model, cfg, rng);
+    CdTrainer trainer(model, cfg);
     for (int epoch = 0; epoch < 30; ++epoch)
-        trainer.trainEpoch(ds);
+        trainer.trainEpoch(ds, rng);
     const float *w = model.weights().data();
     for (std::size_t i = 0; i < model.weights().size(); ++i) {
         ASSERT_FALSE(std::isnan(w[i]));
@@ -220,10 +220,10 @@ TEST(CdTrainer, MeanFieldPositiveStatsOptionLearns)
     cfg.sampleHiddenMeans = true;
     cfg.learningRate = 0.2;
     cfg.batchSize = 10;
-    CdTrainer trainer(model, cfg, rng);
+    CdTrainer trainer(model, cfg);
     const double before = exact::meanLogLikelihood(model, ds);
     for (int epoch = 0; epoch < 40; ++epoch)
-        trainer.trainEpoch(ds);
+        trainer.trainEpoch(ds, rng);
     EXPECT_GT(exact::meanLogLikelihood(model, ds), before + 1.0);
 }
 
@@ -242,10 +242,10 @@ TEST_P(CdHiddenSweep, Learns)
     CdConfig cfg;
     cfg.learningRate = 0.2;
     cfg.batchSize = 8;
-    CdTrainer trainer(model, cfg, rng);
+    CdTrainer trainer(model, cfg);
     const double before = exact::meanLogLikelihood(model, ds);
     for (int epoch = 0; epoch < 40; ++epoch)
-        trainer.trainEpoch(ds);
+        trainer.trainEpoch(ds, rng);
     EXPECT_GT(exact::meanLogLikelihood(model, ds), before + 0.5)
         << "hidden=" << hidden;
 }

@@ -52,9 +52,9 @@ TEST(Integration, CdFeaturesClassifyAboveChance)
     rbm::CdConfig cfg;
     cfg.learningRate = 0.1;
     cfg.batchSize = 25;
-    rbm::CdTrainer trainer(model, cfg, rng);
+    rbm::CdTrainer trainer(model, cfg);
     for (int e = 0; e < 5; ++e)
-        trainer.trainEpoch(split.train);
+        trainer.trainEpoch(split.train, rng);
 
     eval::LogisticConfig lcfg;
     lcfg.epochs = 40;
@@ -80,9 +80,9 @@ TEST(Integration, BgfFeaturesMatchCdFeatures)
     rbm::CdConfig cdCfg;
     cdCfg.learningRate = 0.1;
     cdCfg.batchSize = 25;
-    rbm::CdTrainer trainer(cdModel, cdCfg, rng);
+    rbm::CdTrainer trainer(cdModel, cdCfg);
     for (int e = 0; e < 5; ++e)
-        trainer.trainEpoch(split.train);
+        trainer.trainEpoch(split.train, rng);
 
     // BGF.
     accel::BgfConfig bgfCfg;
@@ -158,9 +158,9 @@ TEST(Integration, KlBiasOrderingOnEnumerableSystem)
     rbm::CdConfig cdCfg;
     cdCfg.learningRate = 0.1;
     cdCfg.batchSize = 10;
-    rbm::CdTrainer cd(cdModel, cdCfg, rng);
+    rbm::CdTrainer cd(cdModel, cdCfg);
     for (int e = 0; e < 100; ++e)
-        cd.trainEpoch(train);
+        cd.trainEpoch(train, rng);
 
     // ML (exact gradient).  Larger init and more steps: the exact
     // ascent starts on a near-symmetric plateau.

@@ -69,12 +69,12 @@ TEST(BarsAndStripes, RbmLearnsTheDistribution)
     rbm::CdConfig cfg;
     cfg.learningRate = 0.1;
     cfg.batchSize = 25;
-    rbm::CdTrainer trainer(model, cfg, rng);
+    rbm::CdTrainer trainer(model, cfg);
     const auto truth = data::barsAndStripesDistribution(3);
     const double before = eval::klDivergence(
         truth, rbm::exact::visibleDistribution(model));
     for (int e = 0; e < 150; ++e)
-        trainer.trainEpoch(ds);
+        trainer.trainEpoch(ds, rng);
     const double after = eval::klDivergence(
         truth, rbm::exact::visibleDistribution(model));
     EXPECT_LT(after, before * 0.5);
@@ -136,12 +136,12 @@ TEST(Monitor, TracksTrainingProgress)
     rbm::CdConfig cfg;
     cfg.learningRate = 0.1;
     cfg.batchSize = 25;
-    rbm::CdTrainer trainer(model, cfg, rng);
+    rbm::CdTrainer trainer(model, cfg);
 
     rbm::TrainingMonitor monitor(train, held);
     monitor.observe(0, model, rng);
     for (int e = 1; e <= 20; ++e) {
-        trainer.trainEpoch(train);
+        trainer.trainEpoch(train, rng);
         monitor.observe(e, model, rng);
     }
     const auto &log = monitor.records();

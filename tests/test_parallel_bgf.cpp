@@ -65,9 +65,9 @@ trainCd(exec::ThreadPool &pool, bool persistent, int epochs = 5)
     cfg.persistent = persistent;
     cfg.numParticles = 4;
     cfg.pool = &pool;
-    rbm::CdTrainer trainer(model, cfg, rng);
+    rbm::CdTrainer trainer(model, cfg);
     for (int e = 0; e < epochs; ++e)
-        trainer.trainEpoch(ds);
+        trainer.trainEpoch(ds, rng);
     return model;
 }
 

@@ -7,14 +7,16 @@
  *    the generic kernel bit for bit, kernel by kernel, on ragged
  *    shapes (column widths 1..129 crossing the 128-wide accumulator
  *    block and the 8/16-lane vector tails, word counts 1..18 crossing
- *    every word group of the shared reduce body) and at every input
+ *    every word group of the shared reduce body), for single chains
+ *    (one-row batches) as well as deep batches, and at every input
  *    activity from an empty batch to a saturated one;
  *  - the dispatcher's table() / detectedTier() / envTier() /
  *    defaultTier() invariants hold, including the ISINGRBM_ISA env
- *    override and its precedence below SamplingOptions::isa;
+ *    override that a SoftwareGibbsBackend resolves at construction;
  *  - SoftwareGibbsBackend chains and CdTrainer weights are
  *    byte-identical across every tier (including the Scalar float
- *    route) at worker counts 1 and 4.
+ *    route), each pinned through ISINGRBM_ISA, at worker counts 1
+ *    and 4.
  */
 
 #include <gtest/gtest.h>
@@ -153,61 +155,46 @@ activityLevels(std::size_t rows, std::size_t cols, Rng &rng)
 
 } // namespace
 
-TEST(SimdKernels, AccumulateRowsMaskedMatchesGenericOnRaggedShapes)
-{
-    const simd::KernelTable &gen = *simd::table(simd::IsaTier::Generic);
-    Rng rng(11);
-    for (const simd::KernelTable *kt : simdTiers()) {
-        for (const std::size_t n : kWidths) {
-            for (const std::size_t m : {1u, 67u, 129u}) {
-                const rbm::Rbm model = testModel(m, n, 3 + m + n);
-                const linalg::Matrix batch =
-                    activityBatch(1, m, 0.4, rng);
-                linalg::BitVector bits;
-                bits.packFrom(batch.row(0), m);
-
-                linalg::Vector ref, got;
-                linalg::accumulateRowsMasked(gen, model.weights(), bits,
-                                             model.hiddenBias(), ref);
-                linalg::accumulateRowsMasked(*kt, model.weights(), bits,
-                                             model.hiddenBias(), got);
-                ASSERT_EQ(ref, got) << kt->name << " " << m << "x" << n;
-            }
-        }
-    }
-}
-
 TEST(SimdKernels, BatchTilesMatchGenericAcrossColumnRanges)
 {
     const simd::KernelTable &gen = *simd::table(simd::IsaTier::Generic);
     Rng rng(13);
-    const std::size_t m = 70, batch = 5;
+    // (input units, chains): a five-chain batch, and single chains --
+    // a lone chain sweeps as a one-row batch -- over one word, a
+    // ragged second word and a ragged third word of inputs.
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {70, 5}, {1, 1}, {67, 1}, {129, 1}};
     for (const simd::KernelTable *kt : simdTiers()) {
-        for (const std::size_t n : kWidths) {
-            const rbm::Rbm model = testModel(m, n, 5 + n);
-            // Column splits crossing the 128-wide accumulator block
-            // boundary and sub-block ranges.
-            std::vector<std::pair<std::size_t, std::size_t>> ranges = {
-                {0, n}};
-            if (n > 2)
-                ranges.push_back({n / 3, n - 1});
-            if (n > 128)
-                ranges.push_back({100, n});
-            for (const linalg::Matrix &v : activityLevels(batch, m, rng)) {
-                const linalg::BitMatrix bits = packRows(v);
-                for (const auto &[cb, ce] : ranges) {
-                    linalg::Matrix ref(batch, n), got(batch, n);
-                    linalg::accumulateBatchTile(gen, model.weights(), bits,
-                                                model.hiddenBias(), ref, 0,
-                                                batch, cb, ce);
-                    linalg::accumulateBatchTile(*kt, model.weights(), bits,
-                                                model.hiddenBias(), got, 0,
-                                                batch, cb, ce);
-                    for (std::size_t r = 0; r < batch; ++r)
-                        for (std::size_t c = cb; c < ce; ++c)
-                            ASSERT_EQ(ref(r, c), got(r, c))
-                                << kt->name << " " << n << " [" << cb
-                                << "," << ce << ") @" << r << "," << c;
+        for (const auto &[m, batch] : shapes) {
+            for (const std::size_t n : kWidths) {
+                const rbm::Rbm model = testModel(m, n, 5 + m + n);
+                // Column splits crossing the 128-wide accumulator block
+                // boundary and sub-block ranges.
+                std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+                    {0, n}};
+                if (n > 2)
+                    ranges.push_back({n / 3, n - 1});
+                if (n > 128)
+                    ranges.push_back({100, n});
+                for (const linalg::Matrix &v :
+                     activityLevels(batch, m, rng)) {
+                    const linalg::BitMatrix bits = packRows(v);
+                    for (const auto &[cb, ce] : ranges) {
+                        linalg::Matrix ref(batch, n), got(batch, n);
+                        linalg::accumulateBatchTile(
+                            gen, model.weights(), bits, model.hiddenBias(),
+                            ref, 0, batch, cb, ce);
+                        linalg::accumulateBatchTile(
+                            *kt, model.weights(), bits, model.hiddenBias(),
+                            got, 0, batch, cb, ce);
+                        for (std::size_t r = 0; r < batch; ++r)
+                            for (std::size_t c = cb; c < ce; ++c)
+                                ASSERT_EQ(ref(r, c), got(r, c))
+                                    << kt->name << " " << m << "x" << n
+                                    << " batch " << batch << " [" << cb
+                                    << "," << ce << ") @" << r << ","
+                                    << c;
+                    }
                 }
             }
         }
@@ -221,23 +208,25 @@ TEST(SimdKernels, FusedHalfSweepsMatchGenericWithIdenticalDraws)
     for (const simd::KernelTable *kt : simdTiers()) {
         for (const std::size_t n : {37u, 129u}) {
             const rbm::Rbm model = testModel(70, n, 7 + n);
-            const linalg::Matrix v = activityBatch(1, 70, 0.4, rng);
-            linalg::BitVector in;
-            in.packFrom(v.row(0), 70);
+            // One chain: the one-row batch a single-chain anneal sweeps.
+            const linalg::BitMatrix in =
+                packRows(activityBatch(1, 70, 0.4, rng));
 
             Rng refRng = Rng::stream(5, 0), gotRng = Rng::stream(5, 0);
-            linalg::BitVector refOut, gotOut;
-            linalg::Vector refMeans, gotMeans;
-            linalg::affineSigmoidBernoulli(gen, model.weights(), in,
-                                           model.hiddenBias(), refOut,
-                                           refMeans, refRng);
-            linalg::affineSigmoidBernoulli(*kt, model.weights(), in,
-                                           model.hiddenBias(), gotOut,
-                                           gotMeans, gotRng);
+            linalg::BitMatrix refOut, gotOut;
+            linalg::Matrix refMeans, gotMeans;
+            linalg::sampleBatch(gen, model.weights(), in,
+                                model.hiddenBias(), refOut, refMeans,
+                                &refRng);
+            linalg::sampleBatch(*kt, model.weights(), in,
+                                model.hiddenBias(), gotOut, gotMeans,
+                                &gotRng);
             ASSERT_EQ(refMeans, gotMeans) << kt->name;
             for (std::size_t j = 0; j < n; ++j)
-                ASSERT_EQ(refOut.test(j), gotOut.test(j))
+                ASSERT_EQ(refOut.test(0, j), gotOut.test(0, j))
                     << kt->name << " bit " << j;
+            // Same draws consumed: the streams stay in lockstep.
+            EXPECT_EQ(refRng.next(), gotRng.next()) << kt->name;
         }
     }
 }
@@ -358,12 +347,27 @@ TEST(SimdDispatch, EnvOverridePrecedence)
     EXPECT_EQ(simd::defaultTier(), simd::IsaTier::Generic);
     EXPECT_EQ(simd::activeTable().tier, simd::IsaTier::Generic);
 
-    // Scalar names the float pipeline: no packed table, so callers of
-    // the plain kernel overloads fall back to the generic kernels.
+    // Scalar names the float pipeline: no packed table, so
+    // activeTable() callers get the generic kernels and a backend
+    // built now carries no table at all.
+    const rbm::Rbm model = testModel(16, 8);
     ::setenv("ISINGRBM_ISA", "scalar", 1);
     EXPECT_EQ(simd::envTier(), simd::IsaTier::Scalar);
     EXPECT_EQ(simd::defaultTier(), simd::IsaTier::Scalar);
     EXPECT_EQ(simd::activeTable().tier, simd::IsaTier::Generic);
+    EXPECT_EQ(rbm::SoftwareGibbsBackend(model).kernelTable(), nullptr);
+
+    // A backend resolves the tier when it is constructed.
+    ::setenv("ISINGRBM_ISA", "generic", 1);
+    const rbm::SoftwareGibbsBackend genBackend(model);
+    ASSERT_NE(genBackend.kernelTable(), nullptr);
+    EXPECT_EQ(genBackend.kernelTable()->tier, simd::IsaTier::Generic);
+
+    ::unsetenv("ISINGRBM_ISA");
+    const rbm::SoftwareGibbsBackend autoBackend(model);
+    ASSERT_NE(autoBackend.kernelTable(), nullptr);
+    EXPECT_EQ(autoBackend.kernelTable()->tier, simd::detectedTier());
+    EXPECT_EQ(genBackend.kernelTable()->tier, simd::IsaTier::Generic);
 
     // Unknown names warn (once) and fall back to auto-detection.
     ::setenv("ISINGRBM_ISA", "sse9", 1);
@@ -371,45 +375,9 @@ TEST(SimdDispatch, EnvOverridePrecedence)
     EXPECT_EQ(simd::defaultTier(), simd::detectedTier());
 }
 
-TEST(SimdDispatch, OptionsBeatEnvAndScalarIsHonored)
-{
-    EnvGuard guard("ISINGRBM_ISA");
-
-    // Auto option defers to the env override...
-    ::setenv("ISINGRBM_ISA", "generic", 1);
-    rbm::SamplingOptions opts;
-    EXPECT_EQ(rbm::resolveIsaTier(opts), simd::IsaTier::Generic);
-
-    // ...but an explicit option outranks the env.
-    opts.isa = simd::detectedTier();
-    EXPECT_EQ(rbm::resolveIsaTier(opts), simd::detectedTier());
-
-    opts.isa = simd::IsaTier::Scalar;
-    EXPECT_EQ(rbm::resolveIsaTier(opts), simd::IsaTier::Scalar);
-
-    ::unsetenv("ISINGRBM_ISA");
-    opts.isa = simd::IsaTier::Auto;
-    EXPECT_EQ(rbm::resolveIsaTier(opts), simd::detectedTier());
-
-    // A Scalar backend carries no kernel table; any other tier does.
-    const rbm::Rbm model = testModel(16, 8);
-    rbm::SamplingOptions scalarOpts;
-    scalarOpts.isa = simd::IsaTier::Scalar;
-    const rbm::SoftwareGibbsBackend scalarBackend(model, nullptr,
-                                                  scalarOpts);
-    EXPECT_EQ(scalarBackend.isaTier(), simd::IsaTier::Scalar);
-    EXPECT_EQ(scalarBackend.kernelTable(), nullptr);
-
-    rbm::SamplingOptions genOpts;
-    genOpts.isa = simd::IsaTier::Generic;
-    const rbm::SoftwareGibbsBackend genBackend(model, nullptr, genOpts);
-    EXPECT_EQ(genBackend.isaTier(), simd::IsaTier::Generic);
-    ASSERT_NE(genBackend.kernelTable(), nullptr);
-    EXPECT_EQ(genBackend.kernelTable()->tier, simd::IsaTier::Generic);
-}
-
 TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
 {
+    EnvGuard guard("ISINGRBM_ISA");
     const rbm::Rbm model = testModel(70, 37);
     exec::ThreadPool serial(1), threaded(4);
     Rng rng(29);
@@ -417,12 +385,12 @@ TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
         const linalg::Matrix v = activityBatch(6, 70, activity, rng);
         const linalg::Matrix h0 = activityBatch(8, 37, activity, rng);
         linalg::Matrix refH, refPh, refAv, refAh;
+        linalg::Vector refCv, refCh, refCpv, refCph;
         bool first = true;
         for (const simd::IsaTier tier : backendTiers()) {
             for (exec::ThreadPool *pool : {&serial, &threaded}) {
-                rbm::SamplingOptions opts;
-                opts.isa = tier;
-                const rbm::SoftwareGibbsBackend backend(model, pool, opts);
+                ::setenv("ISINGRBM_ISA", simd::tierName(tier), 1);
+                const rbm::SoftwareGibbsBackend backend(model, pool);
                 auto rngs = streams(6, 31);
                 linalg::Matrix h, ph;
                 backend.sampleHiddenBatch(v, h, ph, rngs.data());
@@ -430,11 +398,22 @@ TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
                 linalg::Matrix ah = h0, av, pav, pah;
                 auto annealRngs = streams(8, 41);
                 backend.annealBatch(5, av, ah, pav, pah, annealRngs.data());
+
+                // A single chain: the one-row packed batch, or the
+                // float chain under Scalar.
+                linalg::Vector cv, ch(37), cpv, cph;
+                std::copy_n(h0.row(0), 37, ch.data());
+                Rng chainRng = Rng::stream(43, 0);
+                backend.anneal(5, cv, ch, cpv, cph, chainRng);
                 if (first) {
                     refH = h;
                     refPh = ph;
                     refAv = av;
                     refAh = ah;
+                    refCv = cv;
+                    refCh = ch;
+                    refCpv = cpv;
+                    refCph = cph;
                     first = false;
                 } else {
                     const char *name = simd::tierName(tier);
@@ -442,6 +421,10 @@ TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
                     EXPECT_EQ(refPh, ph) << name;
                     EXPECT_EQ(refAv, av) << name;
                     EXPECT_EQ(refAh, ah) << name;
+                    EXPECT_EQ(refCv, cv) << name;
+                    EXPECT_EQ(refCh, ch) << name;
+                    EXPECT_EQ(refCpv, cpv) << name;
+                    EXPECT_EQ(refCph, cph) << name;
                 }
             }
         }
@@ -450,6 +433,7 @@ TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
 
 TEST(SimdTrainer, CdTrainingBitIdenticalAcrossTiersAndWorkers)
 {
+    EnvGuard guard("ISINGRBM_ISA");
     Rng dataRng(47);
     data::Dataset train;
     train.name = "simd-cd";
@@ -466,11 +450,12 @@ TEST(SimdTrainer, CdTrainingBitIdenticalAcrossTiersAndWorkers)
             cfg.k = 2;
             cfg.momentum = 0.5;
             cfg.pool = pool;
-            cfg.sampling.isa = tier;
+            // Each batch's backend resolves the pinned tier.
+            ::setenv("ISINGRBM_ISA", simd::tierName(tier), 1);
             Rng rng(51);
-            rbm::CdTrainer trainer(model, cfg, rng);
-            trainer.trainEpoch(train);
-            trainer.trainEpoch(train);
+            rbm::CdTrainer trainer(model, cfg);
+            trainer.trainEpoch(train, rng);
+            trainer.trainEpoch(train, rng);
             if (first) {
                 reference = model;
                 first = false;
