@@ -1,12 +1,15 @@
 /**
  * @file
- * Frame codec implementation: little-endian put/get helpers, the
+ * Frame codec implementation: little-endian put/get helpers for the
+ * scalar header fields, one bulk-copy helper per direction for the
+ * payload arrays (packed words, float rows, labels), the
  * request/response encoders and bounds-checked decoders, and the
  * incremental FrameReader.
  */
 
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -92,12 +95,35 @@ putU64(std::string &out, std::uint64_t v)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-/** u16 length + bytes; names longer than 64 KiB do not exist here. */
+/**
+ * u16 length + bytes.  A longer string -- a status message can echo a
+ * client-chosen model name -- travels as its first 65535 bytes, so
+ * every encoded frame decodes.
+ */
 void
 putStr(std::string &out, const std::string &s)
 {
-    putU16(out, static_cast<std::uint16_t>(s.size()));
-    out.append(s);
+    const std::size_t n = std::min<std::size_t>(s.size(), 0xffff);
+    putU16(out, static_cast<std::uint16_t>(n));
+    out.append(s, 0, n);
+}
+
+/**
+ * Append a payload array in one bulk copy, little-endian on the wire
+ * whatever the host: a big-endian host byte-swaps each word in place
+ * (the loop compiles out on little-endian).  An empty array's data()
+ * may be null; append() takes that empty range without a memcpy.
+ */
+template <typename T>
+void
+putArray(std::string &out, const std::vector<T> &words)
+{
+    const std::size_t at = out.size();
+    out.append(reinterpret_cast<const char *>(words.data()),
+               words.size() * sizeof(T));
+    if constexpr (std::endian::native == std::endian::big)
+        for (std::size_t i = at; i < out.size(); i += sizeof(T))
+            std::reverse(out.begin() + i, out.begin() + i + sizeof(T));
 }
 
 void
@@ -190,6 +216,31 @@ struct Cursor
         return true;
     }
 
+    /** Copy @p n little-endian words into @p words in one bulk copy
+     *  (byte-swapped on a big-endian host).  Callers size-check the
+     *  body first by dividing, never multiplying, client dims; the
+     *  check here only guards the copy. */
+    template <typename T>
+    bool
+    getArray(std::vector<T> &words, std::size_t n)
+    {
+        if (left / sizeof(T) < n)
+            return false;
+        words.resize(n);
+        if (n == 0)
+            return true;  // data() may be null: no memcpy
+        const std::size_t bytes = n * sizeof(T);
+        std::memcpy(words.data(), p, bytes);
+        if constexpr (std::endian::native == std::endian::big) {
+            auto *b = reinterpret_cast<unsigned char *>(words.data());
+            for (std::size_t i = 0; i < bytes; i += sizeof(T))
+                std::reverse(b + i, b + i + sizeof(T));
+        }
+        p += bytes;
+        left -= bytes;
+        return true;
+    }
+
     bool
     getModelInfo(ModelInfo &info)
     {
@@ -228,13 +279,10 @@ encodeRequest(const Request &req, std::string &out)
         putU64(out, req.seed);
         putU32(out, req.rows);
         putU32(out, req.cols);
-        if (req.payload == PayloadKind::Packed) {
-            for (const std::uint64_t w : req.words)
-                putU64(out, w);
-        } else if (req.payload == PayloadKind::Float) {
-            for (const float f : req.floats)
-                putU32(out, std::bit_cast<std::uint32_t>(f));
-        }
+        if (req.payload == PayloadKind::Packed)
+            putArray(out, req.words);
+        else if (req.payload == PayloadKind::Float)
+            putArray(out, req.floats);
         // Optional trailing deadline: appended only when set, so a
         // deadline-free frame is byte-identical to the older format.
         if (req.deadlineMs != 0)
@@ -273,11 +321,9 @@ encodeResponse(const Response &res, std::string &out)
                                                         : 0;
         putU8(out, kind);
         if (kind == 1)
-            for (const float f : res.floats)
-                putU32(out, std::bit_cast<std::uint32_t>(f));
+            putArray(out, res.floats);
         else if (kind == 2)
-            for (const std::int32_t label : res.labels)
-                putU32(out, static_cast<std::uint32_t>(label));
+            putArray(out, res.labels);
         break;
       }
       case FrameType::ShutdownResponse:
@@ -357,9 +403,8 @@ decodeRequest(const char *body, std::size_t size, Request &out)
             }
             if ((c.left - (hasDeadline ? 4 : 0)) / 8 != words)
                 return false;
-            out.words.resize(static_cast<std::size_t>(words));
-            for (std::uint64_t &w : out.words)
-                c.getU64(w);
+            if (!c.getArray(out.words, static_cast<std::size_t>(words)))
+                return false;
         } else if (out.payload == PayloadKind::Float) {
             const std::uint64_t floats =
                 static_cast<std::uint64_t>(out.rows) * out.cols;
@@ -369,12 +414,8 @@ decodeRequest(const char *body, std::size_t size, Request &out)
                 hasDeadline = true;
             else if (c.left / 4 != floats)
                 return false;
-            out.floats.resize(static_cast<std::size_t>(floats));
-            for (float &f : out.floats) {
-                std::uint32_t bits = 0;
-                c.getU32(bits);
-                f = std::bit_cast<float>(bits);
-            }
+            if (!c.getArray(out.floats, static_cast<std::size_t>(floats)))
+                return false;
         } else {
             hasDeadline = c.left == 4;
         }
@@ -403,9 +444,13 @@ decodeResponse(const char *body, std::size_t size, Response &out)
     switch (out.type) {
       case FrameType::ListResponse:
       case FrameType::InfoResponse: {
+        // Every model takes at least three u16 lengths and three u32s:
+        // a count the remaining bytes cannot hold is rejected before
+        // it sizes the list (a few bytes asking for 65535 models).
+        constexpr std::size_t kMinModelInfoBytes = 3 * 2 + 3 * 4;
         std::uint16_t count = 0;
         if (!c.getU8(out.code) || !c.getStr(out.message) ||
-            !c.getU16(count))
+            !c.getU16(count) || c.left / kMinModelInfoBytes < count)
             return false;
         out.models.resize(count);
         for (ModelInfo &info : out.models)
@@ -423,23 +468,13 @@ decodeResponse(const char *body, std::size_t size, Response &out)
         if (kind == 1) {
             const std::uint64_t floats =
                 static_cast<std::uint64_t>(out.rows) * out.cols;
-            if (c.left % 4 != 0 || c.left / 4 != floats)
+            if (c.left % 4 != 0 || c.left / 4 != floats ||
+                !c.getArray(out.floats, static_cast<std::size_t>(floats)))
                 return false;
-            out.floats.resize(static_cast<std::size_t>(floats));
-            for (float &f : out.floats) {
-                std::uint32_t bits = 0;
-                c.getU32(bits);
-                f = std::bit_cast<float>(bits);
-            }
         } else if (kind == 2) {
-            if (c.left % 4 != 0 || c.left / 4 != out.rows)
+            if (c.left % 4 != 0 || c.left / 4 != out.rows ||
+                !c.getArray(out.labels, out.rows))
                 return false;
-            out.labels.resize(out.rows);
-            for (std::int32_t &label : out.labels) {
-                std::uint32_t bits = 0;
-                c.getU32(bits);
-                label = static_cast<std::int32_t>(bits);
-            }
         } else if (kind != 0) {
             return false;
         }

@@ -17,6 +17,10 @@
  * on the packed zero-copy gather path with no float round-trip on the
  * wire; float rows travel as raw IEEE-754 bytes, so served bytes are
  * bit-identical to the in-process path for either payload kind.
+ * Every payload array (packed words, float rows, response floats and
+ * labels) crosses the codec in one bulk copy each way, in little-endian
+ * wire order on any host.  Strings carry a u16 length; a longer one
+ * travels as its first 65535 bytes, so every encoded frame decodes.
  * An Infer body may end with an *optional* trailing u32 deadline_ms
  * (relative request budget; the server answers DEADLINE_EXCEEDED
  * without kernel work once it expires).  The field is appended only
@@ -34,8 +38,9 @@
  * float rows or i32 labels.
  *
  * Encoding and the incremental FrameReader are pure byte-buffer
- * transforms -- no sockets -- so the protocol round-trips under plain
- * unit tests (tests/test_net.cpp).
+ * transforms -- no sockets -- so plain unit tests pin the wire bytes
+ * and round-trip every frame type (tests/test_net.cpp), and a seeded
+ * mutation fuzzer drives the decoders (tests/test_frame_fuzz.cpp).
  */
 
 #ifndef ISINGRBM_NET_FRAME_HPP

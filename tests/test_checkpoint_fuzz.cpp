@@ -19,81 +19,18 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "alloc_probe.hpp"
 #include "rbm/serialize.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
-
-// ------------------------------------------------- allocation probe
-//
-// A replacement global operator new (and the matching deletes, so
-// sanitizers see malloc/free pairs) records the largest single request
-// while a load is armed, and refuses outright anything past a hard
-// limit, so a regression fails the test instead of exhausting memory.
-
-namespace {
-
-thread_local bool tArmed = false;
-thread_local std::size_t tLargest = 0;
-constexpr std::size_t kRefuseBytes = std::size_t{256} << 20;
-
-void *
-allocate(std::size_t n) noexcept
-{
-    if (tArmed) {
-        tLargest = std::max(tLargest, n);
-        if (n > kRefuseBytes)
-            return nullptr;
-    }
-    return std::malloc(n != 0 ? n : 1);
-}
-
-void *
-allocateOrThrow(std::size_t n)
-{
-    if (void *p = allocate(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-} // namespace
-
-void *operator new(std::size_t n) { return allocateOrThrow(n); }
-void *operator new[](std::size_t n) { return allocateOrThrow(n); }
-void *
-operator new(std::size_t n, const std::nothrow_t &) noexcept
-{
-    return allocate(n);
-}
-void *
-operator new[](std::size_t n, const std::nothrow_t &) noexcept
-{
-    return allocate(n);
-}
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
 
 using namespace ising;
 using rbm::Checkpoint;
@@ -321,21 +258,21 @@ class CheckpointFuzz : public ::testing::Test
         }
         std::string error;
         bool loaded = false;
-        tLargest = 0;
-        tArmed = true;
+        std::size_t largest = 0;
         try {
-            loaded = rbm::tryLoadCheckpointFile(path_, &error).has_value();
+            largest = alloc_probe::largestAllocation([&] {
+                loaded =
+                    rbm::tryLoadCheckpointFile(path_, &error).has_value();
+            });
         } catch (const std::exception &e) {
-            tArmed = false;
             ADD_FAILURE() << "mutant " << iteration << " escaped as '"
                           << e.what() << "'";
             return Outcome::Broken;
         }
-        tArmed = false;
-        if (tLargest > allocationBound(archive.size())) {
+        if (largest > allocationBound(archive.size())) {
             ADD_FAILURE() << "mutant " << iteration << " of "
                           << archive.size() << " bytes allocated "
-                          << tLargest << " bytes at once";
+                          << largest << " bytes at once";
             return Outcome::Broken;
         }
         if (loaded)

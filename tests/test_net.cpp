@@ -326,6 +326,165 @@ TEST(NetFrame, HugeDimsDoNotOverflowTheSizeCheck)
     EXPECT_FALSE(net::decodeResponse(body.data(), body.size(), rout));
 }
 
+namespace {
+
+/** Lower-case hex spelling of @p bytes. */
+std::string
+hexOf(const std::string &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string hex;
+    for (const char ch : bytes) {
+        const auto b = static_cast<unsigned char>(ch);
+        hex.push_back(kDigits[b >> 4]);
+        hex.push_back(kDigits[b & 15]);
+    }
+    return hex;
+}
+
+} // namespace
+
+TEST(NetFrame, WireBytesArePinned)
+{
+    // Round trips cannot see a byte-order or layout slip that the
+    // encoder and decoder share, so these literals pin the wire
+    // format itself.  Each frame must also decode and re-encode to
+    // the same bytes (the zero-row request included).
+    const auto pinRequest = [](const net::Request &req,
+                               const char *hex) {
+        std::string bytes;
+        net::encodeRequest(req, bytes);
+        EXPECT_EQ(hexOf(bytes), hex);
+        net::Request back;
+        ASSERT_TRUE(
+            net::decodeRequest(bytes.data() + 4, bytes.size() - 4, back));
+        std::string again;
+        net::encodeRequest(back, again);
+        EXPECT_EQ(again, bytes);
+    };
+    const auto pinResponse = [](const net::Response &res,
+                                const char *hex) {
+        std::string bytes;
+        net::encodeResponse(res, bytes);
+        EXPECT_EQ(hexOf(bytes), hex);
+        net::Response back;
+        ASSERT_TRUE(net::decodeResponse(bytes.data() + 4,
+                                        bytes.size() - 4, back));
+        std::string again;
+        net::encodeResponse(back, again);
+        EXPECT_EQ(again, bytes);
+    };
+
+    net::Request packed;
+    packed.type = net::FrameType::InferRequest;
+    packed.id = 7;
+    packed.op = Op::Reconstruct;
+    packed.payload = net::PayloadKind::Packed;
+    packed.model = "m";
+    packed.steps = 4;
+    packed.seed = 0x0123456789abcdefull;
+    packed.rows = 2;
+    packed.cols = 70;
+    packed.words = {0x0123456789abcdefull, 0x3full, 0xfedcba9876543210ull,
+                    0x15ull};
+    packed.deadlineMs = 250;
+    pinRequest(packed,
+               "420000000307000000030101006d04000000efcdab8967452301"
+               "0200000046000000efcdab89674523013f00000000000000"
+               "1032547698badcfe1500000000000000fa000000");
+
+    net::Request floats;
+    floats.type = net::FrameType::InferRequest;
+    floats.id = 8;
+    floats.op = Op::Featurize;
+    floats.payload = net::PayloadKind::Float;
+    floats.model = "m";
+    floats.steps = 25;
+    floats.seed = 3;
+    floats.rows = 1;
+    floats.cols = 3;
+    floats.floats = {1.5f, -0.25f, 0.1f};
+    pinRequest(floats,
+               "2a0000000308000000010201006d1900000003000000000000000100"
+               "0000030000000000c03f000080becdcccc3d");
+
+    net::Request empty;
+    empty.type = net::FrameType::InferRequest;
+    empty.id = 9;
+    empty.op = Op::Reconstruct;
+    empty.payload = net::PayloadKind::Packed;
+    empty.model = "m";
+    empty.steps = 4;
+    empty.seed = 5;
+    empty.rows = 0;
+    empty.cols = 33;
+    pinRequest(empty,
+               "1e0000000309000000030101006d0400000005000000000000000000"
+               "000021000000");
+
+    net::Response rowsOut;
+    rowsOut.type = net::FrameType::InferResponse;
+    rowsOut.id = 7;
+    rowsOut.rows = 2;
+    rowsOut.cols = 2;
+    rowsOut.floats = {1.5f, -0.25f, 0.0f, 42.0f};
+    pinResponse(rowsOut,
+                "2100000043070000000000000200000002000000010000c03f0000"
+                "80be0000000000002842");
+
+    net::Response labels;
+    labels.type = net::FrameType::InferResponse;
+    labels.id = 8;
+    labels.rows = 3;
+    labels.labels = {0, 9, -1};
+    pinResponse(labels,
+                "1d0000004308000000000000030000000000000002000000000900"
+                "0000ffffffff");
+
+    net::Response health;
+    health.type = net::FrameType::HealthResponse;
+    health.health.requests = 101;
+    health.health.rows = 404;
+    health.health.shed = 7;
+    health.health.backpressured = 3;
+    health.health.deadlineExpired = 11;
+    health.health.canaryShadows = 64;
+    health.health.canaryCleanStreak = 32;
+    health.health.canaryQuarantines = 2;
+    health.health.canaryPromotions = 1;
+    health.health.rollbacks = 5;
+    health.health.canaryState = 2;
+    health.health.lastDivergence = 0.125;
+    health.health.meanDivergence = 0.0625;
+    pinResponse(health,
+                "6300000045006500000000000000940100000000000007000000"
+                "0000000003000000000000000b000000000000004000000000"
+                "000000200000000000000002000000000000000100000000000000"
+                "050000000000000002000000000000c03f000000000000b03f");
+}
+
+TEST(NetFrame, LongStringsTravelAsTheirFirst65535Bytes)
+{
+    // A u16 length cannot describe a longer string; the encoder cuts
+    // it so the frame still decodes (a status message can echo a
+    // client-chosen model name of any length).
+    net::Response res;
+    res.type = net::FrameType::InferResponse;
+    res.id = 4;
+    res.code = net::kWireNotFound;
+    res.message.resize(70000);
+    for (std::size_t i = 0; i < res.message.size(); ++i)
+        res.message[i] = static_cast<char>('a' + i % 26);
+    std::string bytes;
+    net::encodeResponse(res, bytes);
+    net::Response back;
+    ASSERT_TRUE(
+        net::decodeResponse(bytes.data() + 4, bytes.size() - 4, back));
+    EXPECT_EQ(back.id, 4u);
+    EXPECT_EQ(back.code, net::kWireNotFound);
+    EXPECT_EQ(back.message, res.message.substr(0, 65535));
+}
+
 TEST(NetFrame, OversizedLengthPoisonsTheReader)
 {
     net::FrameReader reader(1024);
@@ -453,6 +612,40 @@ TEST_F(NetTest, ListAndInfoDescribeTheRegistry)
     info.model = "missing";
     ASSERT_TRUE(client.call(info, res));
     EXPECT_EQ(res.code, net::kWireNotFound);
+}
+
+TEST_F(NetTest, OverlongModelNameGetsADecodableNotFound)
+{
+    // The registry's NotFound message repeats the name twice, so a
+    // 40000-byte name makes an 80 KB message: the reply must still be
+    // one decodable frame, not a reply every retry resends into.
+    const std::uint16_t port = startServer();
+    net::Client client(net::Client::RetryPolicy{3, 10, 100});
+    ASSERT_TRUE(client.connect("127.0.0.1", port));
+    for (const std::size_t length :
+         {std::size_t{100}, std::size_t{40000}}) {
+        const std::string name(length, 'x');
+        net::Request info;
+        info.type = net::FrameType::InfoRequest;
+        info.model = name;
+        net::Response res;
+        ASSERT_TRUE(client.call(info, res)) << length;
+        EXPECT_EQ(res.code, net::kWireNotFound) << length;
+        EXPECT_LE(res.message.size(), 65535u);
+        EXPECT_NE(res.message.find(name.substr(0, 100)),
+                  std::string::npos);
+
+        net::Request infer;
+        infer.type = net::FrameType::InferRequest;
+        infer.id = 5;
+        infer.model = name;
+        infer.op = Op::Sample;
+        infer.rows = 1;
+        ASSERT_TRUE(client.call(infer, res)) << length;
+        EXPECT_EQ(res.id, 5u);
+        EXPECT_EQ(res.code, net::kWireNotFound) << length;
+    }
+    EXPECT_EQ(client.retries(), 0u);
 }
 
 TEST_F(NetTest, OverloadShedsWithStatusAndKeepsServing)
