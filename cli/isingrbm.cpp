@@ -24,6 +24,7 @@
  * surface (train once, read the model out, ship it to inference).
  */
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -715,6 +716,28 @@ const std::vector<util::FlagHelp> kPromoteFlags = {
                          "(default 60)"},
 };
 
+/**
+ * The one port reader (serve, loadgen, promote --live and the
+ * --port-file handshake): @p text as a TCP port, or exit 1 naming
+ * @p source.  Clients need a real port, 1-65535; serve also takes 0,
+ * the ephemeral port.  A malformed or out-of-range value never falls
+ * back or wraps, which would bind or dial a port nobody asked for.
+ */
+std::uint16_t
+parsePort(const std::string &text, const std::string &source,
+          bool allowZero)
+{
+    const long lowest = allowZero ? 0 : 1;
+    char *end = nullptr;
+    errno = 0;
+    const long port = std::strtol(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE ||
+        port < lowest || port > 65535)
+        util::fatal(util::strcat("isingrbm: ", source, " must be a port in ",
+                                 lowest, "-65535, got '", text, "'"));
+    return static_cast<std::uint16_t>(port);
+}
+
 /** --port, or the --port-file handshake: poll up to 10 s for the port
  *  a `serve --port-file` process publishes (write + rename, so a
  *  successful read is never torn). */
@@ -723,20 +746,15 @@ resolvePort(const util::CliArgs &args)
 {
     const std::string portFile = args.get("port-file", "");
     if (portFile.empty())
-        return static_cast<std::uint16_t>(
-            std::stoul(requireFlag(args, "port")));
-    long port = 0;
-    for (int attempt = 0; attempt < 200 && port == 0; ++attempt) {
+        return parsePort(requireFlag(args, "port"), "--port", false);
+    for (int attempt = 0; attempt < 200; ++attempt) {
         std::ifstream file(portFile);
-        if (!(file >> port) || port <= 0) {
-            port = 0;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-        }
+        std::string text;
+        if (file >> text)
+            return parsePort(text, "the port in " + portFile, false);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    if (port == 0)
-        util::fatal("isingrbm: no port appeared in " + portFile);
-    return static_cast<std::uint16_t>(port);
+    util::fatal("isingrbm: no port appeared in " + portFile);
 }
 
 /**
@@ -1086,10 +1104,12 @@ cmdServe(const util::CliArgs &args)
                     kServeFlags))
         return 0;
     util::installShutdownHandler();
-    engine::ModelRegistry registry(requireFlag(args, "registry"));
     net::NetConfig config;
+    config.port =
+        args.has("port") ? parsePort(args.get("port", ""), "--port", true)
+                         : 0;
+    engine::ModelRegistry registry(requireFlag(args, "registry"));
     config.bindAddress = args.get("bind", "127.0.0.1");
-    config.port = static_cast<std::uint16_t>(args.getInt("port", 0));
     config.maxPendingRows = sizeFlag(args, "max-pending-rows", 4096);
     config.maxConnections = sizeFlag(args, "max-connections", 256);
     config.idleTimeoutMs =
@@ -1272,8 +1292,11 @@ cmdLoadgen(const util::CliArgs &args)
     config.hitPct = static_cast<int>(args.getInt("hit-pct", 0));
     config.warmCount = sizeFlag(args, "warm", 16);
     config.packedPayload = !args.has("float-payload");
-    config.deadlineMs =
-        static_cast<std::uint32_t>(args.getInt("deadline-ms", 0));
+    const long deadlineMs = args.getInt("deadline-ms", 0);
+    if (deadlineMs < 0 || deadlineMs > 4294967295L)
+        util::fatal(util::strcat("isingrbm: --deadline-ms must be in "
+                                 "0-4294967295, got ", deadlineMs));
+    config.deadlineMs = static_cast<std::uint32_t>(deadlineMs);
     const std::string outPath = args.get("out", "");
     config.keepResponses = !outPath.empty();
     config.port = resolvePort(args);

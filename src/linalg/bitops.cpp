@@ -2,11 +2,10 @@
  * @file
  * Packed kernel implementations.
  *
- * The tiling, probing and latch logic lives here at the baseline ISA;
- * the per-row accumulate and popcount inner loops route through the
- * caller's simd::KernelTable, so that table's tier runs them.  Set-bit
- * iteration is branchless via countr_zero over the packed words in
- * every tier.
+ * The shape checks, bias fill, packing and latch logic live here; the
+ * tiled accumulate walk and the popcount loops route through the
+ * caller's simd::KernelTable, whose tier compiled them (see
+ * linalg/kernel_bodies.hpp).
  */
 
 #include "linalg/bitops.hpp"
@@ -18,49 +17,6 @@
 #include "util/math.hpp"
 
 namespace ising::linalg {
-
-namespace {
-
-/**
- * Column block one accumulate call covers.  The accumulate loops are
- * latency-bound on the add chain per output lane, so the explicit
- * tiers hold the block in vector registers for the whole call rather
- * than round-tripping through the output row every add; 128 floats
- * rotate the chain across eight 512-bit registers.
- */
-constexpr std::size_t kColBlock = 128;
-
-/**
- * act rows [rowBegin, rowEnd) x columns [colBegin, colEnd) += masked
- * row sums of w, tiled (column block x one input word x chains): the
- * 64 x kColBlock W tile of a word, ~32 KB, stays L1-hot across every
- * chain, so the row adds do not re-read W per chain.  The kernel adds
- * into the act row in place, and a chain whose word is zero is
- * skipped: at low activity many (chain, word) pairs are empty, and
- * each then costs one test instead of a kernel call.  Addition order
- * per (chain, column) is ascending input unit regardless of the
- * tiling.
- */
-void
-addMaskedRowsTiled(const simd::KernelTable &kt, const Matrix &w,
-                   const BitMatrix &in, Matrix &act, std::size_t rowBegin,
-                   std::size_t rowEnd, std::size_t colBegin,
-                   std::size_t colEnd)
-{
-    const std::size_t words = bitWords(w.rows());
-    const std::size_t stride = w.cols();
-    for (std::size_t jb = colBegin; jb < colEnd; jb += kColBlock) {
-        const std::size_t jl = std::min(colEnd, jb + kColBlock) - jb;
-        const float *wBase = w.data() + jb;
-        for (std::size_t wi = 0; wi < words; ++wi)
-            for (std::size_t r = rowBegin; r < rowEnd; ++r)
-                if (in.row(r)[wi] != 0)
-                    kt.addMaskedRows(wBase, stride, in.row(r), wi, wi + 1,
-                                     act.row(r) + jb, jl);
-    }
-}
-
-} // namespace
 
 void
 copyBits(std::uint64_t *dst, std::size_t dstBit,
@@ -145,8 +101,9 @@ accumulateBatchTile(const simd::KernelTable &kt, const Matrix &w,
         for (std::size_t j = colBegin; j < colEnd; ++j)
             arow[j] = b[j];
     }
-    addMaskedRowsTiled(kt, w, in, act, rowBegin, rowEnd, colBegin,
-                       colEnd);
+    kt.accumulateTile(w.data(), w.cols(), in.row(0), in.wordsPerRow(),
+                      act.data(), act.cols(), rowBegin, rowEnd, colBegin,
+                      colEnd);
 }
 
 void

@@ -54,14 +54,14 @@ bool isBinary01(const Matrix &m);
  * [colBegin, colEnd)) of the set input bits of row r, added in
  * ascending input-unit order -- conditional row adds over packed
  * words in place of the float multiply-accumulate of affineSigmoid.
- * w is (p x q), in holds p packed inputs per row.  The traversal is
- * cache-tiled over blocks of input units so a W block is reused
- * across all chains in the tile, and a chain whose input word is zero
- * costs one test for that word, so the walk's cost follows the set
- * bits at any activity.  Per (chain, j) the addition order is still
- * ascending input unit, preserving the reproducibility contract.  act
- * must be pre-sized (in.rows() x w.cols()); only the addressed tile is
- * written.
+ * w is (p x q), in holds p packed inputs per row.  After the bias
+ * fill the whole tile is one KernelTable::accumulateTile call, which
+ * walks W in (column block x input word) tiles reused across all
+ * chains; a chain whose input word is zero costs one test for that
+ * word, so the walk's cost follows the set bits at any activity.  Per
+ * (chain, j) the addition order is still ascending input unit,
+ * preserving the reproducibility contract.  act must be pre-sized
+ * (in.rows() x w.cols()); only the addressed tile is written.
  */
 void accumulateBatchTile(const simd::KernelTable &kt, const Matrix &w,
                          const BitMatrix &in, const Vector &b, Matrix &act,

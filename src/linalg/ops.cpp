@@ -53,22 +53,6 @@ gemv(const Matrix &w, const Vector &h, const Vector &b, Vector &y)
 }
 
 void
-rank1Update(Matrix &w, float alpha, const Vector &v, const Vector &h)
-{
-    const std::size_t m = w.rows(), n = w.cols();
-    assert(v.size() == m && h.size() == n);
-    const float *hd = h.data();
-    for (std::size_t i = 0; i < m; ++i) {
-        const float av = alpha * v[i];
-        if (av == 0.0f)
-            continue;
-        float *wrow = w.row(i);
-        for (std::size_t j = 0; j < n; ++j)
-            wrow[j] += av * hd[j];
-    }
-}
-
-void
 affineSigmoid(const Matrix &x, const float *in, const Vector &b,
               Vector &out)
 {
@@ -113,30 +97,6 @@ transposeInto(const Matrix &src, Matrix &dst)
 }
 
 void
-gemm(const Matrix &a, const Matrix &b, Matrix &c)
-{
-    const std::size_t p = a.rows(), q = a.cols(), r = b.cols();
-    assert(b.rows() == q);
-    c.reset(p, r, 0.0f);
-    // Dense-float operands take every row: the zero-skip branch only
-    // pays off for binary inputs, which the packed kernels in
-    // bitops.hpp own outright.
-    constexpr std::size_t kBlock = 64;
-    for (std::size_t kb = 0; kb < q; kb += kBlock) {
-        const std::size_t kEnd = std::min(q, kb + kBlock);
-        for (std::size_t i = 0; i < p; ++i) {
-            float *crow = c.row(i);
-            for (std::size_t k = kb; k < kEnd; ++k) {
-                const float aik = a(i, k);
-                const float *brow = b.row(k);
-                for (std::size_t j = 0; j < r; ++j)
-                    crow[j] += aik * brow[j];
-            }
-        }
-    }
-}
-
-void
 axpy(float alpha, const Vector &x, Vector &y)
 {
     assert(x.size() == y.size());
@@ -152,16 +112,6 @@ axpy(float alpha, const Matrix &x, Matrix &y)
     float *yd = y.data();
     for (std::size_t i = 0; i < x.size(); ++i)
         yd[i] += alpha * xd[i];
-}
-
-double
-dot(const Vector &a, const Vector &b)
-{
-    assert(a.size() == b.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        acc += static_cast<double>(a[i]) * b[i];
-    return acc;
 }
 
 double
@@ -181,43 +131,6 @@ sum(const Matrix &m)
     for (std::size_t i = 0; i < m.size(); ++i)
         acc += d[i];
     return acc;
-}
-
-double
-normSquared(const Matrix &m)
-{
-    double acc = 0.0;
-    const float *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        acc += static_cast<double>(d[i]) * d[i];
-    return acc;
-}
-
-double
-normSquared(const Vector &v)
-{
-    double acc = 0.0;
-    for (float x : v)
-        acc += static_cast<double>(x) * x;
-    return acc;
-}
-
-void
-softmaxInPlace(float *v, std::size_t n)
-{
-    if (n == 0)
-        return;
-    float m = v[0];
-    for (std::size_t i = 1; i < n; ++i)
-        m = std::max(m, v[i]);
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < n; ++i) {
-        v[i] = std::exp(v[i] - m);
-        acc += v[i];
-    }
-    const float inv = 1.0f / acc;
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] *= inv;
 }
 
 double

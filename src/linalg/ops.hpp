@@ -1,8 +1,8 @@
 /**
  * @file
  * Dense kernels used by the RBM trainers and behavioral accelerator
- * models: matrix-vector products in both orientations, rank-1 updates,
- * reductions and elementwise maps.
+ * models: matrix-vector products in both orientations, the affine
+ * sigmoid, transposes, reductions and elementwise maps.
  *
  * All kernels operate on the row-major containers from matrix.hpp.
  */
@@ -31,9 +31,6 @@ void gemvT(const Matrix &w, const Vector &x, const Vector &b, Vector &y);
  */
 void gemv(const Matrix &w, const Vector &h, const Vector &b, Vector &y);
 
-/** W += alpha * v h^T (rank-1 update on an (m x n) matrix). */
-void rank1Update(Matrix &w, float alpha, const Vector &v, const Vector &h);
-
 /**
  * out = sigmoid(b + X^T x) where X is (p x q), x length p, out/b
  * length q.
@@ -50,23 +47,13 @@ void affineSigmoid(const Matrix &x, const float *in, const Vector &b,
 /** dst = src^T with a cache-blocked traversal (reuses dst storage). */
 void transposeInto(const Matrix &src, Matrix &dst);
 
-/** C = A * B with (p x q) * (q x r) blocked triple loop. */
-void gemm(const Matrix &a, const Matrix &b, Matrix &c);
-
 /** y += alpha * x elementwise. */
 void axpy(float alpha, const Vector &x, Vector &y);
 void axpy(float alpha, const Matrix &x, Matrix &y);
 
-/** Dot product. */
-double dot(const Vector &a, const Vector &b);
-
 /** Sum of all entries. */
 double sum(const Vector &v);
 double sum(const Matrix &m);
-
-/** Squared Frobenius norm. */
-double normSquared(const Matrix &m);
-double normSquared(const Vector &v);
 
 /**
  * Elementwise transform in place.  Header templates so the functor
@@ -91,9 +78,6 @@ apply(Matrix &m, Fn &&fn)
     for (std::size_t i = 0; i < m.size(); ++i)
         d[i] = fn(d[i]);
 }
-
-/** Numerically stable in-place softmax over a buffer. */
-void softmaxInPlace(float *v, std::size_t n);
 
 /** Maximum absolute difference between two matrices (shape-checked). */
 double maxAbsDiff(const Matrix &a, const Matrix &b);

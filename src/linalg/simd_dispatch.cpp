@@ -1,22 +1,20 @@
 /**
  * @file
- * Generic reference kernels, CPUID probing and tier selection.
+ * The generic kernel table, CPUID probing and tier selection.
  *
- * The generic kernels here are the portable baseline every SIMD tier
- * must match byte-for-byte; the AVX2/AVX-512 tables live in their own
- * translation units (kernels_avx2.cpp / kernels_avx512.cpp) compiled
- * with the matching -m flags and are linked in only when the compiler
- * supports those flags (ISINGRBM_SIMD_AVX2 / ISINGRBM_SIMD_AVX512).
- * The gradient reduce and popcount of every table, this one included,
- * are the one body in popcount_kernels.hpp.
+ * The generic table is the kernel bodies of kernel_bodies.hpp compiled
+ * at this file's flags: the baseline ISA, or -march=native in a native
+ * build.  The AVX2/AVX-512 tables compile the same bodies in their own
+ * translation units (kernels_avx2.cpp / kernels_avx512.cpp) with the
+ * matching -m flags and are linked in only when the compiler supports
+ * those flags (ISINGRBM_SIMD_AVX2 / ISINGRBM_SIMD_AVX512).
  */
 
 #include "linalg/simd_dispatch.hpp"
 
-#include <bit>
 #include <cstdlib>
 
-#include "linalg/popcount_kernels.hpp"
+#include "linalg/kernel_bodies.hpp"
 #include "util/logging.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -28,37 +26,8 @@ namespace ising::linalg::simd {
 
 namespace {
 
-// ------------------------------------------------------------ generic tier
-
-void
-addMaskedRowsGeneric(const float *w, std::size_t stride,
-                     const std::uint64_t *words, std::size_t wordBegin,
-                     std::size_t wordEnd, float *__restrict acc,
-                     std::size_t colLen)
-{
-    for (std::size_t wi = wordBegin; wi < wordEnd; ++wi) {
-        std::uint64_t word = words[wi];
-        const std::size_t base = wi * 64;
-        while (word) {
-            const std::size_t i =
-                base + static_cast<std::size_t>(std::countr_zero(word));
-            word &= word - 1;  // clear lowest set bit: ascending order
-            const float *__restrict wrow = w + i * stride;
-            if (colLen == 128) {
-                // The hot full-block shape: a fixed trip count lets the
-                // compiler unroll over the whole accumulator.
-                for (std::size_t j = 0; j < 128; ++j)
-                    acc[j] += wrow[j];
-            } else {
-                for (std::size_t j = 0; j < colLen; ++j)
-                    acc[j] += wrow[j];
-            }
-        }
-    }
-}
-
 const KernelTable kGenericTable = {
-    IsaTier::Generic,   "generic",          addMaskedRowsGeneric,
+    IsaTier::Generic,   "generic",          accumulateTileBody,
     outerCountDiffBody, popcountWordsBody,
 };
 

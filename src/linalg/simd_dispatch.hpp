@@ -2,26 +2,25 @@
  * @file
  * Runtime ISA dispatch for the packed Gibbs hot kernels.
  *
- * The library ships one portable binary: the generic kernels compile
- * at the baseline ISA, explicit AVX2 and AVX-512 variants compile in
- * their own translation units behind -mavx2 / -mavx512f -mavx512bw
- * -mavx512vpopcntdq, and a CPUID probe picks the highest tier the
- * host can actually run the first time a kernel is needed.  The
- * function-pointer table moves time, never results.
+ * The library ships one portable binary.  Every tier's table holds
+ * the same portable kernel bodies (kernel_bodies.hpp), each compiled
+ * in its own translation unit under that tier's flags: the baseline
+ * ISA (or -march=native) for generic, -mavx2 for AVX2, -mavx512f
+ * -mavx512bw -mavx512vpopcntdq for AVX-512.  A CPUID probe picks the
+ * highest tier the host can actually run the first time a kernel is
+ * needed.  The function-pointer table moves time, never results.
  *
- * Bit-reproducibility bounds what the SIMD variants may do (see
- * linalg/bitops.hpp for the full contract): per output lane the float
- * additions must run in ascending input-unit order, so the accumulate
- * kernels vectorize *across* output lanes only -- each lane performs
- * the exact scalar addition sequence -- and never use FMA, horizontal
- * adds or any cross-input reassociation.  The AND-popcount gradient
- * reduce is exact integer arithmetic, order-independent by
- * construction, so it needs no hand kernel: every tier's table holds
- * the one portable body of popcount_kernels.hpp compiled under that
- * tier's flags (VPOPCNTQ along the hidden axis on AVX-512).  The
- * sigmoid + Bernoulli latch consumes one RNG draw per unit in
- * ascending order and therefore stays scalar common code outside this
- * table.  Every tier is byte-identical to the generic reference.
+ * Bit-reproducibility bounds what the compiler may do with those
+ * bodies (see linalg/bitops.hpp for the full contract): per output
+ * lane the float additions run in ascending input-unit order, so the
+ * accumulate vectorizes *across* output lanes only -- each lane
+ * performs the exact scalar addition sequence -- and no FMA,
+ * horizontal add or reassociation enters the sum.  The AND-popcount gradient reduce
+ * is exact integer arithmetic, order-independent by construction
+ * (VPOPCNTQ along the hidden axis on AVX-512).  The sigmoid +
+ * Bernoulli latch consumes one RNG draw per unit in ascending order
+ * and therefore stays scalar common code outside this table.  Every
+ * tier is byte-identical to the generic reference.
  *
  * Tier selection is made here and nowhere above: the CPUID probe,
  * unless the ISINGRBM_ISA environment variable names a tier this host
@@ -53,9 +52,10 @@ const char *tierName(IsaTier tier);
 bool tierFromName(const std::string &name, IsaTier &out);
 
 /**
- * One tier's kernel entry points.  All kernels take raw pointers and
- * strides so the per-ISA translation units never instantiate inline
- * header code with external linkage (whose comdat copies could
+ * One tier's kernel entry points: the bodies of kernel_bodies.hpp
+ * compiled under that tier's flags.  All kernels take raw pointers
+ * and strides so the per-ISA translation units never instantiate
+ * inline header code with external linkage (whose comdat copies could
  * otherwise leak wider ISA instructions into portable functions at
  * link time).
  */
@@ -65,16 +65,19 @@ struct KernelTable
     const char *name;
 
     /**
-     * acc[0..colLen) += the w rows of the set bits in words
-     * [wordBegin, wordEnd), ascending.  Row i of w starts at
-     * w + i * stride (callers pre-offset w by the column base).  The
-     * additions per lane run in ascending set-bit order -- the
-     * reproducibility-contract sequence.
+     * act(r, j) += the w rows of the set input bits of row r, in
+     * ascending input-unit order, for chains r in [rowBegin, rowEnd)
+     * and columns j in [colBegin, colEnd).  Row i of w starts at
+     * w + i * wStride, row r of the packed input at in + r * inWords,
+     * row r of act at act + r * actStride.  The additions per lane
+     * run in ascending set-bit order -- the reproducibility-contract
+     * sequence.
      */
-    void (*addMaskedRows)(const float *w, std::size_t stride,
-                          const std::uint64_t *words,
-                          std::size_t wordBegin, std::size_t wordEnd,
-                          float *acc, std::size_t colLen);
+    void (*accumulateTile)(const float *w, std::size_t wStride,
+                           const std::uint64_t *in, std::size_t inWords,
+                           float *act, std::size_t actStride,
+                           std::size_t rowBegin, std::size_t rowEnd,
+                           std::size_t colBegin, std::size_t colEnd);
 
     /**
      * out(i, j) = popcount(a_i & b_j) - popcount(c_i & d_j) for rows

@@ -6,6 +6,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -68,8 +69,12 @@ CliArgs::getInt(const std::string &name, long dflt) const
         return dflt;
     }
     char *end = nullptr;
+    errno = 0;
     const long v = std::strtol(it->second.c_str(), &end, 10);
-    if (!end || *end != '\0') {
+    // strtol saturates an out-of-range value to LONG_MIN/LONG_MAX and
+    // flags ERANGE; a silently clamped value is as wrong as a
+    // malformed one.
+    if (!end || *end != '\0' || errno == ERANGE) {
         warn(strcat("cli: malformed integer '", it->second, "' for --",
                     name, "; using default ", dflt));
         return dflt;

@@ -135,13 +135,22 @@ run_step(${CLI} eval --registry ${WORK} --model smoke
 # boundaries, driven by the ISINGRBM_FAULTS environment DSL.
 
 # Variant of run_step for steps that are *supposed* to exit non-zero
-# (rolled-back promotes exit 2, rejected candidates exit 1).
+# (rolled-back promotes exit 2, rejected candidates exit 1).  STDERR
+# <regex> also requires that message, for a code another failure could
+# produce too; TIMEOUT <s> bounds a step that would run on (a server
+# that accepted a flag it should have refused).
 function(run_step_expect expected)
-  execute_process(COMMAND ${ARGN}
+  cmake_parse_arguments(PARSE_ARGV 1 opt "" "STDERR;TIMEOUT" "")
+  set(timeout)
+  if(opt_TIMEOUT)
+    set(timeout TIMEOUT ${opt_TIMEOUT})
+  endif()
+  execute_process(COMMAND ${opt_UNPARSED_ARGUMENTS}
+                  ${timeout}
                   RESULT_VARIABLE code
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
-  string(JOIN " " pretty ${ARGN})
+  string(JOIN " " pretty ${opt_UNPARSED_ARGUMENTS})
   message(STATUS "cli_smoke (expect exit ${expected}): ${pretty}")
   if(out)
     message(STATUS "${out}")
@@ -149,6 +158,10 @@ function(run_step_expect expected)
   if(NOT code EQUAL expected)
     message(FATAL_ERROR "cli_smoke: '${pretty}' exited ${code}, "
                         "expected ${expected}: ${err}")
+  endif()
+  if(opt_STDERR AND NOT err MATCHES "${opt_STDERR}")
+    message(FATAL_ERROR "cli_smoke: '${pretty}' exited ${code} without "
+                        "'${opt_STDERR}' on stderr: ${err}")
   endif()
 endfunction()
 
@@ -333,6 +346,21 @@ run_step(${CLI} serve-bench --registry ${WORK} --model smoke
 run_step(${CMAKE_COMMAND} -E compare_files
          ${WORK}/serve-cache.txt
          ${WORK}/serve-nocache.txt)
+
+# ---------------------------------------------------------------------
+# Untrusted CLI values: a port or deadline out of its range exits 1
+# naming the flag, before anything binds or dials.  Unchecked, --port
+# 70000 would wrap to 4464 (serve binding it, loadgen dialing it),
+# --port abc would abort on an uncaught exception, and --deadline-ms
+# -1 would send a 4294967295 ms deadline.
+run_step_expect(1 ${CLI} loadgen --model smoke --port abc
+                STDERR "--port must be a port in 1-65535")
+run_step_expect(1 ${CLI} loadgen --model smoke --port 70000
+                STDERR "--port must be a port in 1-65535")
+run_step_expect(1 ${CLI} serve --registry ${WORK} --port 70000
+                TIMEOUT 30 STDERR "--port must be a port in 0-65535")
+run_step_expect(1 ${CLI} loadgen --model smoke --port 1
+                --deadline-ms -1 STDERR "--deadline-ms must be in")
 
 # ---------------------------------------------------------------------
 # Networked serving legs: a real serve process on an ephemeral port, a

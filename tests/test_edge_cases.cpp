@@ -126,13 +126,6 @@ TEST(EdgeCases, RunningStatsSingleValue)
     EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(EdgeCases, SoftmaxSingleEntry)
-{
-    float v[1] = {42.0f};
-    linalg::softmaxInPlace(v, 1);
-    EXPECT_FLOAT_EQ(v[0], 1.0f);
-}
-
 TEST(EdgeCases, GemvEmptyBias)
 {
     // Zero-sized hidden layer: projections produce empty outputs

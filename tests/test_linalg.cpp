@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "linalg/matrix.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/stats.hpp"
@@ -112,57 +110,6 @@ TEST(Ops, GemvOrientationsAgreeViaTranspose)
         EXPECT_NEAR(viaT[j], viaPlain[j], 1e-4);
 }
 
-TEST(Ops, Rank1UpdateMatchesNaive)
-{
-    Rng rng(6);
-    Matrix w = randomMatrix(5, 4, rng);
-    const Matrix before = w;
-    const Vector v = randomVector(5, rng);
-    const Vector h = randomVector(4, rng);
-    rank1Update(w, 0.5f, v, h);
-    for (std::size_t i = 0; i < 5; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            ASSERT_NEAR(w(i, j), before(i, j) + 0.5f * v[i] * h[j], 1e-5);
-}
-
-TEST(Ops, GemmMatchesNaive)
-{
-    Rng rng(7);
-    const Matrix a = randomMatrix(5, 8, rng);
-    const Matrix b = randomMatrix(8, 6, rng);
-    Matrix c;
-    gemm(a, b, c);
-    for (std::size_t i = 0; i < 5; ++i) {
-        for (std::size_t j = 0; j < 6; ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < 8; ++k)
-                acc += static_cast<double>(a(i, k)) * b(k, j);
-            ASSERT_NEAR(c(i, j), acc, 1e-4);
-        }
-    }
-}
-
-TEST(Ops, GemmIdentity)
-{
-    Rng rng(8);
-    const Matrix a = randomMatrix(6, 6, rng);
-    Matrix eye(6, 6);
-    for (std::size_t i = 0; i < 6; ++i)
-        eye(i, i) = 1.0f;
-    Matrix c;
-    gemm(a, eye, c);
-    EXPECT_LT(maxAbsDiff(a, c), 1e-6);
-}
-
-TEST(Ops, DotAndNorm)
-{
-    Vector a(3), b(3);
-    a[0] = 1; a[1] = 2; a[2] = 3;
-    b[0] = 4; b[1] = -5; b[2] = 6;
-    EXPECT_NEAR(dot(a, b), 4 - 10 + 18, 1e-9);
-    EXPECT_NEAR(normSquared(a), 14.0, 1e-9);
-}
-
 TEST(Ops, SumMatrixAndVector)
 {
     Matrix m(2, 3, 2.0f);
@@ -177,26 +124,6 @@ TEST(Ops, AxpyBehaves)
     axpy(3.0f, x, y);
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_FLOAT_EQ(y[i], 5.0f);
-}
-
-TEST(Ops, SoftmaxNormalizesAndOrders)
-{
-    float v[4] = {1.0f, 2.0f, 3.0f, 4.0f};
-    softmaxInPlace(v, 4);
-    float total = 0.0f;
-    for (float x : v)
-        total += x;
-    EXPECT_NEAR(total, 1.0f, 1e-5);
-    EXPECT_LT(v[0], v[1]);
-    EXPECT_LT(v[2], v[3]);
-}
-
-TEST(Ops, SoftmaxStableForHugeInputs)
-{
-    float v[2] = {1000.0f, 1000.0f};
-    softmaxInPlace(v, 2);
-    EXPECT_NEAR(v[0], 0.5f, 1e-5);
-    EXPECT_FALSE(std::isnan(v[1]));
 }
 
 TEST(Ops, ApplyTransformsEveryEntry)

@@ -1,15 +1,20 @@
 /**
  * @file
- * SIMD kernel tiers: byte-identity of every explicit tier against the
- * generic reference kernels, and the CPUID/env/options dispatch rules.
+ * SIMD kernel tiers: every tier against the float reference and the
+ * generic tier, and the CPUID/env dispatch rules.
  *
- *  - each compiled-in tier the host can run (AVX2, AVX-512) reproduces
- *    the generic kernel bit for bit, kernel by kernel, on ragged
- *    shapes (column widths 1..129 crossing the 128-wide accumulator
- *    block and the 8/16-lane vector tails, word counts 1..18 crossing
- *    every word group of the shared reduce body), for single chains
- *    (one-row batches) as well as deep batches, and at every input
- *    activity from an empty batch to a saturated one;
+ *  - every tier this host can run (generic, AVX2, AVX-512) reproduces
+ *    the float pre-activation of linalg::gemvT bit for bit on ragged
+ *    shapes (column widths 1..129 crossing the column block of every
+ *    build -- 32 on the SSE2 baseline, 128 with AVX -- and the vector
+ *    tails), for single chains (one-row batches) as well as deep
+ *    batches, and at every input activity from an empty batch to a
+ *    saturated one.  All tiers compile one kernel source, so a bug in
+ *    it would pass a tier-against-generic comparison; the float
+ *    reference does not share that source;
+ *  - the fused half-sweep and the gradient reduce of each SIMD tier
+ *    match the generic tier (word counts 1..18 crossing every word
+ *    group of the shared reduce body);
  *  - the dispatcher's table() / detectedTier() / envTier() /
  *    defaultTier() invariants hold, including the ISINGRBM_ISA env
  *    override that a SoftwareGibbsBackend resolves at construction;
@@ -28,6 +33,7 @@
 
 #include "exec/thread_pool.hpp"
 #include "linalg/bitops.hpp"
+#include "linalg/ops.hpp"
 #include "rbm/cd_trainer.hpp"
 #include "rbm/sampling_backend.hpp"
 
@@ -128,8 +134,9 @@ class EnvGuard
 };
 
 /** Column widths crossing every vector-tail case: sub-lane, one ymm
- *  lane, one zmm lane, odd tails on both, and the 128-wide fixed
- *  accumulator block with a one-column overhang. */
+ *  lane, one zmm lane, odd tails on both, the SSE2 baseline's 32-wide
+ *  column block with overhangs, and the 128-wide AVX block with a
+ *  one-column overhang. */
 const std::size_t kWidths[] = {1, 7, 8, 16, 37, 64, 70, 127, 128, 129};
 
 /**
@@ -155,41 +162,49 @@ activityLevels(std::size_t rows, std::size_t cols, Rng &rng)
 
 } // namespace
 
-TEST(SimdKernels, BatchTilesMatchGenericAcrossColumnRanges)
+TEST(SimdKernels, BatchTilesMatchFloatGemvTAcrossColumnRanges)
 {
-    const simd::KernelTable &gen = *simd::table(simd::IsaTier::Generic);
+    std::vector<const simd::KernelTable *> tiers = {
+        simd::table(simd::IsaTier::Generic)};
+    for (const simd::KernelTable *kt : simdTiers())
+        tiers.push_back(kt);
     Rng rng(13);
     // (input units, chains): a five-chain batch, and single chains --
     // a lone chain sweeps as a one-row batch -- over one word, a
     // ragged second word and a ragged third word of inputs.
     const std::pair<std::size_t, std::size_t> shapes[] = {
         {70, 5}, {1, 1}, {67, 1}, {129, 1}};
-    for (const simd::KernelTable *kt : simdTiers()) {
-        for (const auto &[m, batch] : shapes) {
-            for (const std::size_t n : kWidths) {
-                const rbm::Rbm model = testModel(m, n, 5 + m + n);
-                // Column splits crossing the 128-wide accumulator block
-                // boundary and sub-block ranges.
-                std::vector<std::pair<std::size_t, std::size_t>> ranges = {
-                    {0, n}};
-                if (n > 2)
-                    ranges.push_back({n / 3, n - 1});
-                if (n > 128)
-                    ranges.push_back({100, n});
-                for (const linalg::Matrix &v :
-                     activityLevels(batch, m, rng)) {
-                    const linalg::BitMatrix bits = packRows(v);
+    for (const auto &[m, batch] : shapes) {
+        for (const std::size_t n : kWidths) {
+            const rbm::Rbm model = testModel(m, n, 5 + m + n);
+            // Column splits crossing the column block boundaries and
+            // sub-block ranges.
+            std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+                {0, n}};
+            if (n > 2)
+                ranges.push_back({n / 3, n - 1});
+            if (n > 128)
+                ranges.push_back({100, n});
+            for (const linalg::Matrix &v : activityLevels(batch, m, rng)) {
+                const linalg::BitMatrix bits = packRows(v);
+                // The float reference: per chain, the bias plus the
+                // weight rows of the set inputs in ascending order.
+                std::vector<linalg::Vector> ref(batch);
+                for (std::size_t r = 0; r < batch; ++r) {
+                    linalg::Vector x(m);
+                    std::copy_n(v.row(r), m, x.data());
+                    linalg::gemvT(model.weights(), x, model.hiddenBias(),
+                                  ref[r]);
+                }
+                for (const simd::KernelTable *kt : tiers) {
                     for (const auto &[cb, ce] : ranges) {
-                        linalg::Matrix ref(batch, n), got(batch, n);
-                        linalg::accumulateBatchTile(
-                            gen, model.weights(), bits, model.hiddenBias(),
-                            ref, 0, batch, cb, ce);
+                        linalg::Matrix got(batch, n);
                         linalg::accumulateBatchTile(
                             *kt, model.weights(), bits, model.hiddenBias(),
                             got, 0, batch, cb, ce);
                         for (std::size_t r = 0; r < batch; ++r)
                             for (std::size_t c = cb; c < ce; ++c)
-                                ASSERT_EQ(ref(r, c), got(r, c))
+                                ASSERT_EQ(ref[r][c], got(r, c))
                                     << kt->name << " " << m << "x" << n
                                     << " batch " << batch << " [" << cb
                                     << "," << ce << ") @" << r << ","

@@ -67,10 +67,15 @@ TEST(Cli, BooleanFlags)
 TEST(Cli, DefaultsWhenMissingOrMalformed)
 {
     Argv a({"prog", "--count", "notanumber", "--nan", "nan", "--inf",
-            "inf", "--neg-inf", "-inf"});
+            "inf", "--neg-inf", "-inf", "--huge", "99999999999999999999",
+            "--neg-huge", "-99999999999999999999"});
     CliArgs args(a.argc(), a.argv());
     EXPECT_EQ(args.getInt("count", 42), 42);
     EXPECT_EQ(args.getInt("missing", -1), -1);
+    // Past the range of long, strtol saturates and flags ERANGE: a
+    // clamped value would pass for a real one.
+    EXPECT_EQ(args.getInt("huge", 7), 7);
+    EXPECT_EQ(args.getInt("neg-huge", 7), 7);
     EXPECT_DOUBLE_EQ(args.getDouble("missing", 1.5), 1.5);
     // strtod parses these, but a non-finite threshold would switch off
     // every gate compared against it.
