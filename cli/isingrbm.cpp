@@ -6,14 +6,14 @@
  *   isingrbm sample      draw fantasy samples from a checkpoint
  *   isingrbm eval        featurize + classifier-head (or exact
  *                        free-energy) accuracy of a checkpoint
+ *   isingrbm serve       epoll network front end over the batched
+ *                        server
+ *   isingrbm loadgen     open-loop Poisson load client
  *   isingrbm serve-bench drive the batched inference server and report
  *                        throughput
- *   isingrbm serve-loop  continuously probe a registry model while it
- *                        is being retrained/promoted underneath,
- *                        proving online bit-reproducibility
- *   isingrbm promote     canary-gate a candidate checkpoint and
- *                        hot-swap it into a registry on pass
- *                        (--live drives a running serve --canary
+ *   isingrbm promote     replay a seeded probe through the canary gate
+ *                        and hot-swap the candidate into a registry on
+ *                        pass (--live watches a running serve --canary
  *                        process's live-traffic gate instead)
  *   isingrbm list        list a registry's checkpoints (--verify
  *                        round-trips each archive)
@@ -26,19 +26,18 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <thread>
 
 #include "data/ratings.hpp"
 #include "data/registry.hpp"
-#include "engine/promote.hpp"
 #include "engine/server.hpp"
 #include "eval/classifier.hpp"
 #include "eval/pipelines.hpp"
@@ -97,6 +96,20 @@ sizeFlag(const util::CliArgs &args, const std::string &name,
     return static_cast<std::size_t>(v);
 }
 
+/** Integer flag in 0..@p hi: a value outside exits 1 naming the flag
+ *  instead of wrapping through the int cast (--epochs 4294967298
+ *  would train 2 epochs). */
+int
+intFlag(const util::CliArgs &args, const std::string &name, int dflt,
+        int hi = INT_MAX)
+{
+    const long v = args.getInt(name, dflt);
+    if (v < 0 || v > hi)
+        util::fatal(util::strcat("isingrbm: --", name, " must be in 0-",
+                                 hi, ", got ", v));
+    return static_cast<int>(v);
+}
+
 /** Binarized benchmark dataset shared by train/eval. */
 data::Dataset
 benchmarkData(const util::CliArgs &args)
@@ -112,8 +125,8 @@ benchmarkData(const util::CliArgs &args)
 void
 applyTrainFlags(const util::CliArgs &args, eval::TrainSpec &spec)
 {
-    spec.epochs = static_cast<int>(args.getInt("epochs", spec.epochs));
-    spec.k = static_cast<int>(args.getInt("k", spec.k));
+    spec.epochs = intFlag(args, "epochs", spec.epochs);
+    spec.k = intFlag(args, "k", spec.k);
     spec.learningRate = args.getDouble("lr", spec.learningRate);
     spec.batchSize = sizeFlag(args, "batch", spec.batchSize);
     spec.seed = args.getInt("seed", spec.seed);
@@ -256,8 +269,8 @@ cmdTrain(const util::CliArgs &args)
 
     if (family == rbm::ModelFamily::CfRbm) {
         data::RatingStyle style;
-        style.numUsers = static_cast<int>(sizeFlag(args, "users", 943));
-        style.numItems = static_cast<int>(sizeFlag(args, "items", 100));
+        style.numUsers = intFlag(args, "users", 943);
+        style.numItems = intFlag(args, "items", 100);
         corpus = data::makeRatings(style, args.getInt("data-seed", 42));
         std::printf("training cf_rbm '%s': %d users x %d items, %zu "
                     "train / %zu test ratings\n",
@@ -266,8 +279,7 @@ cmdTrain(const util::CliArgs &args)
         rbm::CfRbm model =
             prior ? std::get<rbm::CfRbm>(prior->model)
                   : rbm::CfRbm(corpus.numUsers, corpus.numStars,
-                               static_cast<int>(
-                                   sizeFlag(args, "hidden", 64)));
+                               intFlag(args, "hidden", 64));
         if (!prior)
             model.initFromData(corpus, initRng);
         strategy = train::makeCfRbmStrategy(std::move(model), corpus,
@@ -347,8 +359,8 @@ cmdTrain(const util::CliArgs &args)
       case rbm::ModelFamily::Dbm: {
         rbm::DbmConfig cfg;
         cfg.batchSize = spec.batchSize;
-        cfg.pretrainEpochs = static_cast<int>(
-            args.getInt("pretrain-epochs", cfg.pretrainEpochs));
+        cfg.pretrainEpochs =
+            intFlag(args, "pretrain-epochs", cfg.pretrainEpochs);
         std::optional<rbm::Dbm> model;
         if (prior) {
             model = std::get<rbm::Dbm>(prior->model);
@@ -369,8 +381,7 @@ cmdTrain(const util::CliArgs &args)
 
     // ---- monitor ---------------------------------------------------
     const std::string monitorOut = args.get("monitor-out", "");
-    const int earlyStop =
-        static_cast<int>(args.getInt("early-stop", 0));
+    const int earlyStop = intFlag(args, "early-stop", 0);
     // The stop signal is the free-energy gap, which only the flat-RBM
     // and DBN monitors record; elsewhere the flag would silently
     // never fire, so say so up front.
@@ -406,12 +417,10 @@ cmdTrain(const util::CliArgs &args)
     config.name = name;
     config.backendTag = train::trainerName(trainer);
     config.checkpointPath = outPath;
-    config.checkpointEvery =
-        static_cast<int>(args.getInt("checkpoint-every", 0));
+    config.checkpointEvery = intFlag(args, "checkpoint-every", 0);
     config.monitor = monitor ? &*monitor : nullptr;
     config.earlyStopPatience = earlyStop;
-    const int epochSleepMs =
-        static_cast<int>(args.getInt("epoch-sleep-ms", 0));
+    const int epochSleepMs = intFlag(args, "epoch-sleep-ms", 0);
     config.onEpoch = [epochSleepMs](int epoch, train::Session &session) {
         std::printf("  epoch %d/%d done\n", epoch + 1,
                     session.config().schedule.epochs);
@@ -476,7 +485,7 @@ cmdSample(const util::CliArgs &args)
     req.model = name;
     req.op = engine::Op::Sample;
     req.count = sizeFlag(args, "count", 4);
-    req.steps = static_cast<int>(args.getInt("burnin", 50));
+    req.steps = intFlag(args, "burnin", 50);
     req.seed = args.getInt("seed", 7);
     const engine::Response res =
         std::move(server.serve({std::move(req)}).front());
@@ -590,7 +599,7 @@ cmdEval(const util::CliArgs &args)
         return out;
     };
     eval::LogisticConfig head;
-    head.epochs = static_cast<int>(args.getInt("head-epochs", 30));
+    head.epochs = intFlag(args, "head-epochs", 30);
     util::Rng headRng(args.getInt("seed", 9));
     const double acc = eval::classifierAccuracy(
         featurize(split.train), featurize(split.test), head, headRng);
@@ -637,7 +646,7 @@ cmdServeBench(const util::CliArgs &args)
         engine::opFromName(args.get("op", "featurize"));
     const std::size_t requests = sizeFlag(args, "requests", 64);
     const std::size_t rows = sizeFlag(args, "rows", 4);
-    const int steps = static_cast<int>(args.getInt("steps", 10));
+    const int steps = intFlag(args, "steps", 10);
     const std::uint64_t seed = args.getInt("seed", 13);
     const std::size_t reps = std::max<std::size_t>(
         1, sizeFlag(args, "reps", 1));
@@ -700,9 +709,12 @@ const std::vector<util::FlagHelp> kPromoteFlags = {
                    "--live)"},
     {"candidate", "path", "candidate checkpoint archive (required "
                           "unless --live)"},
-    {"canary-rows", "N", "canary probe batch rows (default 64)"},
-    {"canary-seed", "S", "canary probe/reconstruction seed"},
-    {"tolerance", "X", "relative canary slack (default 0.05)"},
+    {"canary-rows", "N", "rows of the seeded probe replayed through the "
+                         "canary gate (default 64)"},
+    {"canary-seed", "S", "probe request seed"},
+    {"tolerance", "X", "max mean-abs divergence of the candidate's probe "
+                       "reconstruction from the incumbent's (default "
+                       "0.05)"},
     {"live", "", "drive the live-traffic gate of a running `serve "
                  "--canary` process: poll Health frames until the "
                  "canary promotes (exit 0), is quarantined at timeout "
@@ -871,187 +883,17 @@ cmdPromote(const util::CliArgs &args)
     const std::string name = requireFlag(args, "name");
     const std::string candidate = requireFlag(args, "candidate");
 
-    engine::CanaryConfig canary;
-    canary.rows = sizeFlag(args, "canary-rows", canary.rows);
-    canary.seed = args.getInt("canary-seed",
-                              static_cast<long>(canary.seed));
-    canary.tolerance = args.getDouble("tolerance", canary.tolerance);
-
-    const auto result = registry.promote(name, candidate, canary);
+    const auto result = engine::promoteCandidate(
+        registry, name, candidate, args.getDouble("tolerance", 0.05),
+        sizeFlag(args, "canary-rows", 64),
+        args.getInt("canary-seed", 0x43414e41));
     if (!result.ok())
         util::fatal("isingrbm: promote failed: " +
                     result.status().toString());
-    const engine::PromoteReport &report = result.value();
-    if (report.canaryRan)
-        std::printf("canary: candidate error %.6f vs incumbent %.6f "
-                    "(tolerance %.2f)\n",
-                    report.candidateError, report.incumbentError,
-                    canary.tolerance);
-    std::printf("%s\n", report.detail.c_str());
+    std::printf("%s\n", result.value().detail.c_str());
     // Rollback is a successful gate decision, but scripts driving a
     // promote pipeline need to see it didn't ship.
-    return report.promoted ? 0 : 2;
-}
-
-const std::vector<util::FlagHelp> kServeLoopFlags = {
-    {"registry", "dir", "checkpoint directory (required)"},
-    {"model", "id", "checkpoint name to probe (required)"},
-    {"passes", "N", "maximum probe passes (default 50)"},
-    {"interval-ms", "M", "pause between passes (default 25)"},
-    {"rows", "R", "probe rows per pass (default 4)"},
-    {"seed", "S", "probe/request seed (default 7; fixed across passes)"},
-    {"cache-bytes", "B", "response-cache budget in bytes (default 0 = "
-                         "cache off; stamp keying keeps hits exact "
-                         "across hot-swaps)"},
-    {"until-epoch", "E", "stop successfully once a pass is served by a "
-                         "model at epoch >= E (default: run all "
-                         "passes)"},
-    {"out-dir", "dir", "write each epoch's response bytes to "
-                       "<dir>/epoch-<E>.txt for cross-run comparison"},
-};
-
-/**
- * The fault-tolerance proof harness: keep issuing one fixed seeded
- * reconstruction request against a registry that another process is
- * concurrently retraining (possibly tearing archives mid-publish) or
- * promoting.  The loop tolerates failed passes -- the point is that
- * the *server process* never dies -- and holds the bit-reproducibility
- * line: two successful passes served by the same model epoch must
- * produce byte-identical output, whatever reloads, fallbacks or swaps
- * happened in between.  Exit 0 needs >= 1 successful pass and zero
- * mismatches (and the target epoch, when --until-epoch is given).
- */
-int
-cmdServeLoop(const util::CliArgs &args)
-{
-    if (!checkFlags(args,
-                    "isingrbm serve-loop --registry DIR --model ID "
-                    "[flags]",
-                    kServeLoopFlags))
-        return 0;
-    // Short reload backoff: the loop's whole job is to watch archives
-    // churn, so a quarantined name should re-probe quickly.
-    engine::ModelRegistry registry(requireFlag(args, "registry"), nullptr,
-                                   engine::RegistryConfig{10, 200});
-    engine::ServerConfig serverConfig;
-    serverConfig.cacheBytes = sizeFlag(args, "cache-bytes", 0);
-    engine::Server server(registry, serverConfig);
-    const std::string name = requireFlag(args, "model");
-    const std::size_t passes = sizeFlag(args, "passes", 50);
-    const int intervalMs =
-        static_cast<int>(args.getInt("interval-ms", 25));
-    const std::size_t rows = sizeFlag(args, "rows", 4);
-    const std::uint64_t seed = args.getInt("seed", 7);
-    const int untilEpoch =
-        static_cast<int>(args.getInt("until-epoch", 0));
-    const std::string outDir = args.get("out-dir", "");
-    if (!outDir.empty())
-        std::filesystem::create_directories(outDir);
-
-    // Ctrl-C / SIGTERM finishes the current pass, prints the summary,
-    // and exits cleanly instead of dying mid-write.
-    util::installShutdownHandler();
-
-    std::map<int, std::string> byEpoch;
-    std::size_t okPasses = 0, failedPasses = 0, mismatches = 0;
-    bool reachedEpoch = untilEpoch <= 0;
-    for (std::size_t pass = 0; pass < passes; ++pass) {
-        if (util::shutdownRequested())
-            break;
-        if (pass > 0 && intervalMs > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(intervalMs));
-
-        auto before = registry.tryGet(name);
-        if (!before.ok()) {
-            ++failedPasses;
-            continue;
-        }
-        const auto model = std::move(before).value();
-        const int epoch = model->meta().epoch;
-
-        engine::Request req;
-        req.model = name;
-        req.op = engine::Op::Reconstruct;
-        req.input = engine::canaryProbe(rows, model->inputDim(), seed);
-        req.seed = seed;
-        engine::Response res =
-            std::move(server.serve({std::move(req)}).front());
-        if (!res.status.ok()) {
-            ++failedPasses;
-            continue;
-        }
-        // Attribute the output to a model epoch only when the serving
-        // entry did not swap underneath the request; an unattributable
-        // pass still counts as served.
-        auto after = registry.tryGet(name);
-        if (!after.ok() || after.value().get() != model.get()) {
-            ++okPasses;
-            continue;
-        }
-
-        // Hex floats: the byte dump is exact, so files compare the
-        // actual bits, not a rounding of them.
-        std::ostringstream os;
-        os << std::hexfloat;
-        for (std::size_t r = 0; r < res.output.rows(); ++r)
-            for (std::size_t c = 0; c < res.output.cols(); ++c)
-                os << res.output(r, c)
-                   << (c + 1 == res.output.cols() ? '\n' : ' ');
-        const std::string bytes = os.str();
-
-        const auto [it, fresh] = byEpoch.try_emplace(epoch, bytes);
-        if (!fresh && it->second != bytes) {
-            ++mismatches;
-            util::warn(util::strcat("serve-loop: pass ", pass,
-                                    ": epoch ", epoch,
-                                    " output differs from the earlier "
-                                    "pass served at the same epoch"));
-        } else if (fresh && !outDir.empty()) {
-            const std::string path =
-                (std::filesystem::path(outDir) /
-                 ("epoch-" + std::to_string(epoch) + ".txt"))
-                    .string();
-            std::ofstream file(path, std::ios::binary);
-            if (!file)
-                util::fatal("isingrbm: cannot write " + path);
-            file << bytes;
-        }
-        ++okPasses;
-        std::printf("pass %zu: epoch %d ok\n", pass, epoch);
-        std::fflush(stdout);
-        if (untilEpoch > 0 && epoch >= untilEpoch) {
-            reachedEpoch = true;
-            break;
-        }
-    }
-
-    const engine::Server::Stats stats = server.stats();
-    std::printf("serve-loop '%s': %zu ok / %zu failed passes, %zu "
-                "distinct epochs, %zu mismatches\n",
-                name.c_str(), okPasses, failedPasses, byEpoch.size(),
-                mismatches);
-    if (serverConfig.cacheBytes > 0)
-        std::printf("  cache: %zu hits, %zu misses, %zu evictions, "
-                    "%zu bytes\n",
-                    stats.cacheHits, stats.cacheMisses,
-                    stats.cacheEvictions, stats.cacheBytes);
-    std::printf("  faults: %zu rejected, %zu reload fallbacks, "
-                "%zu promotions, %zu rollbacks\n",
-                stats.rejected, stats.reloadFallbacks, stats.promotions,
-                stats.rollbacks);
-    // An interrupted run drained cleanly: judge only what it proved
-    // (no mismatches), not the pass/epoch goals it never got to.
-    if (util::shutdownRequested()) {
-        std::printf("serve-loop: interrupted, drained cleanly\n");
-        return mismatches == 0 ? 0 : 1;
-    }
-    if (untilEpoch > 0 && !reachedEpoch) {
-        std::printf("serve-loop: never observed epoch >= %d\n",
-                    untilEpoch);
-        return 1;
-    }
-    return okPasses >= 1 && mismatches == 0 ? 0 : 1;
+    return result.value().promoted ? 0 : 2;
 }
 
 const std::vector<util::FlagHelp> kServeFlags = {
@@ -1112,12 +954,10 @@ cmdServe(const util::CliArgs &args)
     config.bindAddress = args.get("bind", "127.0.0.1");
     config.maxPendingRows = sizeFlag(args, "max-pending-rows", 4096);
     config.maxConnections = sizeFlag(args, "max-connections", 256);
-    config.idleTimeoutMs =
-        static_cast<int>(args.getInt("idle-timeout-ms", 30000));
+    config.idleTimeoutMs = intFlag(args, "idle-timeout-ms", 30000);
     config.server.maxBatchRows = sizeFlag(args, "max-batch", 256);
     config.server.cacheBytes = sizeFlag(args, "cache-bytes", 0);
-    config.statsEveryMs =
-        static_cast<int>(args.getInt("stats-every-ms", 0));
+    config.statsEveryMs = intFlag(args, "stats-every-ms", 0);
     config.stopRequested = util::shutdownRequested;
 
     // Live canary: stage the candidate *before* the port is published
@@ -1285,11 +1125,11 @@ cmdLoadgen(const util::CliArgs &args)
     config.op = engine::opFromName(args.get("op", "featurize"));
     config.requests = sizeFlag(args, "requests", 64);
     config.rows = sizeFlag(args, "rows", 4);
-    config.steps = static_cast<int>(args.getInt("steps", 10));
+    config.steps = intFlag(args, "steps", 10);
     config.seed = args.getInt("seed", 13);
     config.connections = sizeFlag(args, "connections", 4);
     config.ratePerSec = args.getDouble("rate", 0);
-    config.hitPct = static_cast<int>(args.getInt("hit-pct", 0));
+    config.hitPct = intFlag(args, "hit-pct", 0, 100);
     config.warmCount = sizeFlag(args, "warm", 16);
     config.packedPayload = !args.has("float-payload");
     const long deadlineMs = args.getInt("deadline-ms", 0);
@@ -1429,8 +1269,6 @@ cmdHelp()
         "quantiles, shed rate\n"
         "  serve-bench  drive the batched inference server, report "
         "throughput\n"
-        "  serve-loop   probe a model continuously while it is "
-        "retrained/promoted\n"
         "  promote      canary-gate a candidate checkpoint, hot-swap "
         "on pass (--live: watch a\n"
         "               running serve --canary process's traffic gate "
@@ -1463,8 +1301,6 @@ main(int argc, char **argv)
         return cmdLoadgen(args);
     if (sub == "serve-bench")
         return cmdServeBench(args);
-    if (sub == "serve-loop")
-        return cmdServeLoop(args);
     if (sub == "promote")
         return cmdPromote(args);
     if (sub == "list")

@@ -1,55 +1,22 @@
 /**
  * @file
- * ModelRegistry::promote and the canary gate (see engine/promote.hpp).
+ * Candidate staging, the atomic publish, and the offline promote that
+ * replays a seeded probe through the live canary gate
+ * (engine::promoteCandidate, declared in server.hpp).
  */
-
-#include "engine/promote.hpp"
 
 #include <filesystem>
 #include <fstream>
-#include <vector>
 
-#include "engine/model.hpp"
 #include "engine/registry.hpp"
-#include "eval/metrics.hpp"
+#include "engine/server.hpp"
 #include "util/fault.hpp"
 #include "util/io.hpp"
 #include "util/logging.hpp"
-#include "util/rng.hpp"
 
 namespace ising::engine {
 
 namespace fs = std::filesystem;
-
-linalg::Matrix
-canaryProbe(std::size_t rows, std::size_t dim, std::uint64_t seed)
-{
-    // A dedicated stream index far above any per-row reconstruction
-    // stream, so the probe draws never collide with the scoring draws.
-    util::Rng rng = util::Rng::stream(seed, ~std::uint64_t{0});
-    linalg::Matrix probe(rows, dim);
-    for (std::size_t r = 0; r < rows; ++r)
-        for (std::size_t c = 0; c < dim; ++c)
-            probe(r, c) = rng.bernoulli(0.5) ? 1.0f : 0.0f;
-    return probe;
-}
-
-double
-canaryReconstructionError(const Model &model, const linalg::Matrix &probe,
-                          std::uint64_t seed)
-{
-    std::vector<util::Rng> rngs;
-    rngs.reserve(probe.rows());
-    for (std::size_t r = 0; r < probe.rows(); ++r)
-        rngs.push_back(util::Rng::stream(seed, r));
-    linalg::Matrix recon;
-    model.reconstructRows(probe, rngs.data(), recon);
-
-    std::vector<double> predicted(recon.data(),
-                                  recon.data() + recon.size());
-    std::vector<double> actual(probe.data(), probe.data() + probe.size());
-    return eval::meanAbsoluteError(predicted, actual);
-}
 
 namespace {
 
@@ -121,7 +88,7 @@ ModelRegistry::stageCandidate(const std::string &name,
     // Shape-gate against the incumbent now: shadowing feeds the
     // candidate the incumbent's live inputs, so a width mismatch could
     // only ever breach.  A name with no resolvable incumbent stages
-    // ungated (first publish semantics, like promote()).
+    // ungated (first publish semantics).
     if (auto current = tryGet(name); current.ok()) {
         const std::size_t dim = current.value()->inputDim();
         if (model->inputDim() != dim)
@@ -193,113 +160,70 @@ ModelRegistry::promoteStaged(const std::string &name)
 }
 
 Result<PromoteReport>
-ModelRegistry::promote(const std::string &name,
-                       const std::string &candidatePath,
-                       const CanaryConfig &config)
+promoteCandidate(ModelRegistry &registry, const std::string &name,
+                 const std::string &candidatePath, double tolerance,
+                 std::size_t probeRows, std::uint64_t probeSeed)
 {
-    const Status valid = validateName(name);
-    if (!valid.ok())
-        return valid;
-
-    auto noteRollback = [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.rollbacks;
-    };
-
-    // Load the candidate aside -- never into the serving cache.  An
-    // unloadable candidate (torn publish, truncated copy) is the most
-    // common rollback, caught before the incumbent is even touched.
-    auto candidate = loadModelFile(candidatePath, stampFor(candidatePath));
-    if (!candidate.ok()) {
-        noteRollback();
-        util::warn("promote: candidate " + candidatePath +
-                   " rejected: " + candidate.status().toString());
-        return Status(candidate.status().code(),
-                      "promote: candidate " + candidatePath + ": " +
-                          candidate.status().message());
-    }
-    std::shared_ptr<const Model> candidateModel =
-        std::move(candidate).value();
-
-    PromoteReport report;
-
-    // The incumbent is whatever tryGet would serve.  A name with no
-    // usable incumbent (cold, or quarantined with nothing cached) has
-    // nothing to regress against: first publish, no gate.
-    std::shared_ptr<const Model> incumbent;
-    if (auto current = tryGet(name); current.ok())
-        incumbent = std::move(current).value();
-
-    if (incumbent) {
-        const std::size_t dim = incumbent->inputDim();
-        if (candidateModel->inputDim() != dim) {
-            noteRollback();
-            report.detail = "rollback: candidate input dim " +
-                            std::to_string(candidateModel->inputDim()) +
-                            " != incumbent " + std::to_string(dim);
-            util::warn("promote: '" + name + "' " + report.detail);
-            return Status(StatusCode::FailedPrecondition,
-                          "promote: " + report.detail);
-        }
-        if (incumbent->supports(Op::Reconstruct) &&
-            candidateModel->supports(Op::Reconstruct)) {
-            const linalg::Matrix probe =
-                canaryProbe(config.rows, dim, config.seed);
-            report.canaryRan = true;
-            report.incumbentError =
-                canaryReconstructionError(*incumbent, probe, config.seed);
-            report.candidateError = canaryReconstructionError(
-                *candidateModel, probe, config.seed);
-            // Tiny absolute slack keeps a 0-vs-0 comparison from
-            // failing on rounding.
-            const double gate =
-                report.incumbentError * (1.0 + config.tolerance) + 1e-9;
-            if (report.candidateError > gate) {
-                noteRollback();
-                report.promoted = false;
-                report.detail =
-                    "rollback: canary error " +
-                    std::to_string(report.candidateError) +
-                    " exceeds gate " + std::to_string(gate) +
-                    " (incumbent " +
-                    std::to_string(report.incumbentError) + ")";
-                util::warn("promote: '" + name + "' " + report.detail);
-                // A canary fail is a *successful* gate decision, not an
-                // error: report it through the value channel.
-                return report;
-            }
-        }
+    // An unloadable or mis-shaped candidate never gets near the gate.
+    const Status staged = registry.stageCandidate(name, candidatePath);
+    if (!staged.ok()) {
+        registry.noteRollback();
+        return staged;
     }
 
-    ensureDir();
-    const std::string destPath = pathFor(name);
-    std::error_code ec;
-    const bool samePath = fs::equivalent(candidatePath, destPath, ec);
-    if (!samePath) {
-        const Status published = publishArchive(candidatePath, destPath);
+    // The incumbent is whatever tryGet would serve.  With none (a
+    // first publish, or a quarantined name with nothing cached), or no
+    // Reconstruct to compare, there is nothing to gate against.
+    auto incumbent = registry.tryGet(name);
+    std::string skip;
+    if (!incumbent.ok())
+        skip = "no incumbent";
+    else if (!incumbent.value()->supports(Op::Reconstruct) ||
+             !registry.candidate(name)->supports(Op::Reconstruct))
+        skip = "no reconstruct op to compare";
+    if (!skip.empty()) {
+        auto published = registry.promoteStaged(name);
         if (!published.ok()) {
-            noteRollback();
-            util::warn(published.toString());
-            return published;
+            registry.clearCandidate(name);
+            return published.status();
         }
+        published.value().detail =
+            "promoted: " + skip + ", canary gate skipped";
+        return published;
     }
 
-    // Serve the exact model we just gated: install the aside-loaded
-    // candidate against the published file's stamp.
-    install(name, std::move(candidateModel), stampFor(destPath));
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.promotions;
-    }
-    report.promoted = true;
-    if (report.detail.empty())
-        report.detail =
-            report.canaryRan
-                ? "promoted: canary error " +
-                      std::to_string(report.candidateError) +
-                      " vs incumbent " +
-                      std::to_string(report.incumbentError)
-                : "promoted: no incumbent, canary skipped";
+    // Offline there is no live latency to protect, and one probe
+    // decides: every request shadows, one clean shadow promotes.
+    ServerConfig config;
+    config.canary.model = name;
+    config.canary.fraction = 1.0;
+    config.canary.minShadows = 1;
+    config.canary.maxDivergence = tolerance;
+    config.canary.maxLatencyMultiple = 0.0;
+    Server server(registry, config);
+    const Response served = std::move(
+        server.serve(probeRequests(*incumbent.value(), name,
+                                   Op::Reconstruct, 1, probeRows, 0,
+                                   probeSeed))
+            .front());
+    registry.clearCandidate(name);
+    if (!served.status.ok())
+        return served.status;
+
+    // A breach has already quarantined the candidate and counted the
+    // rollback; a clean shadow has already published it.
+    const Server::Stats stats = server.stats();
+    PromoteReport report;
+    report.promoted = stats.canaryPromotions > 0;
+    report.detail =
+        report.promoted || stats.canaryDivergenceBreaches > 0
+            ? util::strcat(report.promoted ? "promoted" : "rollback",
+                           ": canary divergence ",
+                           stats.canaryLastDivergence,
+                           report.promoted ? " within" : " exceeds",
+                           " tolerance ", tolerance, " over ", probeRows,
+                           " probe rows")
+            : "rollback: the candidate failed the canary gate";
     return report;
 }
 

@@ -15,16 +15,24 @@ namespace ising::engine {
 
 namespace fs = std::filesystem;
 
-ModelRegistry::ModelRegistry(std::string dir, exec::ThreadPool *pool,
-                             RegistryConfig config)
-    : dir_(std::move(dir)), pool_(pool), config_(config)
+namespace {
+
+/**
+ * Quarantine backoff for a name whose on-disk archive stopped loading:
+ * the first failed reload waits this long before the next attempt,
+ * doubling per failure up to the cap.  Gets inside the window serve
+ * the cached last-good model without touching the bad archive.
+ */
+constexpr long kReloadBackoffMinMs = 100;
+constexpr long kReloadBackoffMaxMs = 5000;
+
+} // namespace
+
+ModelRegistry::ModelRegistry(std::string dir, exec::ThreadPool *pool)
+    : dir_(std::move(dir)), pool_(pool)
 {
     if (dir_.empty())
         util::fatal("registry: empty checkpoint directory");
-    if (config_.reloadBackoffMinMs < 1)
-        config_.reloadBackoffMinMs = 1;
-    if (config_.reloadBackoffMaxMs < config_.reloadBackoffMinMs)
-        config_.reloadBackoffMaxMs = config_.reloadBackoffMinMs;
 }
 
 Status
@@ -144,8 +152,13 @@ ModelRegistry::tryGet(const std::string &name)
                 onDiskExists && entry.stamp == onDisk)
                 return entry.model;
             // Quarantined and still inside the backoff window: serve
-            // the last-good model without touching the bad archive.
-            if (entry.failedReloads > 0 && now < entry.retryAfter) {
+            // the last-good model without touching the bad archive --
+            // unless a complete archive (it carries a trailer) has
+            // replaced the one that failed.
+            const bool replaced =
+                onDisk.hasTrailer && onDisk != entry.failedStamp;
+            if (entry.failedReloads > 0 && now < entry.retryAfter &&
+                !replaced) {
                 if (entry.model) {
                     ++stats_.reloadFallbacks;
                     return entry.model;
@@ -183,14 +196,14 @@ ModelRegistry::tryGet(const std::string &name)
     std::lock_guard<std::mutex> lock(mutex_);
     auto &entry = cache_[name];
     ++entry.failedReloads;
-    long backoffMs = config_.reloadBackoffMinMs;
-    for (int i = 1; i < entry.failedReloads && backoffMs > 0 &&
-                    backoffMs < config_.reloadBackoffMaxMs;
-         ++i)
+    long backoffMs = kReloadBackoffMinMs;
+    for (int i = 1;
+         i < entry.failedReloads && backoffMs < kReloadBackoffMaxMs; ++i)
         backoffMs *= 2;
-    backoffMs = std::min<long>(backoffMs, config_.reloadBackoffMaxMs);
+    backoffMs = std::min(backoffMs, kReloadBackoffMaxMs);
     entry.retryAfter = now + std::chrono::milliseconds(backoffMs);
     entry.lastError = loaded.status().toString();
+    entry.failedStamp = onDisk;
     if (entry.model) {
         ++stats_.reloadFallbacks;
         util::warn("registry: reload of '" + name +

@@ -30,23 +30,15 @@
 #include <vector>
 
 #include "engine/model.hpp"
-#include "engine/promote.hpp"
 #include "engine/status.hpp"
 
 namespace ising::engine {
 
-/** Registry fault-handling knobs. */
-struct RegistryConfig
+/** What a promote did (returned for rollbacks too). */
+struct PromoteReport
 {
-    /**
-     * Quarantine backoff for a name whose on-disk archive stopped
-     * loading: the first failed reload waits this long before the next
-     * attempt, doubling per failure up to the cap.  Gets inside the
-     * window serve the cached last-good model without touching the
-     * bad archive.
-     */
-    int reloadBackoffMinMs = 100;
-    int reloadBackoffMaxMs = 5000;
+    bool promoted = false;
+    std::string detail;  ///< one-line human-readable outcome
 };
 
 /** Thread-safe load-once cache of checkpoints in one directory. */
@@ -57,11 +49,9 @@ class ModelRegistry
      * @param dir checkpoint directory (created lazily on first put())
      * @param pool worker pool handed to loaded models (borrowed;
      *        nullptr selects exec::globalPool())
-     * @param config fault-handling knobs
      */
     explicit ModelRegistry(std::string dir,
-                           exec::ThreadPool *pool = nullptr,
-                           RegistryConfig config = {});
+                           exec::ThreadPool *pool = nullptr);
 
     const std::string &dir() const { return dir_; }
 
@@ -86,32 +76,24 @@ class ModelRegistry
      * served instead and the name enters quarantine: subsequent gets
      * keep serving the cached model and only re-attempt the load after
      * a capped exponential backoff, recovering automatically once a
-     * loadable archive reappears.  Errors (no cached fallback) are
-     * returned as Status, never exiting the process.
+     * loadable archive reappears.  A complete archive (one carrying a
+     * CRC trailer) that replaces the one that failed ends the backoff
+     * window early; one still mid-write waits it out.  Errors (no
+     * cached fallback) are returned as Status, never exiting the
+     * process.
      */
     Result<std::shared_ptr<const Model>> tryGet(const std::string &name);
 
     /** Fatal-on-error convenience over tryGet (CLI one-shot paths). */
     std::shared_ptr<const Model> get(const std::string &name);
 
-    /**
-     * Hot-swap: canary-gate @p candidatePath against the incumbent
-     * `<dir>/<name>.ckpt` and atomically publish it on pass (see
-     * engine/promote.hpp for the gate).  On any failure -- unloadable
-     * candidate, incompatible shapes, canary regression -- the
-     * incumbent keeps serving untouched and the rollback is counted.
-     * Defined in promote.cpp.
-     */
-    Result<PromoteReport> promote(const std::string &name,
-                                  const std::string &candidatePath,
-                                  const CanaryConfig &config = {});
-
-    // ------------------------------------------------- live canary
-    // The live-traffic promote path (engine::Server's shadow gate)
+    // ------------------------------------------------------ promote
+    // Every promote goes through engine::Server's shadow gate, which
     // needs the candidate loaded *beside* the incumbent: the server
-    // shadows a seeded fraction of live requests through it, and the
-    // gate decides -- promoteStaged() or rollback -- while the
-    // incumbent keeps serving every client-visible byte.
+    // shadows a seeded fraction of live requests (or, offline, one
+    // seeded probe: engine::promoteCandidate) through it, and the gate
+    // decides -- promoteStaged() or rollback -- while the incumbent
+    // keeps serving every client-visible byte.
 
     /**
      * Load @p candidatePath aside and hold it as @p name's staged
@@ -135,10 +117,10 @@ class ModelRegistry
 
     /**
      * Publish @p name's staged candidate over the incumbent through
-     * the same atomic tmp -> fsync -> rename -> fsync-dir path as
-     * promote(), then install the already-staged model and clear the
-     * stage.  The gate decision was made by the caller (the live
-     * shadow gate); this is only the swap.  Fails -- incumbent
+     * the atomic tmp -> fsync -> rename -> fsync-dir path the
+     * checkpoint writer uses, then install the already-staged model
+     * and clear the stage.  The gate decision was made by the caller
+     * (the shadow gate); this is only the swap.  Fails -- incumbent
      * untouched -- when no candidate is staged or its source archive
      * changed since staging (a continuous trainer may have overwritten
      * it).  Defined in promote.cpp (crash points
@@ -147,7 +129,8 @@ class ModelRegistry
      */
     Result<PromoteReport> promoteStaged(const std::string &name);
 
-    /** Count a rollback decided outside promote() (the live gate). */
+    /** Count a rollback (a gate breach, or a candidate refused at
+     *  staging). */
     void noteRollback();
 
     /**
@@ -213,9 +196,10 @@ class ModelRegistry
         int failedReloads = 0;
         std::chrono::steady_clock::time_point retryAfter{};
         std::string lastError;
+        FileStamp failedStamp;  ///< the archive the last reload failed on
     };
 
-    /** A staged live-canary candidate (held beside the incumbent). */
+    /** A staged candidate (held beside the incumbent). */
     struct Candidate
     {
         std::shared_ptr<const Model> model;
@@ -241,7 +225,6 @@ class ModelRegistry
 
     std::string dir_;
     exec::ThreadPool *pool_;
-    RegistryConfig config_;
     mutable std::mutex mutex_;
     std::map<std::string, Entry> cache_;
     std::map<std::string, Candidate> candidates_;

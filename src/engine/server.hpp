@@ -46,7 +46,8 @@
  * gate auto-promotes through ModelRegistry::promoteStaged, and a breach
  * (divergence, candidate failure, deadline pressure, or minShadows
  * consecutive groups over the cost multiple) quarantines the candidate
- * with capped backoff and rolls back.
+ * with capped backoff and rolls back.  The offline `isingrbm promote`
+ * decides through this same gate (promoteCandidate).
  */
 
 #ifndef ISINGRBM_ENGINE_SERVER_HPP
@@ -450,6 +451,27 @@ class Server
         cacheIndex_;
     std::size_t cacheBytesUsed_ = 0;
 };
+
+/**
+ * Offline promote (`isingrbm promote`) through the live canary gate:
+ * stage @p candidatePath as @p name's candidate, then replay one
+ * seeded Reconstruct probe -- probeRequests over the incumbent with
+ * @p probeRows rows and seed @p probeSeed -- through a Server whose
+ * gate shadows every request (fraction 1, minShadows 1, maxDivergence
+ * @p tolerance, no cost multiple).  A clean shadow publishes through
+ * promoteStaged; a breach quarantines the candidate, a counted
+ * rollback (promoted false).  With no resolvable incumbent, or no
+ * Reconstruct on either side (ClassRbm), the candidate publishes
+ * ungated and the detail says so.  An unloadable or mis-shaped
+ * candidate fails at staging: an error Status, counted as a rollback.
+ * Defined in promote.cpp.
+ */
+Result<PromoteReport> promoteCandidate(ModelRegistry &registry,
+                                       const std::string &name,
+                                       const std::string &candidatePath,
+                                       double tolerance,
+                                       std::size_t probeRows,
+                                       std::uint64_t probeSeed);
 
 /** Nanoseconds on the steady clock: Request::deadlineNs's domain. */
 std::uint64_t steadyNowNs();

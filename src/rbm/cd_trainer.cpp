@@ -100,7 +100,7 @@ CdTrainer::trainBatch(const data::Dataset &train,
     // the member scratch (resized once by the backend) spares a
     // per-batch allocation.
     backend.sampleHiddenBatch(vpos_, hnegs_, phpos_, rngs.data());
-    hstat_ = config_.sampleHiddenMeans ? phpos_ : hnegs_;
+    hstat_ = hnegs_;
     if (!config_.persistent)
         backend.annealBatch(k, vnegs_, hnegs_, pvScratch_, phScratch_,
                             rngs.data());
@@ -150,21 +150,17 @@ CdTrainer::trainBatch(const data::Dataset &train,
 
     // --- Reduce <v+ h+> - <v- h-> into the accumulators.  Rows of W
     // (and dbv) are disjoint across chunks: deterministic for any
-    // worker count.  Three tiers, fastest applicable first.
-    const bool binaryV =
-        linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_);
-    // The reduce runs the backend's kernel table, the same tier as the
-    // sweeps; null (ISINGRBM_ISA=scalar) forces the float fallback
-    // branch, exercising the exact pipeline the packed tiers must match
-    // byte-for-byte.
+    // worker count.  The reduce runs the backend's kernel table, the
+    // same tier as the sweeps; null (ISINGRBM_ISA=scalar) forces the
+    // float fallback branch, exercising the exact pipeline the packed
+    // tiers must match byte-for-byte.
     const linalg::simd::KernelTable *kt = backend.kernelTable();
-    if (kt && binaryV && linalg::isBinary01(hstat_) &&
-        linalg::isBinary01(hnegs_)) {
-        // All states binary (the default): every dW entry is a count
-        // of batch positions where both units fired, reduced by
-        // AND+popcount over per-unit bit columns.  The counts are
-        // exactly the float-accumulated result under any summation
-        // order.
+    if (kt && linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_)) {
+        // Binary visible states (hidden statistics are always sampled
+        // bits): every dW entry is a count of batch positions where
+        // both units fired, reduced by AND+popcount over per-unit bit
+        // columns.  The counts are exactly the float-accumulated
+        // result under any summation order.
         linalg::packTransposed(vpos_, posT_);
         linalg::packTransposed(vnegs_, negT_);
         linalg::packTransposed(hstat_, hposT_);
@@ -184,55 +180,28 @@ CdTrainer::trainBatch(const data::Dataset &train,
         for (std::size_t j = 0; j < n; ++j)
             dbh_[j] -= tmp[j];
     } else {
+        // Float fallback: non-binary visible data, or the scalar tier.
         dw_.fill(0.0f);
         dbv_.fill(0.0f);
         dbh_.fill(0.0f);
-        if (kt && binaryV) {
-            // Binary visible, float hidden statistics (means): dW =
-            // Vpos^T Hstat - Vneg^T Hneg as two masked batched
-            // accumulations over the *transposed* visible bits -- the
-            // tiled kernel the sampling sweeps run on, with dW rows
-            // as the "chains" and batch positions as the input units.
-            linalg::BitMatrix posT, negT;
-            linalg::packTransposed(vpos_, posT);
-            linalg::packTransposed(vnegs_, negT);
-            const linalg::Vector zero(n);
-            dwNeg_.reset(m, n);
-            exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
-                                                 std::size_t rowEnd) {
-                linalg::accumulateBatchTile(*kt, hstat_, posT, zero, dw_,
-                                            rowBegin, rowEnd, 0, n);
-                linalg::accumulateBatchTile(*kt, hnegs_, negT, zero,
-                                            dwNeg_, rowBegin, rowEnd, 0,
-                                            n);
+        exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
+                                             std::size_t rowEnd) {
+            for (std::size_t pos = 0; pos < batch; ++pos) {
+                const float *vpos = vpos_.row(pos);
+                const float *hp = hstat_.row(pos);
+                const float *hn = hnegs_.row(pos);
+                const float *vneg = vnegs_.row(pos);
                 for (std::size_t i = rowBegin; i < rowEnd; ++i) {
                     float *drow = dw_.row(i);
-                    const float *nrow = dwNeg_.row(i);
-                    for (std::size_t j = 0; j < n; ++j)
-                        drow[j] -= nrow[j];
+                    if (vpos[i] != 0.0f)
+                        for (std::size_t j = 0; j < n; ++j)
+                            drow[j] += vpos[i] * hp[j];
+                    if (vneg[i] != 0.0f)
+                        for (std::size_t j = 0; j < n; ++j)
+                            drow[j] -= vneg[i] * hn[j];
                 }
-            });
-        } else {
-            // Float fallback for non-binary visible data.
-            exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
-                                                 std::size_t rowEnd) {
-                for (std::size_t pos = 0; pos < batch; ++pos) {
-                    const float *vpos = vpos_.row(pos);
-                    const float *hp = hstat_.row(pos);
-                    const float *hn = hnegs_.row(pos);
-                    const float *vneg = vnegs_.row(pos);
-                    for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-                        float *drow = dw_.row(i);
-                        if (vpos[i] != 0.0f)
-                            for (std::size_t j = 0; j < n; ++j)
-                                drow[j] += vpos[i] * hp[j];
-                        if (vneg[i] != 0.0f)
-                            for (std::size_t j = 0; j < n; ++j)
-                                drow[j] -= vneg[i] * hn[j];
-                    }
-                }
-            });
-        }
+            }
+        });
         for (std::size_t pos = 0; pos < batch; ++pos) {
             const float *vpos = vpos_.row(pos);
             const float *vneg = vnegs_.row(pos);

@@ -36,9 +36,6 @@ struct CdConfig
     double momentum = 0.0;      ///< classical momentum on all params
     bool persistent = false;    ///< PCD: keep chains across updates
     std::size_t numParticles = 16; ///< persistent chain count (PCD)
-    bool sampleHiddenMeans = false; ///< use P(h|v) instead of samples in
-                                    ///< the positive statistics (common
-                                    ///< variance-reduction practice)
     /**
      * Pool running the batch's Gibbs chains (borrowed; nullptr selects
      * exec::globalPool()).  Every chain draws from an index-derived
@@ -109,9 +106,8 @@ class CdTrainer
     Rbm &model_;
     CdConfig config_;
 
-    // Gradient accumulators reused across batches (dwNeg_ holds the
-    // negative-phase half of the batched reduce).
-    linalg::Matrix dw_, dwNeg_;
+    // Gradient accumulators reused across batches.
+    linalg::Matrix dw_;
     linalg::Vector dbv_, dbh_;
     // Momentum buffers.
     linalg::Matrix mw_;

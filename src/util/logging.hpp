@@ -91,7 +91,7 @@ std::string
 strcat(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    ((os << args), ...);
     return os.str();
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Cooperative SIGINT/SIGTERM shutdown latch.
  *
- * Long-running serving processes (`isingrbm serve`, `serve-loop`) must
- * not die mid-write under Ctrl-C: the handler only sets a flag, and
- * the serving loops poll it to stop accepting, drain in-flight work,
+ * The long-running serving process (`isingrbm serve`) must not die
+ * mid-write under Ctrl-C: the handler only sets a flag, and the
+ * serving loop polls it to stop accepting, drain in-flight work,
  * reply to queued requests, and exit 0.  The handler is installed
  * without SA_RESTART so a blocking epoll_wait/accept returns EINTR
  * immediately and the loop notices the flag on its next iteration.

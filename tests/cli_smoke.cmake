@@ -1,16 +1,23 @@
 # CLI smoke stage (registered as the cli_smoke ctest by CMakeLists):
 # exercise isingrbm train -> list --verify -> sample -> eval on a tiny
 # registry config, failing on any non-zero exit.  The list --verify
-# step re-serializes every checkpoint and diffs the round-trip.
+# step re-serializes every checkpoint and diffs the round-trip.  The
+# fault-tolerance legs then run real processes: a torn-write trainer
+# publishing into a live `serve` that loadgen probes, and hot-swap
+# promotes through the canary gate under loadgen traffic, each
+# byte-diffed against serve-bench.
 #
 #   cmake -DCLI=<isingrbm binary> -DWORK=<scratch dir> -P cli_smoke.cmake
+#
+# The file doubles as its own concurrent driver: -DMODE=torn-driver or
+# -DMODE=hot-driver re-enters it as the last COMMAND of an
+# execute_process pipeline beside a live serve process.  Every wait in
+# a driver is for a condition (the port file, an epoch in `list`),
+# never a fixed delay.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK)
   message(FATAL_ERROR "cli_smoke: pass -DCLI=<binary> -DWORK=<dir>")
 endif()
-
-file(REMOVE_RECURSE ${WORK})
-file(MAKE_DIRECTORY ${WORK})
 
 function(run_step)
   execute_process(COMMAND ${ARGV}
@@ -25,7 +32,155 @@ function(run_step)
   if(NOT code EQUAL 0)
     message(FATAL_ERROR "cli_smoke: '${pretty}' failed (${code}): ${err}")
   endif()
+  set(step_out "${out}" PARENT_SCOPE)
 endfunction()
+
+# Variant of run_step for steps that are *supposed* to exit non-zero
+# (rolled-back promotes exit 2, rejected candidates exit 1).  STDERR
+# <regex> also requires that message, for a code another failure could
+# produce too; TIMEOUT <s> bounds a step that would run on (a server
+# that accepted a flag it should have refused).
+function(run_step_expect expected)
+  cmake_parse_arguments(PARSE_ARGV 1 opt "" "STDERR;TIMEOUT" "")
+  set(timeout)
+  if(opt_TIMEOUT)
+    set(timeout TIMEOUT ${opt_TIMEOUT})
+  endif()
+  execute_process(COMMAND ${opt_UNPARSED_ARGUMENTS}
+                  ${timeout}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  string(JOIN " " pretty ${opt_UNPARSED_ARGUMENTS})
+  message(STATUS "cli_smoke (expect exit ${expected}): ${pretty}")
+  if(out)
+    message(STATUS "${out}")
+  endif()
+  if(NOT code EQUAL expected)
+    message(FATAL_ERROR "cli_smoke: '${pretty}' exited ${code}, "
+                        "expected ${expected}: ${err}")
+  endif()
+  if(opt_STDERR AND NOT err MATCHES "${opt_STDERR}")
+    message(FATAL_ERROR "cli_smoke: '${pretty}' exited ${code} without "
+                        "'${opt_STDERR}' on stderr: ${err}")
+  endif()
+endfunction()
+
+# ---------------------------------------------------------------------
+# Driver modes; each sets the PORT_FILE and MODEL its helpers use.  A
+# driver that fails first sends the Shutdown frame, so the serve beside
+# it drains instead of holding the pipeline until its timeout.  A second
+# argument continues the message.
+function(driver_fail msg)
+  execute_process(COMMAND ${CLI} loadgen --port-file ${PORT_FILE}
+                  --model ${MODEL} --op reconstruct --requests 1
+                  --shutdown
+                  OUTPUT_QUIET ERROR_QUIET)
+  message(FATAL_ERROR "cli_smoke: ${msg}${ARGN}")
+endfunction()
+
+# One dump of the probe corpus served over the socket (extra loadgen
+# flags after the file name).
+function(driver_dump out)
+  execute_process(COMMAND ${CLI} loadgen --port-file ${PORT_FILE}
+                  --model ${MODEL} --op reconstruct --requests 16
+                  --rows 4 --steps 10 --seed 13 --connections 2
+                  --out ${out} ${ARGN}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE dump_out
+                  ERROR_VARIABLE dump_err)
+  message(STATUS "cli_smoke: loadgen --out ${out}: ${dump_out}")
+  if(NOT code EQUAL 0)
+    driver_fail("loadgen --out ${out} failed (${code}): ${dump_err}")
+  endif()
+endfunction()
+
+function(driver_same a b)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b}
+                  RESULT_VARIABLE code)
+  if(NOT code EQUAL 0)
+    driver_fail("${a} differs from ${b}")
+  endif()
+endfunction()
+
+if(DEFINED MODE AND MODE STREQUAL "torn-driver")
+  set(PORT_FILE ${WORK}/live.port)
+  set(MODEL live)
+  # Probe while the trainer publishes -- a probe fails until the first
+  # loadable archive lands, and that is fine -- until `list` shows
+  # epoch 4 at rest (`list` itself fails on the torn archive).
+  string(TIMESTAMP start "%s")
+  set(listing "")
+  while(NOT listing MATCHES "\nlive +[a-z_]+ +[^ ]+ +[0-9]+ +4 ")
+    string(TIMESTAMP now "%s")
+    math(EXPR waited "${now} - ${start}")
+    if(waited GREATER 90)
+      driver_fail("the registry never reached epoch 4")
+    endif()
+    execute_process(COMMAND ${CLI} loadgen --port-file ${PORT_FILE}
+                    --model ${MODEL} --op reconstruct --requests 4 --rows 4
+                    --connections 1
+                    OUTPUT_QUIET ERROR_QUIET)
+    execute_process(COMMAND ${CLI} list --registry ${WORK}/live-reg
+                    OUTPUT_VARIABLE listing
+                    ERROR_QUIET)
+  endwhile()
+  driver_dump(${WORK}/live-served.txt --shutdown)
+  return()
+endif()
+
+if(DEFINED MODE AND MODE STREQUAL "hot-driver")
+  set(PORT_FILE ${WORK}/hot.port)
+  set(MODEL hot)
+  driver_dump(${WORK}/hot-a.txt)
+  driver_same(${WORK}/hot-a.txt ${WORK}/cand-a.txt)
+
+  # cand-b promotes through the gate while paced traffic runs beside
+  # it: every request is answered (by cand-a or cand-b), none fails.
+  execute_process(
+    COMMAND ${CLI} promote --registry ${WORK}/prom-reg --name hot
+            --candidate ${WORK}/cands/cand-b.ckpt --tolerance 1000
+    COMMAND ${CLI} loadgen --port-file ${PORT_FILE} --model hot
+            --op reconstruct --requests 48 --rows 4 --steps 10 --seed 17
+            --connections 2 --rate 400
+    RESULTS_VARIABLE codes
+    OUTPUT_VARIABLE swap_out
+    ERROR_VARIABLE swap_err)
+  message(STATUS "cli_smoke: promote cand-b under loadgen --rate: "
+                 "${swap_out}")
+  if(NOT codes STREQUAL "0;0" OR NOT swap_out MATCHES " 0 failed")
+    driver_fail("promote under traffic failed (exit codes: ${codes}): "
+                "${swap_err}")
+  endif()
+  driver_dump(${WORK}/hot-b.txt)
+  driver_same(${WORK}/hot-b.txt ${WORK}/cand-b.txt)
+
+  # An unpassable tolerance rolls back (exit 2) and a torn candidate is
+  # rejected (exit 1); neither moves what 'hot' serves.
+  execute_process(COMMAND ${CLI} promote --registry ${WORK}/prom-reg
+                  --name hot --candidate ${WORK}/cands/cand-a.ckpt
+                  --tolerance -1
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE roll_out
+                  ERROR_QUIET)
+  if(NOT code EQUAL 2 OR NOT roll_out MATCHES "rollback: canary divergence")
+    driver_fail("promote --tolerance -1 exited ${code}, expected a "
+                "rollback (2): ${roll_out}")
+  endif()
+  execute_process(COMMAND ${CLI} promote --registry ${WORK}/prom-reg
+                  --name hot --candidate ${WORK}/cands/torn.ckpt
+                  RESULT_VARIABLE code
+                  OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code EQUAL 1)
+    driver_fail("promote of a torn candidate exited ${code}, expected 1")
+  endif()
+  driver_dump(${WORK}/hot-c.txt --shutdown)
+  driver_same(${WORK}/hot-c.txt ${WORK}/cand-b.txt)
+  return()
+endif()
+
+file(REMOVE_RECURSE ${WORK})
+file(MAKE_DIRECTORY ${WORK})
 
 # Tiny but real: 120 synthetic MNIST-stand-in glyphs, a 12-hidden RBM,
 # one CD epoch -- seconds of work, every layer exercised.
@@ -134,37 +289,6 @@ run_step(${CLI} eval --registry ${WORK} --model smoke
 # Fault-tolerance legs: the robustness layer under real process
 # boundaries, driven by the ISINGRBM_FAULTS environment DSL.
 
-# Variant of run_step for steps that are *supposed* to exit non-zero
-# (rolled-back promotes exit 2, rejected candidates exit 1).  STDERR
-# <regex> also requires that message, for a code another failure could
-# produce too; TIMEOUT <s> bounds a step that would run on (a server
-# that accepted a flag it should have refused).
-function(run_step_expect expected)
-  cmake_parse_arguments(PARSE_ARGV 1 opt "" "STDERR;TIMEOUT" "")
-  set(timeout)
-  if(opt_TIMEOUT)
-    set(timeout TIMEOUT ${opt_TIMEOUT})
-  endif()
-  execute_process(COMMAND ${opt_UNPARSED_ARGUMENTS}
-                  ${timeout}
-                  RESULT_VARIABLE code
-                  OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err)
-  string(JOIN " " pretty ${opt_UNPARSED_ARGUMENTS})
-  message(STATUS "cli_smoke (expect exit ${expected}): ${pretty}")
-  if(out)
-    message(STATUS "${out}")
-  endif()
-  if(NOT code EQUAL expected)
-    message(FATAL_ERROR "cli_smoke: '${pretty}' exited ${code}, "
-                        "expected ${expected}: ${err}")
-  endif()
-  if(opt_STDERR AND NOT err MATCHES "${opt_STDERR}")
-    message(FATAL_ERROR "cli_smoke: '${pretty}' exited ${code} without "
-                        "'${opt_STDERR}' on stderr: ${err}")
-  endif()
-endfunction()
-
 # Transient-write retry: the first write of the archive fails
 # (injected), and the session's save retry must still land the run.
 run_step(${CMAKE_COMMAND} -E env ISINGRBM_FAULTS=failwrite:retry-smoke@1
@@ -176,8 +300,8 @@ run_step(${CLI} list --registry ${WORK} --verify)
 # pipe whose reader exits at once without reading, so every flushed
 # line after that fails.  The write must fail with EPIPE rather than
 # kill the trainer: the run finishes, publishes its archive and exits
-# 0 (the concurrent train + serve-loop leg below relies on this when
-# serve-loop exits on seeing epoch 4).
+# 0 (the torn-write train | serve leg below relies on this: serve may
+# drain and exit before the trainer prints its last line).
 execute_process(
   COMMAND ${CLI} train --registry ${WORK}/pipe-reg --name a
           --samples 120 --hidden 10 --epochs 2 --k 1
@@ -199,124 +323,78 @@ run_step(${CLI} list --registry ${WORK}/pipe-reg --verify)
 
 # Continuous training under torn writes: a trainer publishes four
 # per-epoch checkpoints of 'live' with the epoch-2 publish truncated
-# mid-archive (a simulated torn write), while a concurrently running
-# serve-loop probes the same registry with a fixed seeded request.
-# The serve-loop must never die, must never serve the torn archive
-# (the trailer checksum rejects it and the registry degrades to the
-# epoch-1 model), and must eventually observe epoch 4.  The two
-# COMMANDs below run concurrently (execute_process pipelines them);
-# the trainer is upstream so the serve-loop is the last reader
-# standing.
+# mid-archive (a simulated torn write) into the registry a live serve
+# answers from, while the driver probes it with loadgen.  The trailer
+# checksum rejects the torn archive, the registry degrades to the
+# epoch-1 model, and the first complete archive after it is served at
+# once.  All three processes must exit 0, and once the registry is
+# settled at epoch 4 the socket must serve its exact bytes.
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env ISINGRBM_FAULTS=truncate:live.ckpt=200@2
           ${CLI} train --registry ${WORK}/live-reg --name live
           --samples 120 --hidden 10 --epochs 4 --k 1
-          --checkpoint-every 1 --epoch-sleep-ms 120
-  COMMAND ${CLI} serve-loop --registry ${WORK}/live-reg --model live
-          --passes 400 --interval-ms 15 --rows 4 --seed 7
-          --until-epoch 4 --out-dir ${WORK}/live-A
+          --checkpoint-every 1 --epoch-sleep-ms 100
+  COMMAND ${CLI} serve --registry ${WORK}/live-reg --port 0
+          --port-file ${WORK}/live.port
+  COMMAND ${CMAKE_COMMAND} -DCLI=${CLI} -DWORK=${WORK} -DMODE=torn-driver
+          -P ${CMAKE_CURRENT_LIST_FILE}
+  TIMEOUT 180
   RESULTS_VARIABLE live_codes
   OUTPUT_VARIABLE live_out
   ERROR_VARIABLE live_err)
-message(STATUS "cli_smoke: concurrent torn-write train + serve-loop")
+message(STATUS "cli_smoke: torn-write train | serve | loadgen driver")
 if(live_out)
   message(STATUS "${live_out}")
 endif()
-foreach(code IN LISTS live_codes)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "cli_smoke: concurrent train/serve-loop leg "
-                        "failed (exit codes: ${live_codes}): "
-                        "${live_err}")
-  endif()
-endforeach()
-
-# Bit-identity across the churn: the same request against the settled
-# registry must produce the same bytes the live run recorded for
-# epoch 4.  Hot-swapping moves *when* a model serves, never what bits
-# a request produces.
-run_step(${CLI} serve-loop --registry ${WORK}/live-reg --model live
-         --passes 3 --interval-ms 5 --rows 4 --seed 7
-         --out-dir ${WORK}/live-B)
+if(NOT live_codes STREQUAL "0;0;0")
+  message(FATAL_ERROR "cli_smoke: torn-write leg failed (exit codes: "
+                      "${live_codes}): ${live_err}")
+endif()
+run_step(${CLI} serve-bench --registry ${WORK}/live-reg --model live
+         --op reconstruct --requests 16 --rows 4 --steps 10 --seed 13
+         --reps 1 --out ${WORK}/live-settled.txt)
 run_step(${CMAKE_COMMAND} -E compare_files
-         ${WORK}/live-A/epoch-4.txt ${WORK}/live-B/epoch-4.txt)
+         ${WORK}/live-served.txt ${WORK}/live-settled.txt)
 
-# Hot-swap promote with a mid-stream swap: candidate archives at epoch
-# 1 and epoch 2, a first promote with no incumbent (canary skipped),
-# then a serve-loop watching 'hot' while a delayed concurrent promote
-# swaps the epoch-2 candidate in underneath it.
+# Hot swap through the canary gate against a running serve: cand-a
+# publishes ungated (no incumbent), cand-b promotes under traffic, an
+# unpassable tolerance rolls back and a torn candidate is rejected.
+# Each served dump must equal serve-bench over the one model that
+# should be live (the driver compares them).
 run_step(${CLI} train --registry ${WORK}/cands --name cand-a
          --samples 120 --hidden 10 --epochs 1 --k 1)
 run_step(${CLI} train --registry ${WORK}/cands --name cand-b
          --samples 120 --hidden 10 --epochs 2 --k 1)
-run_step(${CLI} promote --registry ${WORK}/prom-reg --name hot
-         --candidate ${WORK}/cands/cand-a.ckpt)
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -DCLI=${CLI} -DDELAY=1
-          -DREGISTRY=${WORK}/prom-reg -DNAME=hot
-          -DCANDIDATE=${WORK}/cands/cand-b.ckpt -DTOLERANCE=1000
-          -P ${CMAKE_CURRENT_LIST_DIR}/cli_smoke_promote.cmake
-  COMMAND ${CLI} serve-loop --registry ${WORK}/prom-reg --model hot
-          --passes 400 --interval-ms 10 --rows 4 --seed 7
-          --until-epoch 2 --out-dir ${WORK}/prom-A
-  RESULTS_VARIABLE prom_codes
-  OUTPUT_VARIABLE prom_out
-  ERROR_VARIABLE prom_err)
-message(STATUS "cli_smoke: mid-stream promote under a live serve-loop")
-if(prom_out)
-  message(STATUS "${prom_out}")
-endif()
-foreach(code IN LISTS prom_codes)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "cli_smoke: mid-stream promote leg failed "
-                        "(exit codes: ${prom_codes}): ${prom_err}")
-  endif()
+foreach(cand cand-a cand-b)
+  run_step(${CLI} serve-bench --registry ${WORK}/cands --model ${cand}
+           --op reconstruct --requests 16 --rows 4 --steps 10 --seed 13
+           --reps 1 --out ${WORK}/${cand}.txt)
 endforeach()
-run_step(${CLI} serve-loop --registry ${WORK}/prom-reg --model hot
-         --passes 3 --interval-ms 5 --rows 4 --seed 7
-         --out-dir ${WORK}/prom-B)
-run_step(${CMAKE_COMMAND} -E compare_files
-         ${WORK}/prom-A/epoch-2.txt ${WORK}/prom-B/epoch-2.txt)
-
-# Canary rollback under a live serve-loop: a negative tolerance makes
-# the gate unpassable, so the mid-stream promote must refuse to ship
-# (exit 2) while the serve-loop keeps serving cand-b undisturbed.
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -DCLI=${CLI} -DDELAY=0.2 -DEXPECT=2
-          -DREGISTRY=${WORK}/prom-reg -DNAME=hot
-          -DCANDIDATE=${WORK}/cands/cand-a.ckpt -DTOLERANCE=-1
-          -P ${CMAKE_CURRENT_LIST_DIR}/cli_smoke_promote.cmake
-  COMMAND ${CLI} serve-loop --registry ${WORK}/prom-reg --model hot
-          --passes 60 --interval-ms 10 --rows 4 --seed 7
-          --out-dir ${WORK}/prom-roll
-  RESULTS_VARIABLE roll_codes
-  OUTPUT_VARIABLE roll_out
-  ERROR_VARIABLE roll_err)
-message(STATUS "cli_smoke: mid-stream canary rollback")
-if(roll_out)
-  message(STATUS "${roll_out}")
-endif()
-foreach(code IN LISTS roll_codes)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "cli_smoke: mid-stream rollback leg failed "
-                        "(exit codes: ${roll_codes}): ${roll_err}")
-  endif()
-endforeach()
-run_step(${CMAKE_COMMAND} -E compare_files
-         ${WORK}/prom-A/epoch-2.txt ${WORK}/prom-roll/epoch-2.txt)
-
-# A torn candidate is rejected outright (exit 1) and never published.
 file(READ ${WORK}/cands/cand-a.ckpt torn_head LIMIT 150)
 file(WRITE ${WORK}/cands/torn.ckpt "${torn_head}")
-run_step_expect(1 ${CLI} promote --registry ${WORK}/prom-reg --name hot
-                --candidate ${WORK}/cands/torn.ckpt)
-
-# After the rollback and the rejected candidate, 'hot' still serves
-# the promoted epoch-2 model bit-for-bit.
-run_step(${CLI} serve-loop --registry ${WORK}/prom-reg --model hot
-         --passes 3 --interval-ms 5 --rows 4 --seed 7
-         --out-dir ${WORK}/prom-C)
-run_step(${CMAKE_COMMAND} -E compare_files
-         ${WORK}/prom-B/epoch-2.txt ${WORK}/prom-C/epoch-2.txt)
+run_step(${CLI} promote --registry ${WORK}/prom-reg --name hot
+         --candidate ${WORK}/cands/cand-a.ckpt)
+if(NOT step_out MATCHES "canary gate skipped")
+  message(FATAL_ERROR "cli_smoke: the first promote (no incumbent) did "
+                      "not report the gate skipped: ${step_out}")
+endif()
+execute_process(
+  COMMAND ${CLI} serve --registry ${WORK}/prom-reg --port 0
+          --port-file ${WORK}/hot.port
+  COMMAND ${CMAKE_COMMAND} -DCLI=${CLI} -DWORK=${WORK} -DMODE=hot-driver
+          -P ${CMAKE_CURRENT_LIST_FILE}
+  TIMEOUT 180
+  RESULTS_VARIABLE hot_codes
+  OUTPUT_VARIABLE hot_out
+  ERROR_VARIABLE hot_err)
+message(STATUS "cli_smoke: hot swap under a live serve")
+if(hot_out)
+  message(STATUS "${hot_out}")
+endif()
+if(NOT hot_codes STREQUAL "0;0")
+  message(FATAL_ERROR "cli_smoke: hot-swap leg failed (exit codes: "
+                      "${hot_codes}): ${hot_err}")
+endif()
 
 # ---------------------------------------------------------------------
 # Serving-cache legs: serve-bench replays the same deterministic
@@ -361,6 +439,14 @@ run_step_expect(1 ${CLI} serve --registry ${WORK} --port 70000
                 TIMEOUT 30 STDERR "--port must be a port in 0-65535")
 run_step_expect(1 ${CLI} loadgen --model smoke --port 1
                 --deadline-ms -1 STDERR "--deadline-ms must be in")
+# Integer flags past INT_MAX once wrapped through an int cast: --epochs
+# 4294967298 trained 2 epochs and --burnin 4294967297 ran 1 sweep.
+run_step_expect(1 ${CLI} train --registry ${WORK}/wrap-reg --name wrap
+                --samples 120 --hidden 10 --epochs 4294967298
+                STDERR "--epochs must be in 0-2147483647")
+run_step_expect(1 ${CLI} sample --registry ${WORK} --model smoke
+                --count 2 --burnin 4294967297
+                STDERR "--burnin must be in 0-2147483647")
 
 # ---------------------------------------------------------------------
 # Networked serving legs: a real serve process on an ephemeral port, a

@@ -25,7 +25,6 @@
 #include <sstream>
 #include <thread>
 
-#include "engine/promote.hpp"
 #include "engine/server.hpp"
 #include "rbm/serialize.hpp"
 #include "util/fault.hpp"
@@ -77,6 +76,16 @@ makeCkpt(rbm::Rbm model, int epoch)
     return ckpt;
 }
 
+/** Seeded binary rows (rows x dim in {0, 1}): the probe corpus's. */
+linalg::Matrix
+binaryRows(std::size_t rows, std::size_t dim, std::uint64_t seed)
+{
+    return engine::probeRequests(dim, "m", Op::Reconstruct, 1, rows, 0,
+                                 seed)
+        .front()
+        .input;
+}
+
 /** A @p rows-row reconstruct request on seeded binary probe rows. */
 Request
 probeRequest(std::uint64_t seed, std::size_t rows, std::size_t dim)
@@ -85,7 +94,7 @@ probeRequest(std::uint64_t seed, std::size_t rows, std::size_t dim)
     req.model = "m";
     req.op = Op::Reconstruct;
     req.seed = seed;
-    req.input = engine::canaryProbe(rows, dim, seed);
+    req.input = binaryRows(rows, dim, seed);
     return req;
 }
 
@@ -615,7 +624,7 @@ TEST_F(CanaryGateTest, ExpiredAtSubmitSkipsAllKernelWork)
     req.model = "m";
     req.op = Op::Reconstruct;
     req.seed = 9;
-    req.input = engine::canaryProbe(2, 6, 9);
+    req.input = binaryRows(2, 6, 9);
     req.deadlineNs = 1;  // steady-clock epoch: expired long ago
     const Response res = std::move(server.serve({req}).front());
     EXPECT_EQ(res.status.code(), StatusCode::DeadlineExceeded);
@@ -637,7 +646,7 @@ TEST_F(CanaryGateTest, ExpiryInQueueDoesNotPerturbCoflushedBytes)
     keep.model = "m";
     keep.op = Op::Reconstruct;
     keep.seed = 21;
-    keep.input = engine::canaryProbe(3, 6, 21);
+    keep.input = binaryRows(3, 6, 21);
 
     Server clean(registry);
     const Response alone = std::move(clean.serve({keep}).front());

@@ -210,23 +210,6 @@ TEST(CdTrainer, MomentumAndDecayStable)
     }
 }
 
-TEST(CdTrainer, MeanFieldPositiveStatsOptionLearns)
-{
-    Rng rng(12);
-    const auto ds = stripeData(40, 10);
-    Rbm model(10, 4);
-    model.initRandom(rng, 0.01f);
-    CdConfig cfg;
-    cfg.sampleHiddenMeans = true;
-    cfg.learningRate = 0.2;
-    cfg.batchSize = 10;
-    CdTrainer trainer(model, cfg);
-    const double before = exact::meanLogLikelihood(model, ds);
-    for (int epoch = 0; epoch < 40; ++epoch)
-        trainer.trainEpoch(ds, rng);
-    EXPECT_GT(exact::meanLogLikelihood(model, ds), before + 1.0);
-}
-
 /** Parameter sweep: CD learns across a range of hidden sizes. */
 class CdHiddenSweep : public ::testing::TestWithParam<std::size_t>
 {

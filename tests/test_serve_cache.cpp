@@ -319,9 +319,8 @@ TEST_F(ServeCacheTest, PromoteInvalidates)
     const std::string candPath =
         (fs::path(dir_) / "cand.ckpt").string();
     rbm::saveCheckpoint(cand, candPath);
-    engine::CanaryConfig canary;
-    canary.tolerance = 1e9;
-    const auto promoted = registry.promote("m", candPath, canary);
+    const auto promoted =
+        engine::promoteCandidate(registry, "m", candPath, 1e9, 64, 1);
     ASSERT_TRUE(promoted.ok());
     ASSERT_TRUE(promoted.value().promoted);
 
