@@ -659,7 +659,8 @@ cmdServeBench(const util::CliArgs &args)
         responses = server.serve(engine::probeRequests(
             *model, name, op, requests, rows, steps, seed));
     const double seconds = sw.seconds();
-    const engine::Server::Stats stats = server.stats();
+    const engine::Server::Stats &stats = server.stats();
+    const engine::ModelRegistry::Stats faults = registry.stats();
     std::printf("served %zu x %zu %s requests (%zu kernel rows) on "
                 "%s '%s' in %.3fs\n",
                 reps, responses.size(), engine::opName(op), stats.rows,
@@ -677,8 +678,8 @@ cmdServeBench(const util::CliArgs &args)
                 stats.cacheBytes, config.cacheBytes);
     std::printf("  faults: %zu rejected, %zu reload fallbacks, "
                 "%zu promotions, %zu rollbacks\n",
-                stats.rejected, stats.reloadFallbacks, stats.promotions,
-                stats.rollbacks);
+                stats.rejected, faults.reloadFallbacks, faults.promotions,
+                faults.rollbacks);
 
     // Exact byte dump of the final rep: the cli_smoke canaries diff
     // these across cache on/off and against the socket-served bytes.
@@ -782,9 +783,6 @@ resolvePort(const util::CliArgs &args)
 int
 cmdPromoteLive(const util::CliArgs &args)
 {
-    // HealthSnapshot::canaryState values (see net/frame.hpp).
-    constexpr std::uint8_t kQuarantined = 2, kPromoted = 3;
-
     const std::string host = args.get("host", "127.0.0.1");
     const std::uint16_t port = resolvePort(args);
     const long pollMs = std::max(1L, args.getInt("poll-ms", 200));
@@ -800,7 +798,7 @@ cmdPromoteLive(const util::CliArgs &args)
 
     util::Stopwatch sw;
     net::HealthSnapshot last;
-    std::uint8_t shownState = 0xff;
+    engine::CanaryState state = engine::CanaryState::Idle;
     bool everSeen = false, lostServer = false;
     for (;;) {
         net::Request req;
@@ -813,28 +811,18 @@ cmdPromoteLive(const util::CliArgs &args)
             break;
         }
         last = res.health;
-        everSeen = true;
-        if (last.canaryState != shownState) {
-            std::printf("promote --live: gate %s (shadows %llu, "
-                        "streak %llu, quarantines %llu, last "
-                        "divergence %.6f)\n",
-                        net::canaryStateName(last.canaryState),
-                        static_cast<unsigned long long>(
-                            last.canaryShadows),
-                        static_cast<unsigned long long>(
-                            last.canaryCleanStreak),
-                        static_cast<unsigned long long>(
-                            last.canaryQuarantines),
-                        last.lastDivergence);
+        const auto shown = static_cast<engine::CanaryState>(
+            last.canaryState);
+        if (!everSeen || shown != state) {
+            std::printf("promote --live: %s\n",
+                        net::gateSummary(last).c_str());
             std::fflush(stdout);
-            shownState = last.canaryState;
         }
-        if (last.canaryState == kPromoted ||
+        everSeen = true;
+        state = shown;
+        if (state == engine::CanaryState::Promoted ||
             last.canaryPromotions > 0) {
-            std::printf("promote --live: candidate promoted after "
-                        "%llu shadows in %.1fs\n",
-                        static_cast<unsigned long long>(
-                            last.canaryShadows),
+            std::printf("promote --live: candidate promoted in %.1fs\n",
                         sw.seconds());
             return 0;
         }
@@ -849,22 +837,15 @@ cmdPromoteLive(const util::CliArgs &args)
                    "the gate decided");
         return 1;
     }
-    if (everSeen && (last.canaryState == kQuarantined ||
+    if (everSeen && (state == engine::CanaryState::Quarantined ||
                      last.canaryQuarantines > 0)) {
         std::printf("promote --live: candidate quarantined, not "
-                    "promoted (%llu quarantines, %llu shadows, last "
-                    "divergence %.6f); incumbent keeps serving\n",
-                    static_cast<unsigned long long>(
-                        last.canaryQuarantines),
-                    static_cast<unsigned long long>(
-                        last.canaryShadows),
-                    last.lastDivergence);
+                    "promoted; incumbent keeps serving (%s)\n",
+                    net::gateSummary(last).c_str());
         return 2;
     }
-    std::printf("promote --live: no gate decision within %.0fs "
-                "(state %s, %llu shadows)\n",
-                timeoutSec, net::canaryStateName(last.canaryState),
-                static_cast<unsigned long long>(last.canaryShadows));
+    std::printf("promote --live: no gate decision within %.0fs (%s)\n",
+                timeoutSec, net::gateSummary(last).c_str());
     return 1;
 }
 
@@ -1035,7 +1016,7 @@ cmdServe(const util::CliArgs &args)
     // loadgen) the downstream exits first, and a stdout write here
     // would die on SIGPIPE after a clean drain.
     const net::NetServer::Stats net = server.stats();
-    const engine::Server::Stats stats = server.engine().stats();
+    const engine::Server::Stats &stats = server.engine().stats();
     std::fprintf(stderr,
                  "serve: %zu accepted, %zu closed (%zu idle, %zu over "
                  "capacity), %zu frames\n",
@@ -1056,20 +1037,9 @@ cmdServe(const util::CliArgs &args)
                  stats.flushLatencyNs.quantile(0.5) / 1e6,
                  stats.flushLatencyNs.quantile(0.99) / 1e6);
     if (!canaryPath.empty())
-        std::fprintf(stderr,
-                     "  canary: %s, %zu shadows (streak %zu), "
-                     "%zu quarantines (%zu divergence, %zu latency, "
-                     "%zu failure, %zu deadline), %zu promotions, "
-                     "last divergence %.6f\n",
-                     net::canaryStateName(stats.canaryState),
-                     stats.canaryShadows, stats.canaryCleanStreak,
-                     stats.canaryQuarantines,
-                     stats.canaryDivergenceBreaches,
-                     stats.canaryLatencyBreaches,
-                     stats.canaryFailureBreaches,
-                     stats.canaryDeadlineBreaches,
-                     stats.canaryPromotions,
-                     stats.canaryLastDivergence);
+        std::fprintf(stderr, "  %s\n",
+                     net::gateSummary(server.healthSnapshot(), &stats)
+                         .c_str());
     std::fprintf(stderr, "serve: drained, exiting\n");
     return 0;
 }
@@ -1221,8 +1191,17 @@ cmdList(const util::CliArgs &args)
     std::printf("%-20s %-10s %-8s %-10s %-6s %s\n", "name", "family",
                 "backend", "seed", "epoch", "state");
     for (const std::string &name : names) {
-        const rbm::Checkpoint ckpt =
-            rbm::loadCheckpointFile(registry.pathFor(name));
+        // A torn or corrupt archive fails its own row, not the listing.
+        std::string error;
+        const std::optional<rbm::Checkpoint> loaded =
+            rbm::tryLoadCheckpointFile(registry.pathFor(name), &error);
+        if (!loaded) {
+            std::printf("%-20s unreadable: %s\n", name.c_str(),
+                        error.c_str());
+            ++failures;
+            continue;
+        }
+        const rbm::Checkpoint &ckpt = *loaded;
         std::printf("%-20s %-10s %-8s %-10llu %-6d %s", name.c_str(),
                     rbm::familyTag(ckpt.family()),
                     ckpt.meta.backend.empty() ? "-"

@@ -213,14 +213,6 @@ Model::outputDim(Op op) const
 
 void
 Model::sampleRows(int burnIn, std::size_t rows, util::Rng *rngs,
-                  linalg::Matrix &out) const
-{
-    BatchScratch scratch;
-    sampleRows(burnIn, rows, rngs, out, scratch);
-}
-
-void
-Model::sampleRows(int burnIn, std::size_t rows, util::Rng *rngs,
                   linalg::Matrix &out, BatchScratch &scratch) const
 {
     if (!supports(Op::Sample))
@@ -259,13 +251,6 @@ Model::sampleRows(int burnIn, std::size_t rows, util::Rng *rngs,
             h(r, j) = rngs[r].bernoulli(0.5) ? 1.0f : 0.0f;
     backend.annealBatch(burnIn, v, h, pv, ph, rngs);
     out = pv;
-}
-
-void
-Model::featurizeRows(const linalg::Matrix &in, linalg::Matrix &out) const
-{
-    BatchScratch scratch;
-    featurizeRows(in, out, scratch);
 }
 
 void
@@ -361,14 +346,6 @@ Model::featurizeRowsPacked(const linalg::BitMatrix &in,
     }
     sampler()->sampleHiddenBatchPacked(in, scratch.pa, out,
                                        scratch.rngs.data());
-}
-
-void
-Model::reconstructRows(const linalg::Matrix &in, util::Rng *rngs,
-                       linalg::Matrix &out) const
-{
-    BatchScratch scratch;
-    reconstructRows(in, rngs, out, scratch);
 }
 
 void

@@ -134,10 +134,8 @@ class Model
 
     // ----------------------------------------------------- serving ops
     // All ops resize @p out to (rows x outputDim(op)).  Stochastic ops
-    // draw row r's randomness exclusively from rngs[r].  The scratch
-    // overloads reuse the caller's staging buffers across calls; the
-    // scratch-less convenience overloads stage through a per-call
-    // local (same results, per-call allocations).
+    // draw row r's randomness exclusively from rngs[r].  Every op
+    // stages through the caller's scratch, reused across calls.
 
     /**
      * Fantasy sampling: @p rows independent chains, each started from
@@ -146,14 +144,10 @@ class Model
      */
     void sampleRows(int burnIn, std::size_t rows, util::Rng *rngs,
                     linalg::Matrix &out, BatchScratch &scratch) const;
-    void sampleRows(int burnIn, std::size_t rows, util::Rng *rngs,
-                    linalg::Matrix &out) const;
 
     /** Deterministic feature extraction (hidden means / pooled maps). */
     void featurizeRows(const linalg::Matrix &in, linalg::Matrix &out,
                        BatchScratch &scratch) const;
-    void featurizeRows(const linalg::Matrix &in,
-                       linalg::Matrix &out) const;
 
     /**
      * featurizeRows over an already-packed input plane (requires
@@ -172,8 +166,6 @@ class Model
      */
     void reconstructRows(const linalg::Matrix &in, util::Rng *rngs,
                          linalg::Matrix &out, BatchScratch &scratch) const;
-    void reconstructRows(const linalg::Matrix &in, util::Rng *rngs,
-                         linalg::Matrix &out) const;
 
     /**
      * reconstructRows over a packed input plane: the up half-sweep

@@ -212,7 +212,7 @@ promoteCandidate(ModelRegistry &registry, const std::string &name,
 
     // A breach has already quarantined the candidate and counted the
     // rollback; a clean shadow has already published it.
-    const Server::Stats stats = server.stats();
+    const Server::Stats &stats = server.stats();
     PromoteReport report;
     report.promoted = stats.canaryPromotions > 0;
     report.detail =

@@ -156,7 +156,8 @@ class ModelRegistry
      */
     void ensureDir();
 
-    /** Degradation counters (engine::Server folds them into its own). */
+    /** Degradation counters: the registry's half of the serving
+     *  ledger (engine::Server::Stats holds the request half). */
     struct Stats
     {
         /** Gets served by the last-good cache after a failed reload. */

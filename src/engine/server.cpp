@@ -72,6 +72,18 @@ Server::Server(ModelRegistry &registry, ServerConfig config)
         config_.canary.quarantineMaxMs = config_.canary.quarantineMinMs;
 }
 
+const char *
+canaryStateName(CanaryState state)
+{
+    switch (state) {
+      case CanaryState::Idle: return "idle";
+      case CanaryState::Shadowing: return "shadowing";
+      case CanaryState::Quarantined: return "quarantined";
+      case CanaryState::Promoted: return "promoted";
+    }
+    return "?";
+}
+
 std::uint64_t
 steadyNowNs()
 {
@@ -249,10 +261,10 @@ Server::cacheInsert(const CacheKey &key, const Response &response)
     cacheLru_.push_front(
         CacheEntry{key, response.output, response.labels, bytes});
     cacheIndex_.emplace(key, cacheLru_.begin());
-    cacheBytesUsed_ += bytes;
-    while (cacheBytesUsed_ > config_.cacheBytes) {
+    stats_.cacheBytes += bytes;
+    while (stats_.cacheBytes > config_.cacheBytes) {
         const CacheEntry &victim = cacheLru_.back();
-        cacheBytesUsed_ -= victim.bytes;
+        stats_.cacheBytes -= victim.bytes;
         cacheIndex_.erase(victim.key);
         cacheLru_.pop_back();
         ++stats_.cacheEvictions;
@@ -400,7 +412,7 @@ Server::flush()
     // batch's first submit revalidates against the archive again.
     flushModels_.clear();
 
-    flushLatency_.record(
+    stats_.flushLatencyNs.record(
         static_cast<std::uint64_t>(watch.seconds() * 1e9));
 }
 
@@ -613,7 +625,7 @@ Server::canaryQuarantine(const std::string &reason)
 {
     ++stats_.canaryQuarantines;
     registry_.noteRollback();
-    canaryCleanStreak_ = 0;
+    stats_.canaryCleanStreak = 0;
     canarySlowStreak_ = 0;
     // Capped exponential backoff, doubling per breach; only restaging
     // a candidate (a new Server / a new gate) resets the ladder, so a
@@ -625,10 +637,9 @@ Server::canaryQuarantine(const std::string &reason)
     canaryResumeNs_ =
         steadyNowNs() +
         static_cast<std::uint64_t>(canaryBackoffMs_) * 1000000ull;
-    canaryState_ = CanaryState::Quarantined;
-    util::warn("server: canary quarantined (" + reason +
-               "); resume shadowing in " +
-               std::to_string(canaryBackoffMs_) + " ms");
+    stats_.canaryState = CanaryState::Quarantined;
+    util::warn(util::strcat("server: canary quarantined (", reason,
+                            ") for ", canaryBackoffMs_, " ms"));
 }
 
 void
@@ -643,22 +654,25 @@ Server::maybeShadow(const std::vector<Pending *> &group,
     const Op op = group.front()->req.op;
     if (op == Op::Classify)
         return;  // integer labels carry no graded divergence to gate
-    if (canaryState_ == CanaryState::Promoted)
+    if (stats_.canaryState == CanaryState::Promoted)
         return;
-    if (canaryState_ == CanaryState::Quarantined) {
+    if (stats_.canaryState == CanaryState::Quarantined) {
         if (steadyNowNs() < canaryResumeNs_)
             return;
         // Backoff window over: resume shadowing the staged candidate
         // from a zero streak (quarantined shadows prove nothing).
-        canaryState_ = CanaryState::Shadowing;
-        canaryCleanStreak_ = 0;
+        util::inform(util::strcat("server: canary backoff of ",
+                                  canaryBackoffMs_,
+                                  " ms over; resume shadowing"));
+        stats_.canaryState = CanaryState::Shadowing;
+        stats_.canaryCleanStreak = 0;
     }
     const auto candidate = registry_.candidate(gate.model);
     if (!candidate) {
-        canaryState_ = CanaryState::Idle;
+        stats_.canaryState = CanaryState::Idle;
         return;
     }
-    canaryState_ = CanaryState::Shadowing;
+    stats_.canaryState = CanaryState::Shadowing;
     if (!candidate->supports(op))
         return;
 
@@ -703,7 +717,7 @@ Server::maybeShadow(const std::vector<Pending *> &group,
         return;
     }
     const std::uint64_t shadowCpuNs = processCpuNs() - cpuStart;
-    shadowLatency_.record(
+    stats_.shadowLatencyNs.record(
         static_cast<std::uint64_t>(shadowWatch.seconds() * 1e9));
 
     // Score member by member in group order; the first divergent one
@@ -719,8 +733,9 @@ Server::maybeShadow(const std::vector<Pending *> &group,
         const double mae =
             cand.size() ? absSum / static_cast<double>(cand.size()) : 0.0;
         ++stats_.canaryShadows;
-        canaryLastDivergence_ = mae;
-        canaryDivergence_.record(static_cast<std::uint64_t>(mae * 1e9));
+        stats_.canaryLastDivergence = mae;
+        stats_.canaryDivergenceNano.record(
+            static_cast<std::uint64_t>(mae * 1e9));
         if (mae > gate.maxDivergence) {
             ++stats_.canaryDivergenceBreaches;
             canaryQuarantine(util::strcat("divergence ", mae,
@@ -746,7 +761,7 @@ Server::maybeShadow(const std::vector<Pending *> &group,
         }
     } else {
         canarySlowStreak_ = 0;
-        canaryCleanStreak_ += shadow.size();
+        stats_.canaryCleanStreak += shadow.size();
     }
     // Deadline pressure: these members were all unexpired when the
     // flush started; if one ran out *now*, shadow work is what ate the
@@ -760,11 +775,11 @@ Server::maybeShadow(const std::vector<Pending *> &group,
             return;
         }
 
-    if (gate.autoPromote && canaryCleanStreak_ >= gate.minShadows) {
+    if (gate.autoPromote && stats_.canaryCleanStreak >= gate.minShadows) {
         auto promoted = registry_.promoteStaged(gate.model);
         if (promoted.ok()) {
             ++stats_.canaryPromotions;
-            canaryState_ = CanaryState::Promoted;
+            stats_.canaryState = CanaryState::Promoted;
         } else {
             // Stale stage (source overwritten) or a publish failure:
             // the incumbent is untouched either way; back off and let
@@ -774,24 +789,6 @@ Server::maybeShadow(const std::vector<Pending *> &group,
                              promoted.status().toString());
         }
     }
-}
-
-Server::Stats
-Server::stats() const
-{
-    Stats out = stats_;
-    out.cacheBytes = cacheBytesUsed_;
-    const ModelRegistry::Stats registry = registry_.stats();
-    out.reloadFallbacks = registry.reloadFallbacks;
-    out.promotions = registry.promotions;
-    out.rollbacks = registry.rollbacks;
-    out.flushLatencyNs = flushLatency_;
-    out.canaryState = static_cast<std::uint8_t>(canaryState_);
-    out.canaryCleanStreak = canaryCleanStreak_;
-    out.canaryLastDivergence = canaryLastDivergence_;
-    out.canaryDivergenceNano = canaryDivergence_;
-    out.shadowLatencyNs = shadowLatency_;
-    return out;
 }
 
 std::vector<Request>

@@ -65,6 +65,21 @@
 
 namespace ising::engine {
 
+/**
+ * The live-canary gate's state machine.  The value is also the byte
+ * the Health frame carries (net::HealthSnapshot::canaryState).
+ */
+enum class CanaryState : std::uint8_t {
+    Idle = 0,         ///< no candidate staged (or gate off)
+    Shadowing = 1,    ///< candidate shadowing live traffic
+    Quarantined = 2,  ///< breached; waiting out the backoff window
+    Promoted = 3,     ///< candidate swapped in; gate done
+};
+
+/** Log/CLI spelling of a gate state; "?" for a byte outside the enum
+ *  (a Health frame from a newer server). */
+const char *canaryStateName(CanaryState state);
+
 /** Server tuning knobs. */
 struct ServerConfig
 {
@@ -192,7 +207,13 @@ class Server
     /** Rows currently queued. */
     std::size_t pendingRows() const { return pendingRows_; }
 
-    /** Lifetime counters for benchmarks and logs. */
+    /**
+     * Lifetime counters and gate state: the one live record, updated
+     * in place by the dispatcher thread.  The Health frame, the
+     * --stats-every-ms ledger, serve's exit ledger and serve-bench are
+     * views of it; the registry-owned degradation counters (reload
+     * fallbacks, promotions, rollbacks) stay in ModelRegistry::Stats.
+     */
     struct Stats
     {
         std::size_t requests = 0;      ///< submitted
@@ -222,15 +243,10 @@ class Server
         std::size_t cacheMisses = 0;     ///< probed but executed
         std::size_t cacheEvictions = 0;  ///< entries aged out of budget
         std::size_t cacheBytes = 0;      ///< bytes currently cached
-        // ---- failure counters (the degradation ledger) ----
+        // ---- failure counters ----
         /** Requests resolved with a non-ok status (bad submit or a
          *  group whose model could not be resolved/executed). */
         std::size_t rejected = 0;
-        /** Registry gets served by the last-good cache after a failed
-         *  reload (merged from ModelRegistry::Stats). */
-        std::size_t reloadFallbacks = 0;
-        std::size_t promotions = 0;    ///< canary-gated hot-swaps
-        std::size_t rollbacks = 0;     ///< promotes that kept the incumbent
         /** Requests resolved DeadlineExceeded before any kernel work
          *  (distinct from rejected: the request was well-formed). */
         std::size_t deadlineExpired = 0;
@@ -242,9 +258,7 @@ class Server
         std::size_t canaryDeadlineBreaches = 0; ///< shadow ate a budget
         std::size_t canaryQuarantines = 0;  ///< gate trips (-> backoff)
         std::size_t canaryPromotions = 0;   ///< auto-promotes via gate
-        /** 0 idle, 1 shadowing, 2 quarantined, 3 promoted (matches
-         *  the wire HealthSnapshot encoding). */
-        std::uint8_t canaryState = 0;
+        CanaryState canaryState = CanaryState::Idle;  ///< the gate
         std::size_t canaryCleanStreak = 0;  ///< consecutive clean shadows
         double canaryLastDivergence = 0.0;  ///< most recent shadow MAE
         /** Per-shadow candidate-vs-incumbent MAE in nano-units
@@ -262,11 +276,9 @@ class Server
         util::Histogram flushLatencyNs;
     };
 
-    /**
-     * Counter snapshot; the registry-owned counters (reloadFallbacks,
-     * promotions, rollbacks) are merged in at call time.
-     */
-    Stats stats() const;
+    /** The live record (read it from the dispatcher thread, or after
+     *  the serving loop stops). */
+    const Stats &stats() const { return stats_; }
 
   private:
     /**
@@ -408,21 +420,10 @@ class Server
     std::vector<Pending> pending_;
     std::size_t pendingRows_ = 0;
     Stats stats_;
-    util::Histogram flushLatency_;  ///< ns per executed flush()
 
-    // Live-canary gate state (one dispatcher thread, no locking).
-    enum class CanaryState : std::uint8_t {
-        Idle = 0,         ///< no candidate staged (or gate off)
-        Shadowing = 1,    ///< candidate shadowing live traffic
-        Quarantined = 2,  ///< breached; waiting out the backoff window
-        Promoted = 3,     ///< candidate swapped in; gate done
-    };
-    CanaryState canaryState_ = CanaryState::Idle;
-    std::size_t canaryCleanStreak_ = 0;
+    // Live-canary gate internals beside stats_'s state and streak (one
+    // dispatcher thread, no locking).
     std::size_t canarySlowStreak_ = 0;  ///< consecutive slow groups
-    double canaryLastDivergence_ = 0.0;
-    util::Histogram canaryDivergence_;  ///< per-shadow MAE * 1e9
-    util::Histogram shadowLatency_;     ///< candidate ns per group
     long canaryBackoffMs_ = 0;          ///< 0 until the first breach
     std::uint64_t canaryResumeNs_ = 0;  ///< quarantine expiry
 
@@ -449,7 +450,6 @@ class Server
     std::unordered_map<CacheKey, std::list<CacheEntry>::iterator,
                        CacheKeyHash>
         cacheIndex_;
-    std::size_t cacheBytesUsed_ = 0;
 };
 
 /**

@@ -52,18 +52,6 @@ wireCodeName(std::uint8_t code)
     return "?";
 }
 
-const char *
-canaryStateName(std::uint8_t state)
-{
-    switch (state) {
-      case 0: return "idle";
-      case 1: return "shadowing";
-      case 2: return "quarantined";
-      case 3: return "promoted";
-    }
-    return "?";
-}
-
 namespace {
 
 // ---------------------------------------------------------- encoding

@@ -98,9 +98,9 @@ std::uint8_t wireCode(engine::StatusCode code);
 const char *wireCodeName(std::uint8_t code);
 
 /**
- * Point-in-time serving/canary counters (Health responses).  The
- * canaryState byte mirrors engine::Server's gate machine: 0 = no
- * candidate, 1 = shadowing, 2 = quarantined (backoff), 3 = promoted.
+ * Point-in-time serving/canary counters (Health responses), read from
+ * engine::Server::stats(), the front end's own counters and the
+ * registry's rollbacks.
  */
 struct HealthSnapshot
 {
@@ -114,13 +114,10 @@ struct HealthSnapshot
     std::uint64_t canaryQuarantines = 0;  ///< gate breaches -> backoff
     std::uint64_t canaryPromotions = 0;   ///< live auto-promotes
     std::uint64_t rollbacks = 0;        ///< rollbacks (offline + live)
-    std::uint8_t canaryState = 0;       ///< gate state (see above)
+    std::uint8_t canaryState = 0;       ///< an engine::CanaryState
     double lastDivergence = 0.0;        ///< most recent shadow MAE
     double meanDivergence = 0.0;        ///< mean shadow MAE so far
 };
-
-/** Log/CLI spelling of a HealthSnapshot::canaryState value. */
-const char *canaryStateName(std::uint8_t state);
 
 /** One model's metadata (List/Info responses). */
 struct ModelInfo

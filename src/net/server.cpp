@@ -576,7 +576,7 @@ NetServer::closeConn(int fd)
 HealthSnapshot
 NetServer::healthSnapshot() const
 {
-    const engine::Server::Stats es = engine_.stats();
+    const engine::Server::Stats &es = engine_.stats();
     HealthSnapshot h;
     h.requests = es.requests;
     h.rows = es.rows;
@@ -587,8 +587,8 @@ NetServer::healthSnapshot() const
     h.canaryCleanStreak = es.canaryCleanStreak;
     h.canaryQuarantines = es.canaryQuarantines;
     h.canaryPromotions = es.canaryPromotions;
-    h.rollbacks = es.rollbacks;
-    h.canaryState = es.canaryState;
+    h.rollbacks = registry_.stats().rollbacks;
+    h.canaryState = static_cast<std::uint8_t>(es.canaryState);
     h.lastDivergence = es.canaryLastDivergence;
     h.meanDivergence = es.canaryDivergenceNano.count() > 0
                            ? es.canaryDivergenceNano.mean() / 1e9
@@ -610,16 +610,39 @@ NetServer::logStatsLine(double now)
     // pipeline whose stdout reader may already have exited.
     std::fprintf(stderr,
                  "serve: %.1f req/s | conns %zu | shed %llu | "
-                 "backpressured %llu | deadline-expired %llu | "
-                 "canary %s shadows=%llu streak=%llu divergence=%.6f\n",
+                 "backpressured %llu | deadline-expired %llu | %s\n",
                  rate, conns_.size(),
                  static_cast<unsigned long long>(h.shed),
                  static_cast<unsigned long long>(h.backpressured),
                  static_cast<unsigned long long>(h.deadlineExpired),
-                 canaryStateName(h.canaryState),
-                 static_cast<unsigned long long>(h.canaryShadows),
-                 static_cast<unsigned long long>(h.canaryCleanStreak),
-                 h.lastDivergence);
+                 gateSummary(h, &engine_.stats()).c_str());
+}
+
+std::string
+gateSummary(const HealthSnapshot &h, const engine::Server::Stats *stats)
+{
+    char causes[128] = "";
+    if (stats)
+        std::snprintf(causes, sizeof causes,
+                      " (%zu divergence, %zu latency, %zu failure, "
+                      "%zu deadline)",
+                      stats->canaryDivergenceBreaches,
+                      stats->canaryLatencyBreaches,
+                      stats->canaryFailureBreaches,
+                      stats->canaryDeadlineBreaches);
+    char line[384];
+    std::snprintf(line, sizeof line,
+                  "canary: %s, %llu shadows (streak %llu), %llu "
+                  "quarantines%s, %llu promotions, last divergence %.6f",
+                  engine::canaryStateName(
+                      static_cast<engine::CanaryState>(h.canaryState)),
+                  static_cast<unsigned long long>(h.canaryShadows),
+                  static_cast<unsigned long long>(h.canaryCleanStreak),
+                  static_cast<unsigned long long>(h.canaryQuarantines),
+                  causes,
+                  static_cast<unsigned long long>(h.canaryPromotions),
+                  h.lastDivergence);
+    return line;
 }
 
 void

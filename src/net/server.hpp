@@ -225,6 +225,18 @@ class NetServer
     std::size_t statsLastRequests_ = 0;
 };
 
+/**
+ * The one spelling of the canary gate, shared by the --stats-every-ms
+ * ledger, serve's exit ledger and `promote --live`:
+ * "canary: <state>, <n> shadows (streak <n>), <n> quarantines, <n>
+ * promotions, last divergence <mae>".  The Health frame carries only
+ * the quarantine total; in-process callers pass the engine's @p stats
+ * to break it down by cause after the total ("(<n> divergence, <n>
+ * latency, <n> failure, <n> deadline)").
+ */
+std::string gateSummary(const HealthSnapshot &h,
+                        const engine::Server::Stats *stats = nullptr);
+
 } // namespace ising::net
 
 #endif // ISINGRBM_NET_SERVER_HPP

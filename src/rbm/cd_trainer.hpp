@@ -19,7 +19,6 @@
 
 #include "data/dataset.hpp"
 #include "exec/thread_pool.hpp"
-#include "rbm/gibbs.hpp"
 #include "rbm/rbm.hpp"
 #include "rbm/sampling_backend.hpp"
 #include "rbm/train_state.hpp"

@@ -17,8 +17,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "rbm/gibbs.hpp"
-
 namespace ising::rbm {
 
 data::Dataset

@@ -39,7 +39,8 @@ endfunction()
 # (rolled-back promotes exit 2, rejected candidates exit 1).  STDERR
 # <regex> also requires that message, for a code another failure could
 # produce too; TIMEOUT <s> bounds a step that would run on (a server
-# that accepted a flag it should have refused).
+# that accepted a flag it should have refused).  Like run_step, it
+# returns the step's stdout in step_out.
 function(run_step_expect expected)
   cmake_parse_arguments(PARSE_ARGV 1 opt "" "STDERR;TIMEOUT" "")
   set(timeout)
@@ -64,6 +65,7 @@ function(run_step_expect expected)
     message(FATAL_ERROR "cli_smoke: '${pretty}' exited ${code} without "
                         "'${opt_STDERR}' on stderr: ${err}")
   endif()
+  set(step_out "${out}" PARENT_SCOPE)
 endfunction()
 
 # ---------------------------------------------------------------------
@@ -108,7 +110,8 @@ if(DEFINED MODE AND MODE STREQUAL "torn-driver")
   set(MODEL live)
   # Probe while the trainer publishes -- a probe fails until the first
   # loadable archive lands, and that is fine -- until `list` shows
-  # epoch 4 at rest (`list` itself fails on the torn archive).
+  # epoch 4 at rest (while the torn archive lies on disk, `list` prints
+  # its row as unreadable and exits 1).
   string(TIMESTAMP start "%s")
   set(listing "")
   while(NOT listing MATCHES "\nlive +[a-z_]+ +[^ ]+ +[0-9]+ +4 ")
@@ -156,16 +159,23 @@ if(DEFINED MODE AND MODE STREQUAL "hot-driver")
   driver_same(${WORK}/hot-b.txt ${WORK}/cand-b.txt)
 
   # An unpassable tolerance rolls back (exit 2) and a torn candidate is
-  # rejected (exit 1); neither moves what 'hot' serves.
+  # rejected (exit 1); neither moves what 'hot' serves.  The rollback
+  # process exits right after the breach, so its log must not promise
+  # to resume shadowing.
   execute_process(COMMAND ${CLI} promote --registry ${WORK}/prom-reg
                   --name hot --candidate ${WORK}/cands/cand-a.ckpt
                   --tolerance -1
                   RESULT_VARIABLE code
                   OUTPUT_VARIABLE roll_out
-                  ERROR_QUIET)
+                  ERROR_VARIABLE roll_err)
   if(NOT code EQUAL 2 OR NOT roll_out MATCHES "rollback: canary divergence")
     driver_fail("promote --tolerance -1 exited ${code}, expected a "
                 "rollback (2): ${roll_out}")
+  endif()
+  if(NOT roll_err MATCHES "canary quarantined" OR
+     roll_err MATCHES "resume shadowing")
+    driver_fail("promote --tolerance -1 logged no breach, or a resume "
+                "it never makes: ${roll_err}")
   endif()
   execute_process(COMMAND ${CLI} promote --registry ${WORK}/prom-reg
                   --name hot --candidate ${WORK}/cands/torn.ckpt
@@ -320,6 +330,20 @@ if(NOT EXISTS ${WORK}/pipe-reg/a.ckpt)
                       "no archive")
 endif()
 run_step(${CLI} list --registry ${WORK}/pipe-reg --verify)
+
+# A torn archive fails its own `list` row, not the listing: with a
+# 200-byte aaa.ckpt sorted first, the good archive is still listed and
+# list exits 1.
+file(COPY ${WORK}/pipe-reg/a.ckpt DESTINATION ${WORK}/torn-list)
+file(RENAME ${WORK}/torn-list/a.ckpt ${WORK}/torn-list/good.ckpt)
+file(READ ${WORK}/pipe-reg/a.ckpt torn_list_head LIMIT 200)
+file(WRITE ${WORK}/torn-list/aaa.ckpt "${torn_list_head}")
+run_step_expect(1 ${CLI} list --registry ${WORK}/torn-list)
+if(NOT step_out MATCHES "\naaa +unreadable: [^\n]*truncated" OR
+   NOT step_out MATCHES "\ngood +rbm +")
+  message(FATAL_ERROR "cli_smoke: list over a torn archive did not list "
+                      "both rows: ${step_out}")
+endif()
 
 # Continuous training under torn writes: a trainer publishes four
 # per-epoch checkpoints of 'live' with the epoch-2 publish truncated

@@ -250,9 +250,9 @@ TEST_F(CanaryGateTest, CleanCandidateAutoPromotesAndBytesHold)
     EXPECT_GE(stats.canaryShadows, config.canary.minShadows);
     EXPECT_EQ(stats.canaryQuarantines, 0u);
     EXPECT_EQ(stats.canaryPromotions, 1u);
-    EXPECT_EQ(stats.canaryState, 3u);  // promoted
+    EXPECT_EQ(stats.canaryState, engine::CanaryState::Promoted);
     EXPECT_EQ(stats.canaryLastDivergence, 0.0);
-    EXPECT_GE(stats.promotions, 1u);
+    EXPECT_GE(registry.stats().promotions, 1u);
 
     // The swap went through the atomic publish: the archive verifies,
     // a fresh registry loads the candidate, and the staged slot is
@@ -309,9 +309,10 @@ TEST_F(CanaryGateTest, DivergentCandidateIsQuarantinedNotPromoted)
     EXPECT_GE(stats.canaryDivergenceBreaches, 1u);
     EXPECT_EQ(stats.canaryQuarantines, 1u);
     EXPECT_EQ(stats.canaryPromotions, 0u);
-    EXPECT_EQ(stats.canaryState, 2u);  // quarantined (long backoff)
+    // Quarantined: the long backoff holds it there.
+    EXPECT_EQ(stats.canaryState, engine::CanaryState::Quarantined);
     EXPECT_GT(stats.canaryLastDivergence, 0.05);
-    EXPECT_GE(stats.rollbacks, 1u);
+    EXPECT_GE(registry.stats().rollbacks, 1u);
 
     // The incumbent archive is byte-for-byte untouched and the
     // incumbent keeps serving.
@@ -504,7 +505,8 @@ TEST_F(CanaryGateTest, CoalescedGroupsShadowOnTheServingPlane)
         for (std::size_t r = 0; r < rows.rows(); ++r)
             rngs.push_back(util::Rng::stream(first.seed, r));
         linalg::Matrix out;
-        model.reconstructRows(rows, rngs.data(), out);
+        engine::BatchScratch scratch;
+        model.reconstructRows(rows, rngs.data(), out, scratch);
         return out;
     };
     const linalg::Matrix inc = reconstruct(*registry.tryGet("m").value());
@@ -553,7 +555,7 @@ TEST_F(CanaryGateTest, CandidateWiderThanTheRequestRowsFailsBeforeGather)
     EXPECT_EQ(stats.canaryFailureBreaches, 1u);
     EXPECT_EQ(stats.canaryQuarantines, 1u);
     EXPECT_EQ(stats.canaryShadows, 0u);
-    EXPECT_EQ(stats.canaryState, 2u);  // quarantined
+    EXPECT_EQ(stats.canaryState, engine::CanaryState::Quarantined);
 }
 
 // ----------------------------------------------- staging validation

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "alloc_probe.hpp"
+#include "engine/server.hpp"
 #include "linalg/bits.hpp"
 #include "net/frame.hpp"
 #include "util/rng.hpp"
@@ -174,7 +175,8 @@ seedFrames()
     health.type = FrameType::HealthResponse;
     health.health.requests = 101;
     health.health.rows = 404;
-    health.health.canaryState = 1;
+    health.health.canaryState =
+        static_cast<std::uint8_t>(engine::CanaryState::Shadowing);
     health.health.lastDivergence = 0.125;
     seeds.push_back(encoded(health));
     return seeds;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for Gibbs chains and the CD-k / PCD trainers.
+ * Tests for Gibbs chains (SamplingBackend::anneal) and the CD-k / PCD
+ * trainers.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,7 @@
 #include "data/dataset.hpp"
 #include "rbm/cd_trainer.hpp"
 #include "rbm/exact.hpp"
-#include "rbm/gibbs.hpp"
+#include "rbm/sampling_backend.hpp"
 
 using namespace ising::rbm;
 using ising::util::Rng;
@@ -31,75 +32,38 @@ stripeData(std::size_t rows, std::size_t dim)
 
 } // namespace
 
-TEST(GibbsChain, StatesAreBinary)
-{
-    Rng rng(1);
-    Rbm model(10, 6);
-    model.initRandom(rng, 0.5f);
-    GibbsChain chain(model, rng);
-    chain.step(3);
-    for (std::size_t i = 0; i < 10; ++i)
-        EXPECT_TRUE(chain.visible()[i] == 0.0f ||
-                    chain.visible()[i] == 1.0f);
-    for (std::size_t j = 0; j < 6; ++j)
-        EXPECT_TRUE(chain.hidden()[j] == 0.0f ||
-                    chain.hidden()[j] == 1.0f);
-}
-
-TEST(GibbsChain, ResetClampsVisible)
-{
-    Rng rng(2);
-    Rbm model(4, 3);
-    model.initRandom(rng, 0.1f);
-    GibbsChain chain(model, rng);
-    const float v0[4] = {1, 0, 1, 0};
-    chain.reset(v0);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(chain.visible()[i], v0[i]);
-}
-
-TEST(GibbsChain, UniformModelSamplesUniformly)
+TEST(GibbsAnneal, UniformModelSamplesUniformly)
 {
     // Zero weights/biases: every unit is a fair coin at stationarity.
     Rng rng(3);
-    Rbm model(6, 4);
-    GibbsChain chain(model, rng);
+    const Rbm model(6, 4);
+    const SoftwareGibbsBackend backend(model);
+    ising::linalg::Vector v, h(4), pv, ph;
     double mean = 0.0;
     const int steps = 4000;
     for (int s = 0; s < steps; ++s) {
-        chain.step(1);
-        mean += chain.visible()[0];
+        backend.anneal(1, v, h, pv, ph, rng);
+        mean += v[0];
     }
     EXPECT_NEAR(mean / steps, 0.5, 0.05);
 }
 
-TEST(GibbsChain, ChainTracksModelBias)
+TEST(GibbsAnneal, ChainTracksModelBias)
 {
     // Strong positive visible bias pushes the marginal toward one.
     Rng rng(4);
     Rbm model(3, 2);
     for (std::size_t i = 0; i < 3; ++i)
         model.visibleBias()[i] = 3.0f;
-    GibbsChain chain(model, rng);
+    const SoftwareGibbsBackend backend(model);
+    ising::linalg::Vector v, h(2), pv, ph;
     double mean = 0.0;
     const int steps = 2000;
     for (int s = 0; s < steps; ++s) {
-        chain.step(1);
-        mean += chain.visible()[0];
+        backend.anneal(1, v, h, pv, ph, rng);
+        mean += v[0];
     }
     EXPECT_GT(mean / steps, 0.9);
-}
-
-TEST(GibbsChain, SetHiddenOverridesState)
-{
-    Rng rng(5);
-    Rbm model(4, 3);
-    GibbsChain chain(model, rng);
-    ising::linalg::Vector h(3);
-    h[0] = 1.0f;
-    chain.setHidden(h);
-    EXPECT_EQ(chain.hidden()[0], 1.0f);
-    EXPECT_EQ(chain.hidden()[1], 0.0f);
 }
 
 TEST(CdTrainer, ImprovesExactLikelihood)

@@ -993,7 +993,8 @@ TEST(NetFrame, HealthSnapshotRoundTripsEveryField)
     res.health.canaryQuarantines = 2;
     res.health.canaryPromotions = 1;
     res.health.rollbacks = 5;
-    res.health.canaryState = 2;
+    res.health.canaryState =
+        static_cast<std::uint8_t>(engine::CanaryState::Quarantined);
     res.health.lastDivergence = 0.125;
     res.health.meanDivergence = 0.0625;
 
@@ -1016,10 +1017,52 @@ TEST(NetFrame, HealthSnapshotRoundTripsEveryField)
     EXPECT_EQ(back.health.canaryQuarantines, 2u);
     EXPECT_EQ(back.health.canaryPromotions, 1u);
     EXPECT_EQ(back.health.rollbacks, 5u);
-    EXPECT_EQ(back.health.canaryState, 2);
+    EXPECT_EQ(static_cast<engine::CanaryState>(back.health.canaryState),
+              engine::CanaryState::Quarantined);
     EXPECT_EQ(back.health.lastDivergence, 0.125);
     EXPECT_EQ(back.health.meanDivergence, 0.0625);
-    EXPECT_STREQ(net::canaryStateName(2), "quarantined");
+}
+
+TEST(NetFrame, CanaryStatesPinTheirHealthByte)
+{
+    // The Health frame carries an engine::CanaryState as one byte, at
+    // frame offset 86 (u32 length, type, code, ten u64 counters).
+    const std::pair<engine::CanaryState, std::uint8_t> pins[] = {
+        {engine::CanaryState::Idle, 0},
+        {engine::CanaryState::Shadowing, 1},
+        {engine::CanaryState::Quarantined, 2},
+        {engine::CanaryState::Promoted, 3},
+    };
+    const auto roundTrip = [](std::uint8_t state, std::string &bytes) {
+        net::Response res;
+        res.type = net::FrameType::HealthResponse;
+        res.health.canaryState = state;
+        net::encodeResponse(res, bytes);
+        net::Response back;
+        EXPECT_TRUE(net::decodeResponse(bytes.data() + 4,
+                                        bytes.size() - 4, back));
+        return back.health;
+    };
+    for (const auto &[state, byte] : pins) {
+        const std::string name = engine::canaryStateName(state);
+        std::string bytes;
+        const net::HealthSnapshot back =
+            roundTrip(static_cast<std::uint8_t>(state), bytes);
+        ASSERT_EQ(bytes.size(), 103u);
+        EXPECT_EQ(static_cast<std::uint8_t>(bytes[86]), byte) << name;
+        EXPECT_EQ(net::gateSummary(back).rfind("canary: " + name + ",", 0),
+                  0u)
+            << net::gateSummary(back);
+    }
+
+    // A byte outside the enum (a newer server's state) still decodes,
+    // and prints as "?".
+    std::string bytes;
+    const net::HealthSnapshot unknown = roundTrip(7, bytes);
+    EXPECT_EQ(unknown.canaryState, 7);
+    EXPECT_STREQ(engine::canaryStateName(engine::CanaryState{7}), "?");
+    EXPECT_EQ(net::gateSummary(unknown).rfind("canary: ?,", 0), 0u)
+        << net::gateSummary(unknown);
 }
 
 TEST_F(NetTest, HealthFrameReportsLiveCounters)
@@ -1045,7 +1088,9 @@ TEST_F(NetTest, HealthFrameReportsLiveCounters)
     EXPECT_EQ(res.code, net::kWireOk);
     EXPECT_GE(res.health.requests, 1u);
     EXPECT_GE(res.health.rows, 2u);
-    EXPECT_EQ(res.health.canaryState, 0);  // no candidate staged
+    // No candidate staged.
+    EXPECT_EQ(static_cast<engine::CanaryState>(res.health.canaryState),
+              engine::CanaryState::Idle);
     EXPECT_EQ(res.health.canaryShadows, 0u);
 }
 

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "accel/fabric_backend.hpp"
-#include "rbm/gibbs.hpp"
 #include "rbm/sampling.hpp"
 #include "rbm/sampling_backend.hpp"
 
@@ -130,13 +129,18 @@ TEST_P(SamplingBackendConformance, SamplingIsDeterministicPerSeed)
     }
 }
 
-TEST_P(SamplingBackendConformance, DrivesGibbsChains)
+TEST_P(SamplingBackendConformance, DrivesAnnealChains)
 {
-    rbm::GibbsChain chain(*backend_, *rng_);
-    chain.step(10);
-    EXPECT_EQ(chain.visible().size(), 8u);
-    EXPECT_EQ(chain.hidden().size(), 4u);
-    for (float x : chain.visible())
+    // A chain from a random binary visible state: one up half-sweep,
+    // then ten full sweeps through anneal.
+    linalg::Vector v(8), h, pv, ph;
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = rng_->bernoulli(0.5) ? 1.0f : 0.0f;
+    backend_->sampleHidden(v, h, ph, *rng_);
+    backend_->anneal(10, v, h, pv, ph, *rng_);
+    EXPECT_EQ(v.size(), 8u);
+    EXPECT_EQ(h.size(), 4u);
+    for (float x : v)
         EXPECT_TRUE(x == 0.0f || x == 1.0f);
 }
 

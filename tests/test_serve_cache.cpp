@@ -466,14 +466,16 @@ TEST_F(ServeCacheTest, ServedBytesMatchTheModelReferenceOnBothPlanes)
             for (std::size_t i = 0; i < batch.size(); ++i) {
                 ASSERT_TRUE(served[i].status.ok());
                 linalg::Matrix reference;
+                engine::BatchScratch scratch;
                 if (op == Op::Featurize) {
-                    model->featurizeRows(batch[i].input, reference);
+                    model->featurizeRows(batch[i].input, reference,
+                                         scratch);
                 } else {
                     std::vector<Rng> rngs;
                     for (std::size_t r = 0; r < batch[i].input.rows(); ++r)
                         rngs.push_back(Rng::stream(batch[i].seed, r));
                     model->reconstructRows(batch[i].input, rngs.data(),
-                                           reference);
+                                           reference, scratch);
                 }
                 EXPECT_TRUE(sameBytes(served[i].output, reference))
                     << engine::opName(op) << " request " << i << " of "
