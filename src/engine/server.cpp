@@ -656,15 +656,12 @@ Server::maybeShadow(const std::vector<Pending *> &group,
         return;  // integer labels carry no graded divergence to gate
     if (stats_.canaryState == CanaryState::Promoted)
         return;
-    if (stats_.canaryState == CanaryState::Quarantined) {
+    const bool resuming = stats_.canaryState == CanaryState::Quarantined;
+    if (resuming) {
         if (steadyNowNs() < canaryResumeNs_)
             return;
         // Backoff window over: resume shadowing the staged candidate
         // from a zero streak (quarantined shadows prove nothing).
-        util::inform(util::strcat("server: canary backoff of ",
-                                  canaryBackoffMs_,
-                                  " ms over; resume shadowing"));
-        stats_.canaryState = CanaryState::Shadowing;
         stats_.canaryCleanStreak = 0;
     }
     const auto candidate = registry_.candidate(gate.model);
@@ -672,6 +669,10 @@ Server::maybeShadow(const std::vector<Pending *> &group,
         stats_.canaryState = CanaryState::Idle;
         return;
     }
+    if (resuming)
+        util::inform(util::strcat("server: canary backoff of ",
+                                  canaryBackoffMs_,
+                                  " ms over; resume shadowing"));
     stats_.canaryState = CanaryState::Shadowing;
     if (!candidate->supports(op))
         return;

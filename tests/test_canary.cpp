@@ -346,13 +346,48 @@ TEST_F(CanaryGateTest, QuarantineBacksOffThenResumesShadowing)
     // Traffic inside the backoff window is not shadowed...
     server.serve({live[1]});
     // ...but once the window lapses shadowing resumes (with a zeroed
-    // streak) and the still-divergent candidate re-breaches.
+    // streak), says so, and the still-divergent candidate re-breaches.
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    testing::internal::CaptureStderr();
     server.serve({live[2]});
-    const Server::Stats stats = server.stats();
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("resume shadowing"), std::string::npos) << log;
+    const Server::Stats &stats = server.stats();
     EXPECT_GT(stats.canaryShadows, shadowsAfterFirst);
     EXPECT_GE(stats.canaryQuarantines, 2u);
     EXPECT_EQ(stats.canaryPromotions, 0u);
+}
+
+TEST_F(CanaryGateTest, LapsedQuarantineWithoutACandidateGoesIdleSilently)
+{
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(copyRbm(6), 1));
+    const std::string cand = path("blank.ckpt");
+    rbm::saveCheckpoint(makeCkpt(blankRbm(6), 2), cand);
+    ASSERT_TRUE(registry.stageCandidate("m", cand).ok());
+
+    ServerConfig config;
+    config.canary.model = "m";
+    config.canary.fraction = 1.0;
+    config.canary.maxDivergence = 0.05;
+    config.canary.quarantineMinMs = 1;
+    config.canary.quarantineMaxMs = 2;
+    Server server(registry, config);
+
+    const auto live = corpus(6, 6);
+    server.serve({live[0]});
+    ASSERT_EQ(server.stats().canaryState, engine::CanaryState::Quarantined);
+
+    // The stage goes stale during the backoff (promoteStaged refusing a
+    // file changed on disk unstages it): when the window lapses there
+    // is nothing to shadow, so the gate idles and logs no resume.
+    registry.clearCandidate("m");
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    testing::internal::CaptureStderr();
+    server.serve({live[1]});
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(server.stats().canaryState, engine::CanaryState::Idle);
+    EXPECT_EQ(log.find("resume shadowing"), std::string::npos) << log;
 }
 
 TEST_F(CanaryGateTest, ObserveOnlyGateNeverPromotes)

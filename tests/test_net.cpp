@@ -1023,46 +1023,48 @@ TEST(NetFrame, HealthSnapshotRoundTripsEveryField)
     EXPECT_EQ(back.health.meanDivergence, 0.0625);
 }
 
-TEST(NetFrame, CanaryStatesPinTheirHealthByte)
+TEST(NetFrame, CanaryStatesPinTheirNameAndHealthByte)
 {
-    // The Health frame carries an engine::CanaryState as one byte, at
-    // frame offset 86 (u32 length, type, code, ten u64 counters).
-    const std::pair<engine::CanaryState, std::uint8_t> pins[] = {
-        {engine::CanaryState::Idle, 0},
-        {engine::CanaryState::Shadowing, 1},
-        {engine::CanaryState::Quarantined, 2},
-        {engine::CanaryState::Promoted, 3},
+    // The Health frame carries an engine::CanaryState as its byte
+    // (WireBytesArePinned pins where that byte sits in the frame).
+    struct Pin
+    {
+        engine::CanaryState state;
+        std::uint8_t byte;
+        const char *name;
     };
-    const auto roundTrip = [](std::uint8_t state, std::string &bytes) {
-        net::Response res;
-        res.type = net::FrameType::HealthResponse;
-        res.health.canaryState = state;
-        net::encodeResponse(res, bytes);
-        net::Response back;
-        EXPECT_TRUE(net::decodeResponse(bytes.data() + 4,
-                                        bytes.size() - 4, back));
-        return back.health;
+    const Pin pins[] = {
+        {engine::CanaryState::Idle, 0, "idle"},
+        {engine::CanaryState::Shadowing, 1, "shadowing"},
+        {engine::CanaryState::Quarantined, 2, "quarantined"},
+        {engine::CanaryState::Promoted, 3, "promoted"},
     };
-    for (const auto &[state, byte] : pins) {
-        const std::string name = engine::canaryStateName(state);
-        std::string bytes;
-        const net::HealthSnapshot back =
-            roundTrip(static_cast<std::uint8_t>(state), bytes);
-        ASSERT_EQ(bytes.size(), 103u);
-        EXPECT_EQ(static_cast<std::uint8_t>(bytes[86]), byte) << name;
-        EXPECT_EQ(net::gateSummary(back).rfind("canary: " + name + ",", 0),
+    for (const Pin &pin : pins) {
+        EXPECT_EQ(static_cast<std::uint8_t>(pin.state), pin.byte)
+            << pin.name;
+        EXPECT_STREQ(engine::canaryStateName(pin.state), pin.name);
+        net::HealthSnapshot health;
+        health.canaryState = pin.byte;
+        const std::string line = net::gateSummary(health);
+        EXPECT_EQ(line.rfind(std::string("canary: ") + pin.name + ",", 0),
                   0u)
-            << net::gateSummary(back);
+            << line;
     }
 
     // A byte outside the enum (a newer server's state) still decodes,
     // and prints as "?".
+    net::Response res;
+    res.type = net::FrameType::HealthResponse;
+    res.health.canaryState = 7;
     std::string bytes;
-    const net::HealthSnapshot unknown = roundTrip(7, bytes);
-    EXPECT_EQ(unknown.canaryState, 7);
+    net::encodeResponse(res, bytes);
+    net::Response back;
+    ASSERT_TRUE(net::decodeResponse(bytes.data() + 4, bytes.size() - 4,
+                                    back));
+    EXPECT_EQ(back.health.canaryState, 7);
     EXPECT_STREQ(engine::canaryStateName(engine::CanaryState{7}), "?");
-    EXPECT_EQ(net::gateSummary(unknown).rfind("canary: ?,", 0), 0u)
-        << net::gateSummary(unknown);
+    EXPECT_EQ(net::gateSummary(back.health).rfind("canary: ?,", 0), 0u)
+        << net::gateSummary(back.health);
 }
 
 TEST_F(NetTest, HealthFrameReportsLiveCounters)

@@ -106,16 +106,30 @@ TEST_P(SamplingBackendConformance, MarginalsFollowTheEnergyLandscape)
 
 TEST_P(SamplingBackendConformance, AnnealKeepsStatesBinary)
 {
-    linalg::Vector v, h(4), pv, ph;
+    const auto expectBinaryAfter = [&](int sweeps, linalg::Vector v,
+                                       linalg::Vector h) {
+        linalg::Vector pv, ph;
+        backend_->anneal(sweeps, v, h, pv, ph, *rng_);
+        ASSERT_EQ(v.size(), 8u);
+        ASSERT_EQ(h.size(), 4u);
+        for (float x : v)
+            EXPECT_TRUE(x == 0.0f || x == 1.0f);
+        for (float x : h)
+            EXPECT_TRUE(x == 0.0f || x == 1.0f);
+    };
+
+    // From an alternating hidden state, with no visible state yet.
+    linalg::Vector h(4);
     for (std::size_t j = 0; j < 4; ++j)
         h[j] = j % 2 ? 1.0f : 0.0f;
-    backend_->anneal(5, v, h, pv, ph, *rng_);
-    ASSERT_EQ(v.size(), 8u);
-    ASSERT_EQ(h.size(), 4u);
-    for (float x : v)
-        EXPECT_TRUE(x == 0.0f || x == 1.0f);
-    for (float x : h)
-        EXPECT_TRUE(x == 0.0f || x == 1.0f);
+    expectBinaryAfter(5, linalg::Vector(), h);
+
+    // From a hidden sample drawn up from a random binary visible state.
+    linalg::Vector v(8), ph;
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = rng_->bernoulli(0.5) ? 1.0f : 0.0f;
+    backend_->sampleHidden(v, h, ph, *rng_);
+    expectBinaryAfter(10, v, h);
 }
 
 TEST_P(SamplingBackendConformance, SamplingIsDeterministicPerSeed)
@@ -127,21 +141,6 @@ TEST_P(SamplingBackendConformance, SamplingIsDeterministicPerSeed)
         backend_->sampleHidden(v, h2, ph, b);
         ASSERT_TRUE(h1 == h2) << "trial " << t;
     }
-}
-
-TEST_P(SamplingBackendConformance, DrivesAnnealChains)
-{
-    // A chain from a random binary visible state: one up half-sweep,
-    // then ten full sweeps through anneal.
-    linalg::Vector v(8), h, pv, ph;
-    for (std::size_t i = 0; i < v.size(); ++i)
-        v[i] = rng_->bernoulli(0.5) ? 1.0f : 0.0f;
-    backend_->sampleHidden(v, h, ph, *rng_);
-    backend_->anneal(10, v, h, pv, ph, *rng_);
-    EXPECT_EQ(v.size(), 8u);
-    EXPECT_EQ(h.size(), 4u);
-    for (float x : v)
-        EXPECT_TRUE(x == 0.0f || x == 1.0f);
 }
 
 TEST_P(SamplingBackendConformance, DrivesFantasyAndConditionalSamplers)
