@@ -38,12 +38,12 @@ qualityOf(const data::Dataset &train, const accel::BgfConfig &cfg,
           int epochs, std::size_t hidden)
 {
     util::Rng rng(17);
-    accel::BoltzmannGradientFollower bgf(train.dim(), hidden, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(train.dim(), hidden, cfg);
     rbm::Rbm init(train.dim(), hidden);
     init.initRandom(rng);
     bgf.initialize(init);
     for (int e = 0; e < epochs; ++e)
-        bgf.trainEpoch(train);
+        bgf.trainEpoch(train, rng);
     const rbm::Rbm model = bgf.readOut();
 
     util::Rng aisRng(23);
@@ -119,12 +119,12 @@ BM_BgfSamplePipeline(benchmark::State &state)
     accel::BgfConfig cfg;
     cfg.learningRate = 1e-3;
     accel::BoltzmannGradientFollower bgf(train.dim(), state.range(0),
-                                         cfg, rng);
+                                         cfg);
     rbm::Rbm init(train.dim(), state.range(0));
     bgf.initialize(init);
     std::size_t i = 0;
     for (auto _ : state) {
-        bgf.trainSample(train.sample(i % train.size()));
+        bgf.trainSample(train.sample(i % train.size()), rng);
         ++i;
     }
     state.SetItemsProcessed(state.iterations());

@@ -98,12 +98,12 @@ klAfterBgf(const data::Dataset &train, const std::vector<double> &truth,
     // particles); circuit non-idealities are studied separately in
     // Figs. 8-10, so they are disabled here.
     cfg.analog.idealComponents = true;
-    accel::BoltzmannGradientFollower bgf(kVisible, kHidden, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(kVisible, kHidden, cfg);
     rbm::Rbm init(kVisible, kHidden);
     init.initRandom(rng, 0.05f);
     bgf.initialize(init);
     for (int e = 0; e < epochs; ++e)
-        bgf.trainEpoch(train);
+        bgf.trainEpoch(train, rng);
     return eval::klDivergence(
         truth, rbm::exact::visibleDistribution(bgf.readOut()));
 }

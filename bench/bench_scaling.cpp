@@ -1169,16 +1169,18 @@ printParallelBgf(std::size_t numSamples, int epochs)
                             "samples/fabric"});
     for (std::size_t replicas : {1u, 2u, 4u, 8u}) {
         util::Rng rng(17);
+        const std::uint64_t rootSeed = rng.next();
         accel::ParallelBgfConfig cfg;
         cfg.numReplicas = replicas;
         cfg.syncEveryEpochs = 1;
         cfg.replica.learningRate = 0.1 / 50.0;
         cfg.replica.annealSteps = 4;
-        accel::ParallelBgf fleet(train.dim(), 48, cfg, rng);
+        accel::ParallelBgf fleet(train.dim(), 48, cfg);
         rbm::Rbm init(train.dim(), 48);
         init.initRandom(rng);
         fleet.initialize(init);
-        fleet.train(train, epochs);
+        for (int epoch = 0; epoch < epochs; ++epoch)
+            fleet.trainEpoch(train, rootSeed, epoch);
 
         util::Rng aisRng(23);
         rbm::AisConfig aisCfg;
@@ -1186,7 +1188,7 @@ printParallelBgf(std::size_t numSamples, int epochs)
         aisCfg.numBetas = 60;
         rbm::AisEstimator ais(aisCfg, aisRng);
         const double lp =
-            ais.averageLogProb(fleet.readOut(), train, train);
+            ais.averageLogProb(fleet.meanModel(), train, train);
         table.addRow({std::to_string(replicas), fmt(lp, 1),
                       std::to_string(fleet.samplesProcessed() /
                                      replicas)});
@@ -1203,19 +1205,21 @@ printThreadScaling(std::size_t numSamples, int epochs)
 
     auto run = [&](exec::ThreadPool &pool, double &seconds) {
         util::Rng rng(29);
+        const std::uint64_t rootSeed = rng.next();
         accel::ParallelBgfConfig cfg;
         cfg.numReplicas = 4;
         cfg.replica.learningRate = 0.1 / 50.0;
         cfg.replica.annealSteps = 4;
         cfg.pool = &pool;
-        accel::ParallelBgf fleet(train.dim(), 48, cfg, rng);
+        accel::ParallelBgf fleet(train.dim(), 48, cfg);
         rbm::Rbm init(train.dim(), 48);
         init.initRandom(rng);
         fleet.initialize(init);
         util::Stopwatch sw;
-        fleet.train(train, epochs);
+        for (int epoch = 0; epoch < epochs; ++epoch)
+            fleet.trainEpoch(train, rootSeed, epoch);
         seconds = sw.seconds();
-        return fleet.readOut();
+        return fleet.meanModel();
     };
 
     exec::ThreadPool serial(1);
@@ -1239,15 +1243,16 @@ BM_ParallelBgfEpoch(benchmark::State &state)
 {
     data::Dataset raw = data::makeBenchmarkData("MNIST", 200, 5);
     const data::Dataset train = data::binarizeThreshold(raw);
-    util::Rng rng(3);
     accel::ParallelBgfConfig cfg;
     cfg.numReplicas = state.range(0);
     cfg.replica.learningRate = 1e-3;
-    accel::ParallelBgf fleet(train.dim(), 32, cfg, rng);
+    accel::ParallelBgf fleet(train.dim(), 32, cfg);
     rbm::Rbm init(train.dim(), 32);
     fleet.initialize(init);
+    const std::uint64_t rootSeed = 3;
+    int epoch = 0;
     for (auto _ : state)
-        fleet.train(train, 1);
+        fleet.trainEpoch(train, rootSeed, epoch++);
     state.SetItemsProcessed(state.iterations() * train.size());
 }
 BENCHMARK(BM_ParallelBgfEpoch)->Arg(1)->Arg(4)

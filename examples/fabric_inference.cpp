@@ -79,8 +79,7 @@ main(int argc, char **argv)
         machine::AnalogConfig fabricCfg;
         fabricCfg.noise = noise;
         machine::AnalogFabric fabric(reloaded.numVisible(),
-                                     reloaded.numHidden(), fabricCfg,
-                                     rng);
+                                     reloaded.numHidden(), fabricCfg);
         fabric.program(reloaded);
         const double acc =
             model.fabricAccuracy(fabric, ds, reads, rng);

@@ -55,7 +55,7 @@ main(int argc, char **argv)
     machine::AnalogConfig fabricCfg;
     fabricCfg.noise = {noise, noise};
     const auto backend = accel::makeSamplingBackend(
-        accel::samplingBackendKind(backendName), model, fabricCfg, rng);
+        accel::samplingBackendKind(backendName), model, fabricCfg);
     std::printf("sampling backend: %s\n", backend->name());
 
     const data::Dataset fantasies =

@@ -69,7 +69,7 @@ main(int argc, char **argv)
     fabricCfg.noise = {noise, noise};
     util::Rng rng(42);
     const auto backend = accel::makeSamplingBackend(
-        accel::samplingBackendKind(backendName), cdModel, fabricCfg, rng);
+        accel::samplingBackendKind(backendName), cdModel, fabricCfg);
     const data::Dataset fantasies =
         rbm::fantasySamples(*backend, 64, 25, rng, &train);
     std::printf("%s-backend fantasy particles: mean free energy %.2f "

@@ -22,11 +22,10 @@ withPumpStep(machine::AnalogConfig analog, double step)
 } // namespace
 
 BoltzmannGradientFollower::BoltzmannGradientFollower(
-    std::size_t numVisible, std::size_t numHidden, const BgfConfig &config,
-    util::Rng &rng)
-    : config_(config), rng_(rng),
+    std::size_t numVisible, std::size_t numHidden, const BgfConfig &config)
+    : config_(config),
       fabric_(numVisible, numHidden,
-              withPumpStep(config.analog, config.learningRate), rng),
+              withPumpStep(config.analog, config.learningRate)),
       backend_(fabric_)
 {
     particles_.resize(std::max<std::size_t>(1, config_.numParticles));
@@ -51,16 +50,8 @@ BoltzmannGradientFollower::reprogram(const rbm::Rbm &weights)
 }
 
 void
-BoltzmannGradientFollower::trainSample(const float *data)
-{
-    trainSample(data, rng_);
-}
-
-void
 BoltzmannGradientFollower::trainSample(const float *data, util::Rng &rng)
 {
-    const std::size_t n = fabric_.numHidden();
-
     // Step 2: the host streams the sample to the visible latches.
     linalg::Vector v;
     fabric_.clampVisible(data, v);
@@ -107,13 +98,6 @@ BoltzmannGradientFollower::trainSample(const float *data, util::Rng &rng)
     nextParticle_ = (nextParticle_ + 1) % particles_.size();
 
     ++counters_.samplesProcessed;
-    (void)n;
-}
-
-void
-BoltzmannGradientFollower::trainEpoch(const data::Dataset &train)
-{
-    trainEpoch(train, rng_);
 }
 
 void

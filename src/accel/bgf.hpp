@@ -70,11 +70,10 @@ class BoltzmannGradientFollower
      *
      * @param numVisible, numHidden fabric dimensions
      * @param config hyper-parameters
-     * @param rng randomness (borrowed)
      */
     BoltzmannGradientFollower(std::size_t numVisible,
                               std::size_t numHidden,
-                              const BgfConfig &config, util::Rng &rng);
+                              const BgfConfig &config);
 
     /**
      * Step 1: initialize weights and biases (small random values are
@@ -88,12 +87,13 @@ class BoltzmannGradientFollower
      */
     void reprogram(const rbm::Rbm &weights);
 
-    /** Steps 2-5 for one training sample (binary visible data). */
-    void trainSample(const float *v);
+    /**
+     * Steps 2-5 for one training sample (binary visible data); @p rng
+     * drives the settle sweeps and the pump noise.
+     */
     void trainSample(const float *v, util::Rng &rng);
 
-    /** Stream a full epoch of samples in shuffled order. */
-    void trainEpoch(const data::Dataset &train);
+    /** Stream a full epoch of samples in an order shuffled by @p rng. */
     void trainEpoch(const data::Dataset &train, util::Rng &rng);
 
     /** Step 6: ADC readout of the trained model. */
@@ -123,7 +123,6 @@ class BoltzmannGradientFollower
 
   private:
     BgfConfig config_;
-    util::Rng &rng_;
     machine::AnalogFabric fabric_;
     AnalogFabricBackend backend_;  ///< borrows fabric_; declared after it
     BgfCounters counters_;

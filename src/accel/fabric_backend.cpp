@@ -15,10 +15,9 @@ AnalogFabricBackend::AnalogFabricBackend(const machine::AnalogFabric &fabric)
 }
 
 AnalogFabricBackend::AnalogFabricBackend(const rbm::Rbm &model,
-                                         const machine::AnalogConfig &config,
-                                         util::Rng &rng)
+                                         const machine::AnalogConfig &config)
     : owned_(std::make_unique<machine::AnalogFabric>(
-          model.numVisible(), model.numHidden(), config, rng)),
+          model.numVisible(), model.numHidden(), config)),
       fabric_(owned_.get())
 {
     owned_->program(model);
@@ -66,10 +65,10 @@ samplingBackendKind(const std::string &name)
 
 std::unique_ptr<rbm::SamplingBackend>
 makeSamplingBackend(SamplingBackendKind kind, const rbm::Rbm &model,
-                    const machine::AnalogConfig &config, util::Rng &rng)
+                    const machine::AnalogConfig &config)
 {
     if (kind == SamplingBackendKind::AnalogFabric)
-        return std::make_unique<AnalogFabricBackend>(model, config, rng);
+        return std::make_unique<AnalogFabricBackend>(model, config);
     return std::make_unique<rbm::SoftwareGibbsBackend>(model);
 }
 

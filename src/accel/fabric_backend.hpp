@@ -34,8 +34,7 @@ class AnalogFabricBackend final : public rbm::SamplingBackend
      * @p model onto it (the app/config use case).
      */
     AnalogFabricBackend(const rbm::Rbm &model,
-                        const machine::AnalogConfig &config,
-                        util::Rng &rng);
+                        const machine::AnalogConfig &config);
 
     std::size_t numVisible() const override;
     std::size_t numHidden() const override;
@@ -64,13 +63,14 @@ SamplingBackendKind samplingBackendKind(const std::string &name);
 
 /**
  * Build the requested backend over @p model.  The fabric variant
- * fabricates a substrate from @p config (variation drawn from @p rng)
- * and programs the model onto it; the software variant ignores
- * @p config.  The model is borrowed and must outlive the backend.
+ * fabricates a substrate from @p config (variation drawn from
+ * config.variationSeed) and programs the model onto it; the software
+ * variant ignores @p config.  The model is borrowed and must outlive
+ * the backend.
  */
 std::unique_ptr<rbm::SamplingBackend>
 makeSamplingBackend(SamplingBackendKind kind, const rbm::Rbm &model,
-                    const machine::AnalogConfig &config, util::Rng &rng);
+                    const machine::AnalogConfig &config);
 
 } // namespace ising::accel
 

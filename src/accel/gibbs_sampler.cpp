@@ -9,10 +9,9 @@
 
 namespace ising::accel {
 
-GibbsSamplerAccel::GibbsSamplerAccel(rbm::Rbm &model, const GsConfig &config,
-                                     util::Rng &rng)
-    : model_(model), config_(config), rng_(rng),
-      fabric_(model.numVisible(), model.numHidden(), config.analog, rng),
+GibbsSamplerAccel::GibbsSamplerAccel(rbm::Rbm &model, const GsConfig &config)
+    : model_(model), config_(config),
+      fabric_(model.numVisible(), model.numHidden(), config.analog),
       backend_(fabric_)
 {
     const std::size_t m = model.numVisible(), n = model.numHidden();
@@ -28,13 +27,6 @@ GibbsSamplerAccel::setSchedule(double learningRate, int k,
     config_.learningRate = learningRate;
     config_.k = k;
     config_.weightDecay = weightDecay;
-}
-
-void
-GibbsSamplerAccel::trainBatch(const data::Dataset &train,
-                              const std::vector<std::size_t> &indices)
-{
-    trainBatch(train, indices, rng_);
 }
 
 void
@@ -116,12 +108,6 @@ GibbsSamplerAccel::trainBatch(const data::Dataset &train,
     for (std::size_t j = 0; j < n; ++j)
         model_.hiddenBias()[j] += scale * dbh_[j];
     ++counters_.hostUpdates;
-}
-
-void
-GibbsSamplerAccel::trainEpoch(const data::Dataset &train)
-{
-    trainEpoch(train, rng_);
 }
 
 void

@@ -61,18 +61,16 @@ class GibbsSamplerAccel
     /**
      * @param model host-side model, updated in place (borrowed)
      * @param config hyper-parameters
-     * @param rng randomness source (borrowed)
      */
-    GibbsSamplerAccel(rbm::Rbm &model, const GsConfig &config,
-                      util::Rng &rng);
+    GibbsSamplerAccel(rbm::Rbm &model, const GsConfig &config);
 
-    /** One pass over the training set in shuffled minibatches. */
-    void trainEpoch(const data::Dataset &train);
+    /**
+     * One pass over the training set in minibatches shuffled by
+     * @p rng, which also drives every fabric sweep.
+     */
     void trainEpoch(const data::Dataset &train, util::Rng &rng);
 
     /** Process one minibatch (steps 2-8 above). */
-    void trainBatch(const data::Dataset &train,
-                    const std::vector<std::size_t> &indices);
     void trainBatch(const data::Dataset &train,
                     const std::vector<std::size_t> &indices,
                     util::Rng &rng);
@@ -91,7 +89,6 @@ class GibbsSamplerAccel
   private:
     rbm::Rbm &model_;
     GsConfig config_;
-    util::Rng &rng_;
     machine::AnalogFabric fabric_;
     AnalogFabricBackend backend_;
     GsCounters counters_;

@@ -5,7 +5,6 @@
 
 #include "accel/parallel_bgf.hpp"
 
-#include <cassert>
 #include <numeric>
 
 #include "exec/parallel_for.hpp"
@@ -14,25 +13,18 @@
 namespace ising::accel {
 
 ParallelBgf::ParallelBgf(std::size_t numVisible, std::size_t numHidden,
-                         const ParallelBgfConfig &config, util::Rng &rng)
-    : config_(config), rootRng_(rng)
+                         const ParallelBgfConfig &config)
+    : config_(config)
 {
     const std::size_t r = std::max<std::size_t>(1, config.numReplicas);
-    // One draw fixes the fleet's root seed; every replica stream is a
-    // pure function of (rootSeed, replica index), so concurrent
-    // training reproduces run-to-run for any worker count.
-    const std::uint64_t fleetSeed = rng.next();
-    rngs_.reserve(r);
     machines_.reserve(r);
     for (std::size_t i = 0; i < r; ++i) {
-        rngs_.push_back(util::Rng::stream(fleetSeed, i));
         BgfConfig replicaCfg = config.replica;
         // Each replica is a distinct die: its own fabrication lottery.
         replicaCfg.analog.variationSeed =
             config.replica.analog.variationSeed + i * 7919;
-        machines_.push_back(
-            std::make_unique<BoltzmannGradientFollower>(
-                numVisible, numHidden, replicaCfg, rngs_.back()));
+        machines_.push_back(std::make_unique<BoltzmannGradientFollower>(
+            numVisible, numHidden, replicaCfg));
     }
 }
 
@@ -45,37 +37,20 @@ ParallelBgf::initialize(const rbm::Rbm &initial)
 
 void
 ParallelBgf::streamShards(const data::Dataset &train,
-                          std::vector<std::size_t> &order)
+                          const std::vector<std::size_t> &order,
+                          std::uint64_t epochSeed)
 {
     const std::size_t r = machines_.size();
     exec::ThreadPool &pool =
         config_.pool ? *config_.pool : exec::globalPool();
-    // Deal samples round-robin into shards and stream the shards
-    // concurrently.  Replica m only touches machines_[m] and its
-    // own rng, and consumes the same sample sequence the serial
-    // round-robin did, so the result is schedule-independent.
+    // Replica m only touches machines_[m] and its own stream, and
+    // consumes the same sample sequence a serial round-robin would,
+    // so the result is schedule-independent.
     exec::parallelFor(pool, r, [&](std::size_t m) {
+        util::Rng rng = util::Rng::stream(epochSeed, m);
         for (std::size_t i = m; i < order.size(); i += r)
-            machines_[m]->trainSample(train.sample(order[i]));
+            machines_[m]->trainSample(train.sample(order[i]), rng);
     });
-}
-
-void
-ParallelBgf::train(const data::Dataset &train, int epochs)
-{
-    std::vector<std::size_t> order(train.size());
-    std::iota(order.begin(), order.end(), 0);
-
-    for (int epoch = 0; epoch < epochs; ++epoch) {
-        rootRng_.shuffle(order.data(), order.size());
-        streamShards(train, order);
-        const bool lastEpoch = epoch + 1 == epochs;
-        if (config_.syncEveryEpochs > 0 &&
-            ((epoch + 1) % config_.syncEveryEpochs == 0 || lastEpoch))
-            synchronize();
-        else if (lastEpoch)
-            synchronize();
-    }
 }
 
 void
@@ -84,20 +59,18 @@ ParallelBgf::trainEpoch(const data::Dataset &train,
 {
     const std::size_t r = machines_.size();
     // Every stream this epoch uses is a pure function of
-    // (rootSeed, epoch): replica i re-seeds to stream i and the shard
-    // shuffle draws from stream r, so neither call history nor worker
-    // count can change the bits.
+    // (rootSeed, epoch): replica i draws from stream i and the shard
+    // shuffle from stream r, so neither call history nor worker count
+    // can change the bits.
     util::Rng root = util::Rng::stream(
         rootSeed, static_cast<std::uint64_t>(epoch));
     const std::uint64_t epochSeed = root.next();
-    for (std::size_t i = 0; i < r; ++i)
-        rngs_[i] = util::Rng::stream(epochSeed, i);
     util::Rng orderRng = util::Rng::stream(epochSeed, r);
 
     std::vector<std::size_t> order(train.size());
     std::iota(order.begin(), order.end(), 0);
     orderRng.shuffle(order.data(), order.size());
-    streamShards(train, order);
+    streamShards(train, order, epochSeed);
 
     if (config_.syncEveryEpochs > 0 &&
         (epoch + 1) % config_.syncEveryEpochs == 0)
@@ -112,13 +85,6 @@ ParallelBgf::synchronize()
     const rbm::Rbm mean = meanModel();
     for (auto &machine : machines_)
         machine->reprogram(mean);  // particles survive the sync
-}
-
-rbm::Rbm
-ParallelBgf::readOut() const
-{
-    // After the trailing synchronize() all replicas agree; read one.
-    return machines_[0]->readOut();
 }
 
 rbm::Rbm

@@ -26,8 +26,8 @@ namespace ising::accel {
 struct ParallelBgfConfig
 {
     std::size_t numReplicas = 4;
-    /** Average replica weights every this many epochs (0 = only at
-     *  the very end). */
+    /** Average replica weights every this many epochs (0 = never;
+     *  meanModel() still averages the readouts). */
     int syncEveryEpochs = 1;
     BgfConfig replica;  ///< per-fabric configuration
     /**
@@ -44,7 +44,7 @@ class ParallelBgf
 {
   public:
     ParallelBgf(std::size_t numVisible, std::size_t numHidden,
-                const ParallelBgfConfig &config, util::Rng &rng);
+                const ParallelBgfConfig &config);
 
     std::size_t numReplicas() const { return machines_.size(); }
 
@@ -52,31 +52,22 @@ class ParallelBgf
     void initialize(const rbm::Rbm &initial);
 
     /**
-     * Train for @p epochs: each epoch shards the (shuffled) dataset
-     * across replicas, streams every shard into its fabric
-     * concurrently on the configured pool, and syncs
-     * (readout -> average -> reprogram) per the configuration.
-     */
-    void train(const data::Dataset &train, int epochs);
-
-    /**
-     * Session-driven single epoch: replica streams and the shard
-     * shuffle are pure functions of (rootSeed, epoch), so any epoch
-     * reproduces bit-for-bit whether reached in one run or after a
-     * checkpoint resume, at any worker count.  The model-averaging
-     * sync runs when (epoch + 1) is a syncEveryEpochs multiple --
-     * cadence is a function of the epoch index, never of call history.
+     * One epoch: shard the shuffled dataset across replicas, stream
+     * every shard into its fabric concurrently on the configured
+     * pool, and sync (readout -> average -> reprogram) when
+     * (epoch + 1) is a syncEveryEpochs multiple.  Replica streams and
+     * the shard shuffle are pure functions of (rootSeed, epoch), so
+     * any epoch reproduces bit-for-bit whether reached in one run or
+     * after a checkpoint resume, at any worker count.
      */
     void trainEpoch(const data::Dataset &train, std::uint64_t rootSeed,
                     int epoch);
 
-    /** Averaged model across replicas (ADC readout + mean). */
-    rbm::Rbm readOut() const;
-
     /**
      * Readout-average across replicas *without* reprogramming: the
-     * pure snapshot a mid-training checkpoint stores (synchronize()
-     * mutates fabric state, so it must not run at snapshot points).
+     * trained model, and the pure snapshot a mid-training checkpoint
+     * stores (synchronize() mutates fabric state, so it must not run
+     * at snapshot points).
      */
     rbm::Rbm meanModel() const;
 
@@ -96,14 +87,16 @@ class ParallelBgf
     /** Read out all replicas, average, reprogram everywhere. */
     void synchronize();
 
-    /** Shuffle-shard the dataset and stream shards concurrently. */
+    /**
+     * Deal @p order round-robin into shards and stream them
+     * concurrently; replica m draws from stream m of @p epochSeed.
+     */
     void streamShards(const data::Dataset &train,
-                      std::vector<std::size_t> &order);
+                      const std::vector<std::size_t> &order,
+                      std::uint64_t epochSeed);
 
     ParallelBgfConfig config_;
-    std::vector<util::Rng> rngs_;
     std::vector<std::unique_ptr<BoltzmannGradientFollower>> machines_;
-    util::Rng &rootRng_;
 };
 
 } // namespace ising::accel

@@ -70,6 +70,11 @@ Server::Server(ModelRegistry &registry, ServerConfig config)
         config_.canary.quarantineMinMs = 1;
     if (config_.canary.quarantineMaxMs < config_.canary.quarantineMinMs)
         config_.canary.quarantineMaxMs = config_.canary.quarantineMinMs;
+    // A candidate staged before start-up is shadowed from the first
+    // request on, so the gate reports it before any traffic arrives.
+    if (config_.canary.fraction > 0.0 && !config_.canary.model.empty() &&
+        registry_.candidate(config_.canary.model))
+        stats_.canaryState = CanaryState::Shadowing;
 }
 
 const char *

@@ -71,7 +71,7 @@ namespace ising::engine {
  */
 enum class CanaryState : std::uint8_t {
     Idle = 0,         ///< no candidate staged (or gate off)
-    Shadowing = 1,    ///< candidate shadowing live traffic
+    Shadowing = 1,    ///< candidate staged; shadowing live traffic
     Quarantined = 2,  ///< breached; waiting out the backoff window
     Promoted = 3,     ///< candidate swapped in; gate done
 };

@@ -13,7 +13,7 @@
 namespace ising::machine {
 
 AnalogFabric::AnalogFabric(std::size_t numVisible, std::size_t numHidden,
-                           const AnalogConfig &config, util::Rng &rng)
+                           const AnalogConfig &config)
     : config_(config),
       w_(numVisible, numHidden),
       bv_(numVisible),
@@ -51,7 +51,6 @@ AnalogFabric::AnalogFabric(std::size_t numVisible, std::size_t numHidden,
         c.calibrateOffset(fab);
     for (auto &c : hidComparators_)
         c.calibrateOffset(fab);
-    (void)rng;
 }
 
 void
@@ -191,16 +190,6 @@ AnalogFabric::sampleVisible(const linalg::Vector &h, linalg::Vector &v,
 {
     assert(h.size() == numHidden());
     sweep(h, v, false, rng);
-}
-
-void
-AnalogFabric::anneal(int steps, linalg::Vector &v, linalg::Vector &h,
-                     util::Rng &rng) const
-{
-    for (int s = 0; s < steps; ++s) {
-        sampleVisible(h, v, rng);
-        sampleHidden(v, h, rng);
-    }
 }
 
 void

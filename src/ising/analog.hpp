@@ -63,10 +63,11 @@ class AnalogFabric
   public:
     /**
      * Build a fabric with an (m x n) coupler array.  Static variation
-     * and comparator offsets are drawn once here ("fabrication").
+     * and comparator offsets are drawn once here ("fabrication"),
+     * from config.variationSeed alone.
      */
     AnalogFabric(std::size_t numVisible, std::size_t numHidden,
-                 const AnalogConfig &config, util::Rng &rng);
+                 const AnalogConfig &config);
 
     std::size_t numVisible() const { return w_.rows(); }
     std::size_t numHidden() const { return w_.cols(); }
@@ -92,14 +93,6 @@ class AnalogFabric
     /** Mirror-image sweep: settle visible nodes from hidden bits. */
     void sampleVisible(const linalg::Vector &h, linalg::Vector &v,
                        util::Rng &rng) const;
-
-    /**
-     * Free-running anneal: @p steps alternating v/h settle sweeps
-     * starting from the current hidden state (the negative-phase
-     * random walk of both GS and BGF).
-     */
-    void anneal(int steps, linalg::Vector &v, linalg::Vector &h,
-                util::Rng &rng) const;
 
     /**
      * One gradient-follower update event (Eq. 12): for every coupler

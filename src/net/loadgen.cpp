@@ -28,6 +28,13 @@ namespace {
 /** Reconnect attempts per connection before the run gives up. */
 constexpr int kMaxReconnectAttempts = 10;
 
+/** Seed of the exponential inter-arrival gap stream. */
+constexpr std::uint64_t kArrivalSeed = 1;
+
+/** Abort if no response arrives for this long (a hung server must
+ *  fail the harness, not wedge it). */
+constexpr double kProgressTimeoutSec = 30.0;
+
 /** Encode one corpus request as a complete Infer frame. */
 std::string
 encodeCorpusFrame(const engine::Request &req, std::uint32_t id,
@@ -168,7 +175,7 @@ runLoadGen(const LoadGenConfig &config)
     // everything at t=0 (saturate).
     std::vector<double> arrival(config.requests, 0.0);
     if (config.ratePerSec > 0) {
-        util::Rng gaps(config.arrivalSeed);
+        util::Rng gaps(kArrivalSeed);
         double t = 0;
         for (std::size_t q = 0; q < config.requests; ++q) {
             t += -std::log(1.0 - gaps.uniform()) / config.ratePerSec;
@@ -368,9 +375,9 @@ runLoadGen(const LoadGenConfig &config)
                 sever(c);
         }
 
-        if (watch.seconds() - lastProgress > config.progressTimeoutSec)
+        if (watch.seconds() - lastProgress > kProgressTimeoutSec)
             return fail("loadgen: no response for " +
-                        std::to_string(config.progressTimeoutSec) +
+                        std::to_string(kProgressTimeoutSec) +
                         "s; giving up");
     }
     report.seconds = watch.seconds();

@@ -55,7 +55,6 @@ struct LoadGenConfig
     /** Mean offered load in requests/s; <= 0 sends everything at t=0
      *  (saturate mode). */
     double ratePerSec = 0;
-    std::uint64_t arrivalSeed = 1;  ///< exponential-gap stream
     /** Percent of requests redirected at the warm set (cache traffic). */
     int hitPct = 0;
     std::size_t warmCount = 16;  ///< warm-set size for hitPct > 0
@@ -68,9 +67,6 @@ struct LoadGenConfig
     std::size_t inputDim = 0;
     /** Keep each response (corpus order) for byte-diff dumps. */
     bool keepResponses = false;
-    /** Abort if no response arrives for this long (a hung server
-     *  must fail the harness, not wedge it). */
-    double progressTimeoutSec = 30.0;
 };
 
 struct LoadGenReport

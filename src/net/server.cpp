@@ -35,6 +35,9 @@ namespace {
 /** Events per epoll_wait call; more just take another cycle. */
 constexpr int kMaxEvents = 64;
 
+/** Grace period for draining reply bytes after stop is requested. */
+constexpr double kDrainGraceSec = 5.0;
+
 util::Stopwatch &
 loopClock()
 {
@@ -167,7 +170,7 @@ NetServer::run()
         // Stop transition: close the door, then drain what's inside.
         if (!draining_ && stopping()) {
             draining_ = true;
-            drainDeadline_ = now + config_.drainGraceMs / 1000.0;
+            drainDeadline_ = now + kDrainGraceSec;
             if (listenFd_ >= 0) {
                 ::close(listenFd_);  // epoll drops it automatically
                 listenFd_ = -1;
@@ -231,7 +234,6 @@ NetServer::acceptAll(double now)
         Conn conn;
         conn.fd = fd;
         conn.id = ++nextConnId_;
-        conn.reader = FrameReader(config_.maxFrameBody);
         conn.lastActivity = now;
         conn.armed = EPOLLIN;
         epoll_event ev = {};
@@ -544,7 +546,7 @@ std::size_t
 NetServer::outCap() const
 {
     return config_.maxConnBacklog != 0 ? config_.maxConnBacklog
-                                       : 2 * config_.maxFrameBody;
+                                       : 2 * kMaxFrameBody;
 }
 
 void

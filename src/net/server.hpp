@@ -71,19 +71,13 @@ struct NetConfig
      *  a byte (also what collects netstall'd peers). */
     int idleTimeoutMs = 30000;
 
-    /** Grace period for draining reply bytes after stop is requested. */
-    int drainGraceMs = 5000;
-
-    /** Largest accepted frame body. */
-    std::size_t maxFrameBody = kMaxFrameBody;
-
     /**
      * Unsent-reply backlog cap per connection (bytes).  Above it the
      * server stops reading from the connection until the backlog
      * drains below it, so a peer that pipelines requests without
      * reading replies is throttled by TCP instead of buffering
      * without bound (and, no longer being read, idles out if it
-     * never drains).  0 = 2 x maxFrameBody.
+     * never drains).  0 = 2 x kMaxFrameBody.
      */
     std::size_t maxConnBacklog = 0;
 

@@ -68,6 +68,11 @@ rowFor(rbm::ModelFamily family)
     util::fatal("train: family missing from the capability table");
 }
 
+// Checkpoint-write retry budget and its capped linear backoff.
+constexpr int kSaveAttempts = 3;
+constexpr int kSaveRetryBackoffMs = 50;
+constexpr int kSaveRetryBackoffMaxMs = 1000;
+
 } // namespace
 
 bool
@@ -143,19 +148,17 @@ Session::save() const
     // attempt's failure is allowed to take the process down.  The
     // publish is atomic underneath (tmp + fsync + rename), so a failed
     // attempt never leaves a torn archive behind.
-    const int attempts = std::max(1, config_.saveAttempts);
     const rbm::Checkpoint ckpt = checkpoint();
-    for (int attempt = 1; attempt < attempts; ++attempt) {
+    for (int attempt = 1; attempt < kSaveAttempts; ++attempt) {
         try {
             util::FatalThrowScope scope;
             rbm::saveCheckpoint(ckpt, config_.checkpointPath);
             return;
         } catch (const util::FatalError &e) {
-            const int backoffMs =
-                std::min(attempt * config_.saveRetryBackoffMs,
-                         config_.saveRetryBackoffMaxMs);
+            const int backoffMs = std::min(attempt * kSaveRetryBackoffMs,
+                                           kSaveRetryBackoffMaxMs);
             util::warn(util::strcat("session: checkpoint save attempt ",
-                                    attempt, "/", attempts,
+                                    attempt, "/", kSaveAttempts,
                                     " failed (retrying in ", backoffMs,
                                     " ms): ", e.what()));
             std::this_thread::sleep_for(

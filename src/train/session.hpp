@@ -117,19 +117,6 @@ struct SessionConfig
     std::string checkpointPath;
     /** Periodic save cadence in epochs (0 = final snapshot only). */
     int checkpointEvery = 0;
-    /**
-     * Transient checkpoint-write failures (full disk clearing up, a
-     * hiccuping network filesystem) are retried this many times with a
-     * capped growing backoff before the run gives up; the final
-     * attempt's failure is fatal.  The publish itself is atomic
-     * (tmp + fsync + rename), so a failed attempt never leaves a torn
-     * archive behind.
-     */
-    int saveAttempts = 3;
-    /** Backoff before retry k is k * this, capped at the max. */
-    int saveRetryBackoffMs = 50;
-    int saveRetryBackoffMaxMs = 1000;
-
     /** Observed after every epoch when set (borrowed). */
     rbm::TrainingMonitor *monitor = nullptr;
 

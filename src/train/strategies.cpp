@@ -18,9 +18,8 @@ namespace ising::train {
 
 namespace {
 
-// Stream salts keeping construction, layer-entry and binarization
-// randomness disjoint from the session's per-epoch streams.
-constexpr std::uint64_t kFabricationSalt = 0x46414252ull;  // "FABR"
+// Stream salts keeping layer-entry and binarization randomness
+// disjoint from the session's per-epoch streams.
 constexpr std::uint64_t kDbnLayerSalt = 0x44424e4cull;     // "DBNL"
 constexpr std::uint64_t kDbnBinarizeSalt = 0x44424e42ull;  // "DBNB"
 
@@ -111,11 +110,8 @@ class CdEngine : public RbmEngine
 class GsEngine : public RbmEngine
 {
   public:
-    GsEngine(rbm::Rbm &model, const TrainOptions &options,
-             std::uint64_t fabricationStream)
-        : fabricationRng_(util::Rng::stream(
-              options.seed ^ kFabricationSalt, fabricationStream)),
-          accel_(model, configFor(options), fabricationRng_)
+    GsEngine(rbm::Rbm &model, const TrainOptions &options)
+        : accel_(model, configFor(options))
     {
     }
 
@@ -152,7 +148,6 @@ class GsEngine : public RbmEngine
         return cfg;
     }
 
-    util::Rng fabricationRng_;  ///< outlives accel_ (bound reference)
     accel::GibbsSamplerAccel accel_;
 };
 
@@ -160,12 +155,9 @@ class BgfEngine : public RbmEngine
 {
   public:
     BgfEngine(rbm::Rbm &model, const TrainOptions &options,
-              std::uint64_t fabricationStream)
-        : model_(model), rootSeed_(options.seed + fabricationStream),
-          fabricationRng_(util::Rng::stream(
-              options.seed ^ kFabricationSalt, fabricationStream)),
-          fleet_(model.numVisible(), model.numHidden(),
-                 configFor(options), fabricationRng_)
+              std::uint64_t stream)
+        : model_(model), rootSeed_(options.seed + stream),
+          fleet_(model.numVisible(), model.numHidden(), configFor(options))
     {
         fleet_.initialize(model_);
     }
@@ -212,7 +204,6 @@ class BgfEngine : public RbmEngine
     {
         accel::ParallelBgfConfig cfg;
         cfg.numReplicas = std::max<std::size_t>(1, options.bgfReplicas);
-        cfg.syncEveryEpochs = options.bgfSyncEvery;
         cfg.pool = options.pool;
         cfg.replica.learningRate = options.bgfPumpStep;
         cfg.replica.annealSteps = options.bgfAnnealSteps;
@@ -223,23 +214,21 @@ class BgfEngine : public RbmEngine
 
     rbm::Rbm &model_;
     std::uint64_t rootSeed_;
-    util::Rng fabricationRng_;  ///< outlives fleet_ (bound reference)
     accel::ParallelBgf fleet_;
 };
 
+/** @p stream keeps each DBN layer's BGF fleet seed distinct. */
 std::unique_ptr<RbmEngine>
 makeEngine(rbm::Rbm &model, const TrainOptions &options,
-           std::uint64_t fabricationStream)
+           std::uint64_t stream)
 {
     switch (options.trainer) {
       case Trainer::CdK:
         return std::make_unique<CdEngine>(model, options);
       case Trainer::GibbsSampler:
-        return std::make_unique<GsEngine>(model, options,
-                                          fabricationStream);
+        return std::make_unique<GsEngine>(model, options);
       case Trainer::Bgf:
-        return std::make_unique<BgfEngine>(model, options,
-                                           fabricationStream);
+        return std::make_unique<BgfEngine>(model, options, stream);
     }
     util::fatal("train: unknown trainer");
 }

@@ -40,7 +40,7 @@ struct TrainOptions
     bool idealComponents = false; ///< bypass circuit non-idealities
     std::size_t bgfParticles = 8;
     std::size_t bgfReplicas = 1;  ///< >1 trains a ParallelBgf fleet
-    int bgfSyncEvery = 1;         ///< fleet model-averaging cadence
+                                  ///< (averaged after every epoch)
     /**
      * BGF charge-pump step and anneal depth are fabric properties
      * fixed at fabrication, not schedulable ramps; callers set the

@@ -50,9 +50,9 @@ TEST(GibbsSamplerAccel, ImprovesExactLikelihood)
     cfg.k = 1;
     cfg.batchSize = 10;
     cfg.analog = idealAnalog();
-    accel::GibbsSamplerAccel gs(model, cfg, rng);
+    accel::GibbsSamplerAccel gs(model, cfg);
     for (int epoch = 0; epoch < 60; ++epoch)
-        gs.trainEpoch(ds);
+        gs.trainEpoch(ds, rng);
     EXPECT_GT(rbm::exact::meanLogLikelihood(model, ds), before + 1.0);
 }
 
@@ -68,9 +68,9 @@ TEST(GibbsSamplerAccel, LearnsThroughNonIdealCircuits)
     cfg.learningRate = 0.2;
     cfg.batchSize = 10;
     // defaults: 8-bit converters, rail compression, comparator offsets
-    accel::GibbsSamplerAccel gs(model, cfg, rng);
+    accel::GibbsSamplerAccel gs(model, cfg);
     for (int epoch = 0; epoch < 60; ++epoch)
-        gs.trainEpoch(ds);
+        gs.trainEpoch(ds, rng);
     EXPECT_GT(rbm::exact::meanLogLikelihood(model, ds), before + 0.8);
 }
 
@@ -84,8 +84,8 @@ TEST(GibbsSamplerAccel, CountersTrackOperation)
     cfg.k = 2;
     cfg.batchSize = 5;
     cfg.analog = idealAnalog();
-    accel::GibbsSamplerAccel gs(model, cfg, rng);
-    gs.trainEpoch(ds);
+    accel::GibbsSamplerAccel gs(model, cfg);
+    gs.trainEpoch(ds, rng);
     const auto &c = gs.counters();
     EXPECT_EQ(c.samplesProcessed, 20u);
     EXPECT_EQ(c.reprograms, 4u);     // 20 / 5 batches
@@ -105,14 +105,14 @@ TEST(Bgf, LearnsStripes)
     cfg.annealSteps = 2;
     cfg.numParticles = 4;
     cfg.analog = idealAnalog();
-    accel::BoltzmannGradientFollower bgf(12, 5, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(12, 5, cfg);
     rbm::Rbm init(12, 5);
     init.initRandom(rng, 0.01f);
     bgf.initialize(init);
     const double before =
         rbm::exact::meanLogLikelihood(bgf.readOut(), ds);
     for (int epoch = 0; epoch < 40; ++epoch)
-        bgf.trainEpoch(ds);
+        bgf.trainEpoch(ds, rng);
     const double after = rbm::exact::meanLogLikelihood(bgf.readOut(), ds);
     EXPECT_GT(after, before + 1.0);
 }
@@ -126,14 +126,14 @@ TEST(Bgf, LearnsThroughFullCircuitModel)
     cfg.annealSteps = 2;
     // non-ideal defaults + mild noise
     cfg.analog.noise = {0.05, 0.05};
-    accel::BoltzmannGradientFollower bgf(12, 5, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(12, 5, cfg);
     rbm::Rbm init(12, 5);
     init.initRandom(rng, 0.01f);
     bgf.initialize(init);
     const double before =
         rbm::exact::meanLogLikelihood(bgf.readOut(), ds);
     for (int epoch = 0; epoch < 40; ++epoch)
-        bgf.trainEpoch(ds);
+        bgf.trainEpoch(ds, rng);
     EXPECT_GT(rbm::exact::meanLogLikelihood(bgf.readOut(), ds),
               before + 0.8);
 }
@@ -148,12 +148,12 @@ TEST(Bgf, MidStepToggleChangesTrajectoryNotQuality)
         cfg.annealSteps = 2;
         cfg.midStepUpdates = midStep;
         cfg.analog = idealAnalog();
-        accel::BoltzmannGradientFollower bgf(10, 4, cfg, rng);
+        accel::BoltzmannGradientFollower bgf(10, 4, cfg);
         rbm::Rbm init(10, 4);
         init.initRandom(rng, 0.01f);
         bgf.initialize(init);
         for (int epoch = 0; epoch < 30; ++epoch)
-            bgf.trainEpoch(ds);
+            bgf.trainEpoch(ds, rng);
         return rbm::exact::meanLogLikelihood(bgf.readOut(), ds);
     };
     const double withMid = run(true);
@@ -171,10 +171,10 @@ TEST(Bgf, CountersTrackPhases)
     accel::BgfConfig cfg;
     cfg.annealSteps = 3;
     cfg.analog = idealAnalog();
-    accel::BoltzmannGradientFollower bgf(8, 4, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(8, 4, cfg);
     rbm::Rbm init(8, 4);
     bgf.initialize(init);
-    bgf.trainEpoch(ds);
+    bgf.trainEpoch(ds, rng);
     const auto &c = bgf.counters();
     EXPECT_EQ(c.samplesProcessed, 10u);
     EXPECT_EQ(c.pumpPhases, 20u);  // one + / one - per sample
@@ -183,9 +183,8 @@ TEST(Bgf, CountersTrackPhases)
 
 TEST(Bgf, ReadOutQuantizedAtAdcResolution)
 {
-    Rng rng(8);
     accel::BgfConfig cfg;  // non-ideal: 8-bit ADC, weightMax 2.0
-    accel::BoltzmannGradientFollower bgf(6, 4, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(6, 4, cfg);
     rbm::Rbm init(6, 4);
     Rng irng(9);
     init.initRandom(irng, 0.3f);
@@ -204,12 +203,12 @@ TEST(Bgf, ParticleCountRespected)
     accel::BgfConfig cfg;
     cfg.numParticles = 3;
     cfg.analog = idealAnalog();
-    accel::BoltzmannGradientFollower bgf(6, 4, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(6, 4, cfg);
     rbm::Rbm init(6, 4);
     bgf.initialize(init);
     EXPECT_EQ(bgf.config().numParticles, 3u);
     const auto ds = stripeData(9, 6);
-    bgf.trainEpoch(ds);  // must not crash cycling 3 particles
+    bgf.trainEpoch(ds, rng);  // must not crash cycling 3 particles
     EXPECT_EQ(bgf.counters().samplesProcessed, 9u);
 }
 
@@ -223,12 +222,12 @@ TEST(Bgf, NoiseDegradesGracefullyNotCatastrophically)
         cfg.learningRate = 0.02;
         cfg.annealSteps = 2;
         cfg.analog.noise = {rms, rms};
-        accel::BoltzmannGradientFollower bgf(10, 4, cfg, rng);
+        accel::BoltzmannGradientFollower bgf(10, 4, cfg);
         rbm::Rbm init(10, 4);
         init.initRandom(rng, 0.01f);
         bgf.initialize(init);
         for (int epoch = 0; epoch < 30; ++epoch)
-            bgf.trainEpoch(ds);
+            bgf.trainEpoch(ds, rng);
         return rbm::exact::meanLogLikelihood(bgf.readOut(), ds);
     };
     const double clean = runWithNoise(0.0);

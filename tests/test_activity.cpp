@@ -30,10 +30,10 @@ TEST(Activity, BgfCountersPriceToPositiveCost)
     accel::BgfConfig cfg;
     cfg.learningRate = 1e-3;
     cfg.annealSteps = 3;
-    accel::BoltzmannGradientFollower bgf(ds.dim(), 32, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(ds.dim(), 32, cfg);
     rbm::Rbm init(ds.dim(), 32);
     bgf.initialize(init);
-    bgf.trainEpoch(ds);
+    bgf.trainEpoch(ds, rng);
 
     const hw::LayerShape shape{ds.dim(), 32};
     const auto cost = hw::bgfActivityCost(bgf.counters(), shape);
@@ -51,8 +51,8 @@ TEST(Activity, GsCountersPriceToPositiveCost)
     model.initRandom(rng);
     accel::GsConfig cfg;
     cfg.batchSize = 10;
-    accel::GibbsSamplerAccel gs(model, cfg, rng);
-    gs.trainEpoch(ds);
+    accel::GibbsSamplerAccel gs(model, cfg);
+    gs.trainEpoch(ds, rng);
 
     const hw::LayerShape shape{ds.dim(), 32};
     const auto cost =
@@ -76,10 +76,10 @@ TEST(Activity, BgfAgreesWithAnalyticModelOnMatchedWorkload)
     accel::BgfConfig cfg;
     cfg.learningRate = 1e-3;
     cfg.annealSteps = k;
-    accel::BoltzmannGradientFollower bgf(ds.dim(), 48, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(ds.dim(), 48, cfg);
     rbm::Rbm init(ds.dim(), 48);
     bgf.initialize(init);
-    bgf.trainEpoch(ds);
+    bgf.trainEpoch(ds, rng);
 
     const hw::LayerShape shape{ds.dim(), 48};
     const auto measured = hw::bgfActivityCost(bgf.counters(), shape);
@@ -99,15 +99,15 @@ TEST(Activity, EnergyScalesWithWorkDone)
     const data::Dataset ds = smallImages(40);
     accel::BgfConfig cfg;
     cfg.learningRate = 1e-3;
-    accel::BoltzmannGradientFollower bgf(ds.dim(), 24, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(ds.dim(), 24, cfg);
     rbm::Rbm init(ds.dim(), 24);
     bgf.initialize(init);
 
     const hw::LayerShape shape{ds.dim(), 24};
-    bgf.trainEpoch(ds);
+    bgf.trainEpoch(ds, rng);
     const double oneEpoch =
         hw::bgfActivityCost(bgf.counters(), shape).energyJ;
-    bgf.trainEpoch(ds);
+    bgf.trainEpoch(ds, rng);
     const double twoEpochs =
         hw::bgfActivityCost(bgf.counters(), shape).energyJ;
     EXPECT_NEAR(twoEpochs / oneEpoch, 2.0, 0.05);

@@ -46,9 +46,8 @@ idealConfig()
 
 TEST(AnalogFabric, ProgramReadoutRoundTripIdeal)
 {
-    Rng rng(1);
     const rbm::Rbm model = randomModel(12, 8, 2);
-    AnalogFabric fabric(12, 8, idealConfig(), rng);
+    AnalogFabric fabric(12, 8, idealConfig());
     fabric.program(model);
     rbm::Rbm out;
     fabric.readOut(out);
@@ -58,10 +57,9 @@ TEST(AnalogFabric, ProgramReadoutRoundTripIdeal)
 
 TEST(AnalogFabric, ProgramReadoutWithinQuantization)
 {
-    Rng rng(2);
     const rbm::Rbm model = randomModel(10, 6, 3);
     AnalogConfig cfg;  // 8-bit converters, weightMax 2.0
-    AnalogFabric fabric(10, 6, cfg, rng);
+    AnalogFabric fabric(10, 6, cfg);
     fabric.program(model);
     rbm::Rbm out;
     fabric.readOut(out);
@@ -77,7 +75,7 @@ TEST(AnalogFabric, IdealHiddenSamplingMatchesRbmConditional)
     // exact P(h_j=1|v) of the programmed RBM.
     Rng rng(3);
     const rbm::Rbm model = randomModel(8, 4, 4, 0.8f);
-    AnalogFabric fabric(8, 4, idealConfig(), rng);
+    AnalogFabric fabric(8, 4, idealConfig());
     fabric.program(model);
 
     linalg::Vector v(8);
@@ -102,7 +100,7 @@ TEST(AnalogFabric, IdealVisibleSamplingMatchesRbmConditional)
 {
     Rng rng(4);
     const rbm::Rbm model = randomModel(6, 5, 5, 0.8f);
-    AnalogFabric fabric(6, 5, idealConfig(), rng);
+    AnalogFabric fabric(6, 5, idealConfig());
     fabric.program(model);
 
     linalg::Vector h(5);
@@ -129,7 +127,7 @@ TEST(AnalogFabric, CircuitSamplingCloseToIdeal)
     Rng rng(5);
     const rbm::Rbm model = randomModel(8, 4, 6, 0.6f);
     AnalogConfig cfg;  // non-ideal defaults, no noise
-    AnalogFabric fabric(8, 4, cfg, rng);
+    AnalogFabric fabric(8, 4, cfg);
     fabric.program(model);
 
     linalg::Vector v(8);
@@ -152,10 +150,9 @@ TEST(AnalogFabric, CircuitSamplingCloseToIdeal)
 
 TEST(AnalogFabric, ClampQuantizesThroughDtc)
 {
-    Rng rng(6);
     AnalogConfig cfg;
     cfg.dtcBits = 2;  // coarse: levels 0, 1/3, 2/3, 1
-    AnalogFabric fabric(4, 2, cfg, rng);
+    AnalogFabric fabric(4, 2, cfg);
     const float data[4] = {0.4f, 0.9f, 0.0f, 1.0f};
     linalg::Vector v;
     fabric.clampVisible(data, v);
@@ -167,7 +164,7 @@ TEST(AnalogFabric, PumpUpdateTouchesOnlyActiveCouplers)
 {
     Rng rng(7);
     const rbm::Rbm model = randomModel(5, 4, 8, 0.2f);
-    AnalogFabric fabric(5, 4, idealConfig(), rng);
+    AnalogFabric fabric(5, 4, idealConfig());
     fabric.program(model);
     const linalg::Matrix before = fabric.rawWeights();
 
@@ -191,7 +188,7 @@ TEST(AnalogFabric, PumpDirectionSigns)
     Rng rng(8);
     AnalogConfig cfg = idealConfig();
     cfg.pumpStep = 0.01;
-    AnalogFabric fabric(3, 3, cfg, rng);
+    AnalogFabric fabric(3, 3, cfg);
     rbm::Rbm zero(3, 3);
     fabric.program(zero);
     linalg::Vector v(3, 1.0f), h(3, 1.0f);
@@ -207,7 +204,7 @@ TEST(AnalogFabric, BiasCouplersFollowActiveUnits)
     Rng rng(9);
     AnalogConfig cfg = idealConfig();
     cfg.pumpStep = 0.02;
-    AnalogFabric fabric(3, 2, cfg, rng);
+    AnalogFabric fabric(3, 2, cfg);
     rbm::Rbm zero(3, 2);
     fabric.program(zero);
     linalg::Vector v(3), h(2);
@@ -226,7 +223,7 @@ TEST(AnalogFabric, StaticVariationIsFrozen)
     cfg.variationSeed = 42;
     Rng rngA(10), rngB(10);
     const rbm::Rbm model = randomModel(6, 4, 11);
-    AnalogFabric a(6, 4, cfg, rngA), b(6, 4, cfg, rngB);
+    AnalogFabric a(6, 4, cfg), b(6, 4, cfg);
     a.program(model);
     b.program(model);
     linalg::Vector v(6, 1.0f), ha, hb;
@@ -252,7 +249,7 @@ TEST(AnalogFabric, DynamicNoiseAddsSamplingVariance)
     auto flipRate = [&](double rmsNoise) {
         AnalogConfig cfg = idealConfig();
         cfg.noise.rmsNoise = rmsNoise;
-        AnalogFabric fabric(4, 2, cfg, rng);
+        AnalogFabric fabric(4, 2, cfg);
         fabric.program(model);
         linalg::Vector v(4, 1.0f), h;
         int zeros = 0;
@@ -279,7 +276,7 @@ TEST(AnalogFabric, BehavioralMatchesBrimAt32x32)
     model.initRandom(rng, 0.8f);
 
     // Behavioral marginals.
-    AnalogFabric fabric(32, 32, idealConfig(), rng);
+    AnalogFabric fabric(32, 32, idealConfig());
     fabric.program(model);
     linalg::Vector v(32);
     for (std::size_t i = 0; i < 32; ++i)

@@ -330,10 +330,9 @@ TEST(BatchedSampling, CdTrainerIsWorkerCountInvariant)
 
 TEST(BatchedSampling, AnalogFabricWorksThroughBatchedDefaults)
 {
-    Rng rng(81);
     const rbm::Rbm model = testModel(20, 12);
     machine::AnalogConfig cfg;
-    const accel::AnalogFabricBackend fabric(model, cfg, rng);
+    const accel::AnalogFabricBackend fabric(model, cfg);
 
     Rng init(82);
     const linalg::Matrix v = randomBinaryBatch(5, model.numVisible(), init);

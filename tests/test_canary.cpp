@@ -208,6 +208,38 @@ TEST(CanarySplitter, IsAPureFunctionOfTheSeed)
 
 // ---------------------------------------------- promote / quarantine
 
+TEST_F(CanaryGateTest, StagedCandidateShadowsFromStartUp)
+{
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(copyRbm(6), 1));
+    ServerConfig config;
+    config.canary.model = "m";
+    config.canary.fraction = 1.0;
+
+    // Gate on, nothing staged: nothing to shadow, so the gate idles.
+    {
+        Server server(registry, config);
+        EXPECT_EQ(server.stats().canaryState, engine::CanaryState::Idle);
+    }
+
+    // A candidate staged before start-up is reported as shadowing
+    // before any request arrives.
+    const std::string cand = path("cand.ckpt");
+    rbm::saveCheckpoint(makeCkpt(copyRbm(6), 2), cand);
+    ASSERT_TRUE(registry.stageCandidate("m", cand).ok());
+    {
+        Server server(registry, config);
+        EXPECT_EQ(server.stats().canaryState,
+                  engine::CanaryState::Shadowing);
+        EXPECT_EQ(server.stats().canaryShadows, 0u);
+    }
+
+    // Gate off: a staged candidate alone does not start it.
+    config.canary.fraction = 0.0;
+    Server off(registry, config);
+    EXPECT_EQ(off.stats().canaryState, engine::CanaryState::Idle);
+}
+
 TEST_F(CanaryGateTest, CleanCandidateAutoPromotesAndBytesHold)
 {
     ModelRegistry registry(dir_);

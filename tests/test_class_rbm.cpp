@@ -84,8 +84,7 @@ TEST(ClassRbm, FabricInferenceMatchesDigital)
     machine::AnalogConfig cfg;
     cfg.idealComponents = true;
     machine::AnalogFabric fabric(model.joint().numVisible(),
-                                 model.joint().numHidden(), cfg,
-                                 fabricRng);
+                                 model.joint().numHidden(), cfg);
     fabric.program(model.joint());
 
     // Evaluate on a subset for speed.
@@ -113,8 +112,7 @@ TEST(ClassRbm, FabricInferenceSurvivesCircuitModel)
     machine::AnalogConfig cfg;  // non-ideal defaults + mild noise
     cfg.noise = {0.05, 0.05};
     machine::AnalogFabric fabric(model.joint().numVisible(),
-                                 model.joint().numHidden(), cfg,
-                                 fabricRng);
+                                 model.joint().numHidden(), cfg);
     fabric.program(model.joint());
 
     data::Dataset subset;

@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "accel/fabric_backend.hpp"
 #include "data/dataset.hpp"
 #include "ising/analog.hpp"
 #include "ising/brim.hpp"
@@ -62,7 +63,7 @@ TEST(EdgeCases, FabricProgramIsIdempotent)
     rbm::Rbm model(5, 4);
     model.initRandom(rng, 0.4f);
     machine::AnalogConfig cfg;
-    machine::AnalogFabric fabric(5, 4, cfg, rng);
+    machine::AnalogFabric fabric(5, 4, cfg);
     fabric.program(model);
     const linalg::Matrix once = fabric.rawWeights();
     fabric.program(model);
@@ -74,13 +75,12 @@ TEST(EdgeCases, FabricAnnealZeroStepsKeepsHidden)
     Rng rng(4);
     machine::AnalogConfig cfg;
     cfg.idealComponents = true;
-    machine::AnalogFabric fabric(4, 3, cfg, rng);
-    rbm::Rbm model(4, 3);
-    fabric.program(model);
-    linalg::Vector v, h(3);
+    const rbm::Rbm model(4, 3);
+    const accel::AnalogFabricBackend fabric(model, cfg);
+    linalg::Vector v, h(3), pv, ph;
     h[1] = 1.0f;
     const linalg::Vector before = h;
-    fabric.anneal(0, v, h, rng);
+    fabric.anneal(0, v, h, pv, ph, rng);
     EXPECT_EQ(h, before);
     EXPECT_TRUE(v.empty());  // never touched
 }

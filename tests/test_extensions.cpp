@@ -86,6 +86,7 @@ TEST(MultiChip, LargerModelCostsMore)
 TEST(ParallelBgf, ReplicasShareWorkAndLearn)
 {
     Rng rng(1);
+    const std::uint64_t rootSeed = rng.next();
     const auto ds = stripeData(60, 12);
     accel::ParallelBgfConfig cfg;
     cfg.numReplicas = 3;
@@ -93,16 +94,17 @@ TEST(ParallelBgf, ReplicasShareWorkAndLearn)
     cfg.replica.learningRate = 0.02;
     cfg.replica.annealSteps = 2;
     cfg.replica.analog.idealComponents = true;
-    accel::ParallelBgf fleet(12, 5, cfg, rng);
+    accel::ParallelBgf fleet(12, 5, cfg);
     rbm::Rbm init(12, 5);
     init.initRandom(rng, 0.01f);
     fleet.initialize(init);
 
     const double before =
-        rbm::exact::meanLogLikelihood(fleet.readOut(), ds);
-    fleet.train(ds, 30);
+        rbm::exact::meanLogLikelihood(fleet.meanModel(), ds);
+    for (int epoch = 0; epoch < 30; ++epoch)
+        fleet.trainEpoch(ds, rootSeed, epoch);
     const double after =
-        rbm::exact::meanLogLikelihood(fleet.readOut(), ds);
+        rbm::exact::meanLogLikelihood(fleet.meanModel(), ds);
     EXPECT_GT(after, before + 1.0);
     EXPECT_EQ(fleet.samplesProcessed(), 30u * 60u);
     EXPECT_EQ(fleet.numReplicas(), 3u);
@@ -111,17 +113,19 @@ TEST(ParallelBgf, ReplicasShareWorkAndLearn)
 TEST(ParallelBgf, SingleReplicaDegeneratesToBgf)
 {
     Rng rng(2);
+    const std::uint64_t rootSeed = rng.next();
     const auto ds = stripeData(40, 10);
     accel::ParallelBgfConfig cfg;
     cfg.numReplicas = 1;
     cfg.replica.learningRate = 0.02;
     cfg.replica.analog.idealComponents = true;
-    accel::ParallelBgf fleet(10, 4, cfg, rng);
+    accel::ParallelBgf fleet(10, 4, cfg);
     rbm::Rbm init(10, 4);
     init.initRandom(rng, 0.01f);
     fleet.initialize(init);
-    fleet.train(ds, 20);
-    EXPECT_GT(rbm::exact::meanLogLikelihood(fleet.readOut(), ds), -7.0);
+    for (int epoch = 0; epoch < 20; ++epoch)
+        fleet.trainEpoch(ds, rootSeed, epoch);
+    EXPECT_GT(rbm::exact::meanLogLikelihood(fleet.meanModel(), ds), -7.0);
 }
 
 TEST(ParallelBgf, WideFleetStillLearns)
@@ -130,20 +134,22 @@ TEST(ParallelBgf, WideFleetStillLearns)
     // the data per epoch) must still converge to a useful model.
     const auto ds = stripeData(60, 10);
     Rng rng(3);
+    const std::uint64_t rootSeed = rng.next();
     accel::ParallelBgfConfig cfg;
     cfg.numReplicas = 4;
     cfg.replica.learningRate = 0.02;
     cfg.replica.annealSteps = 2;
     cfg.replica.analog.idealComponents = true;
-    accel::ParallelBgf fleet(10, 4, cfg, rng);
+    accel::ParallelBgf fleet(10, 4, cfg);
     rbm::Rbm init(10, 4);
     init.initRandom(rng, 0.01f);
     fleet.initialize(init);
     const double before =
-        rbm::exact::meanLogLikelihood(fleet.readOut(), ds);
-    fleet.train(ds, 30);
+        rbm::exact::meanLogLikelihood(fleet.meanModel(), ds);
+    for (int epoch = 0; epoch < 30; ++epoch)
+        fleet.trainEpoch(ds, rootSeed, epoch);
     const double after =
-        rbm::exact::meanLogLikelihood(fleet.readOut(), ds);
+        rbm::exact::meanLogLikelihood(fleet.meanModel(), ds);
     EXPECT_GT(after, before + 1.5);
 }
 

@@ -88,12 +88,12 @@ TEST(Integration, BgfFeaturesMatchCdFeatures)
     accel::BgfConfig bgfCfg;
     bgfCfg.learningRate = 0.1 / 25.0;
     bgfCfg.annealSteps = 2;
-    accel::BoltzmannGradientFollower bgf(bin.dim(), 48, bgfCfg, rng);
+    accel::BoltzmannGradientFollower bgf(bin.dim(), 48, bgfCfg);
     rbm::Rbm init(bin.dim(), 48);
     init.initRandom(rng);
     bgf.initialize(init);
     for (int e = 0; e < 5; ++e)
-        bgf.trainEpoch(split.train);
+        bgf.trainEpoch(split.train, rng);
     const rbm::Rbm bgfModel = bgf.readOut();
 
     eval::LogisticConfig lcfg;
@@ -120,7 +120,7 @@ TEST(Integration, LogProbTrajectoryRisesUnderBgf)
     accel::BgfConfig cfg;
     cfg.learningRate = 0.004;
     cfg.annealSteps = 2;
-    accel::BoltzmannGradientFollower bgf(bin.dim(), 24, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(bin.dim(), 24, cfg);
     rbm::Rbm init(bin.dim(), 24);
     init.initRandom(rng);
     bgf.initialize(init);
@@ -131,7 +131,7 @@ TEST(Integration, LogProbTrajectoryRisesUnderBgf)
     rbm::AisEstimator ais(aisCfg, rng);
     const double before = ais.averageLogProb(bgf.readOut(), bin, bin);
     for (int e = 0; e < 4; ++e)
-        bgf.trainEpoch(bin);
+        bgf.trainEpoch(bin, rng);
     const double after = ais.averageLogProb(bgf.readOut(), bin, bin);
     EXPECT_GT(after, before + 5.0);
 }
@@ -173,12 +173,12 @@ TEST(Integration, KlBiasOrderingOnEnumerableSystem)
     accel::BgfConfig bgfCfg;
     bgfCfg.learningRate = 0.01;
     bgfCfg.annealSteps = 2;
-    accel::BoltzmannGradientFollower bgf(m, n, bgfCfg, rng);
+    accel::BoltzmannGradientFollower bgf(m, n, bgfCfg);
     rbm::Rbm init(m, n);
     init.initRandom(rng, 0.01f);
     bgf.initialize(init);
     for (int e = 0; e < 100; ++e)
-        bgf.trainEpoch(train);
+        bgf.trainEpoch(train, rng);
 
     auto kl = [&](const rbm::Rbm &model) {
         return eval::klDivergence(

@@ -59,14 +59,14 @@ TEST_P(BgfNoiseSweep, LearnsStripes)
     cfg.learningRate = 0.02;
     cfg.annealSteps = 2;
     cfg.analog.noise = noise;
-    accel::BoltzmannGradientFollower bgf(12, 5, cfg, rng);
+    accel::BoltzmannGradientFollower bgf(12, 5, cfg);
     rbm::Rbm init(12, 5);
     init.initRandom(rng, 0.01f);
     bgf.initialize(init);
     const double before =
         rbm::exact::meanLogLikelihood(bgf.readOut(), ds);
     for (int e = 0; e < 30; ++e)
-        bgf.trainEpoch(ds);
+        bgf.trainEpoch(ds, rng);
     const double after =
         rbm::exact::meanLogLikelihood(bgf.readOut(), ds);
     EXPECT_GT(after, before + 0.5)
@@ -102,9 +102,9 @@ TEST_P(GsNoiseSweep, LearnsStripes)
     cfg.learningRate = 0.2;
     cfg.batchSize = 10;
     cfg.analog.noise = noise;
-    accel::GibbsSamplerAccel gs(model, cfg, rng);
+    accel::GibbsSamplerAccel gs(model, cfg);
     for (int e = 0; e < 40; ++e)
-        gs.trainEpoch(ds);
+        gs.trainEpoch(ds, rng);
     EXPECT_GT(rbm::exact::meanLogLikelihood(model, ds), before + 0.5)
         << "var " << noise.rmsVariation << " noise " << noise.rmsNoise;
 }
@@ -132,7 +132,7 @@ TEST_P(FabricNoiseSweep, MarginalsStayOrdered)
     }
     machine::AnalogConfig cfg;
     cfg.noise = noise;
-    machine::AnalogFabric fabric(6, 2, cfg, rng);
+    machine::AnalogFabric fabric(6, 2, cfg);
     fabric.program(model);
     linalg::Vector v(6, 1.0f), h;
     double freq0 = 0.0, freq1 = 0.0;

@@ -35,20 +35,22 @@ trainFleet(exec::ThreadPool &pool, std::size_t replicas,
 {
     const auto ds = stripeData(60, 12);
     Rng rng(21);
+    const std::uint64_t rootSeed = rng.next();
     accel::ParallelBgfConfig cfg;
     cfg.numReplicas = replicas;
     cfg.syncEveryEpochs = 1;
     cfg.replica.learningRate = 0.02;
     cfg.replica.annealSteps = 2;
     cfg.pool = &pool;
-    accel::ParallelBgf fleet(12, 5, cfg, rng);
+    accel::ParallelBgf fleet(12, 5, cfg);
     rbm::Rbm init(12, 5);
     init.initRandom(rng, 0.01f);
     fleet.initialize(init);
-    fleet.train(ds, 6);
+    for (int epoch = 0; epoch < 6; ++epoch)
+        fleet.trainEpoch(ds, rootSeed, epoch);
     if (samples)
         *samples = fleet.samplesProcessed();
-    return fleet.readOut();
+    return fleet.meanModel();
 }
 
 rbm::Rbm

@@ -48,8 +48,7 @@ class SamplingBackendConformance
         rng_ = std::make_unique<Rng>(404);
         machine::AnalogConfig cfg;  // noiseless but non-ideal circuits
         backend_ = accel::makeSamplingBackend(
-            accel::samplingBackendKind(GetParam().name), model_, cfg,
-            *rng_);
+            accel::samplingBackendKind(GetParam().name), model_, cfg);
     }
 
     rbm::Rbm model_;
@@ -215,10 +214,9 @@ TEST(SoftwareGibbsBackend, SetModelRefreshesTheCachedTranspose)
 
 TEST(AnalogFabricBackend, BorrowedFabricIsShared)
 {
-    Rng rng(12);
     rbm::Rbm model = biasedModel(6, 3);
     machine::AnalogConfig cfg;
-    machine::AnalogFabric fabric(6, 3, cfg, rng);
+    machine::AnalogFabric fabric(6, 3, cfg);
     fabric.program(model);
     accel::AnalogFabricBackend backend(fabric);
     EXPECT_EQ(&backend.fabric(), &fabric);
