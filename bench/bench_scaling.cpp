@@ -49,7 +49,6 @@
 #include "rbm/cd_trainer.hpp"
 #include "rbm/sampling_backend.hpp"
 #include "train/strategies.hpp"
-#include "util/math.hpp"
 #include "util/stopwatch.hpp"
 
 using namespace ising;
@@ -81,8 +80,17 @@ refAffineSigmoid(const linalg::Matrix &x, const float *in,
         for (std::size_t j = 0; j < q; ++j)
             yd[j] += xi * xrow[j];
     }
-    for (std::size_t j = 0; j < q; ++j)
-        yd[j] = util::sigmoidf(yd[j]);
+    // The PR-1 float sigmoid: one libm expf per unit.
+    for (std::size_t j = 0; j < q; ++j) {
+        const float x = yd[j];
+        if (x >= 0.0f) {
+            const float z = std::exp(-x);
+            yd[j] = 1.0f / (1.0f + z);
+        } else {
+            const float z = std::exp(x);
+            yd[j] = z / (1.0f + z);
+        }
+    }
 }
 
 /** PR-1 Rbm::sampleBinary. */

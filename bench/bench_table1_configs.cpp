@@ -23,8 +23,11 @@ printTable1()
         std::string dbn = "-";
         if (!cfg.dbnLayers.empty()) {
             dbn.clear();
-            for (std::size_t i = 0; i < cfg.dbnLayers.size(); ++i)
-                dbn += (i ? "-" : "") + std::to_string(cfg.dbnLayers[i]);
+            for (std::size_t i = 0; i < cfg.dbnLayers.size(); ++i) {
+                if (i)
+                    dbn += '-';
+                dbn += std::to_string(cfg.dbnLayers[i]);
+            }
         }
         std::string source;
         if (cfg.name == "MNIST" || cfg.name == "KMNIST" ||

@@ -117,9 +117,6 @@ class BoltzmannGradientFollower
 
     const BgfCounters &counters() const { return counters_; }
     const BgfConfig &config() const { return config_; }
-    const machine::AnalogFabric &fabric() const { return fabric_; }
-    /** The unified sampling surface the settle sweeps run on. */
-    const rbm::SamplingBackend &backend() const { return backend_; }
 
   private:
     BgfConfig config_;

@@ -82,9 +82,6 @@ class GibbsSamplerAccel
     void setSchedule(double learningRate, int k, double weightDecay);
 
     const GsCounters &counters() const { return counters_; }
-    const machine::AnalogFabric &fabric() const { return fabric_; }
-    /** The unified sampling surface the settle loop runs on. */
-    const rbm::SamplingBackend &backend() const { return backend_; }
 
   private:
     rbm::Rbm &model_;

@@ -3,9 +3,9 @@
  * Packed kernel implementations.
  *
  * The shape checks, bias fill, packing and latch logic live here; the
- * tiled accumulate walk and the popcount loops route through the
- * caller's simd::KernelTable, whose tier compiled them (see
- * linalg/kernel_bodies.hpp).
+ * tiled accumulate walk, the sigmoid and the popcount loops route
+ * through the caller's simd::KernelTable, whose tier compiled them
+ * (see linalg/kernel_bodies.hpp).
  */
 
 #include "linalg/bitops.hpp"
@@ -13,8 +13,6 @@
 #include <algorithm>
 #include <cassert>
 #include <vector>
-
-#include "util/math.hpp"
 
 namespace ising::linalg {
 
@@ -107,22 +105,22 @@ accumulateBatchTile(const simd::KernelTable &kt, const Matrix &w,
 }
 
 void
-sampleBatchRow(Matrix &act, std::size_t r, BitMatrix &out, util::Rng &rng)
+sampleBatchRow(const simd::KernelTable &kt, Matrix &act, std::size_t r,
+               BitMatrix &out, util::Rng &rng)
 {
     const std::size_t q = act.cols();
     assert(out.rows() == act.rows() && out.cols() == q);
     float *arow = act.row(r);
     std::uint64_t *ow = out.row(r);
     std::fill(ow, ow + out.wordsPerRow(), 0);
+    kt.sigmoid(arow, q);
     for (std::size_t j = 0; j < q; ++j) {
-        const float pj = util::sigmoidf(arow[j]);
-        arow[j] = pj;
         // Branchless latch: the comparison outcome is a coin flip, so
         // a conditional store would mispredict half the time.  The
         // latch is contract-pinned scalar in every tier (one draw per
         // unit, ascending).
         ow[j >> 6] |=
-            static_cast<std::uint64_t>(rng.uniformFloat() < pj)
+            static_cast<std::uint64_t>(rng.uniformFloat() < arow[j])
             << (j & 63);
     }
 }
@@ -137,7 +135,7 @@ sampleBatch(const simd::KernelTable &kt, const Matrix &w,
     out.reset(batch, q);
     accumulateBatchTile(kt, w, in, b, means, 0, batch, 0, q);
     for (std::size_t r = 0; r < batch; ++r)
-        sampleBatchRow(means, r, out, rngs[r]);
+        sampleBatchRow(kt, means, r, out, rngs[r]);
 }
 
 void

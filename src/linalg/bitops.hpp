@@ -17,7 +17,10 @@
  *    rows of the set input units added in ascending input-unit order
  *    -- the exact float addition sequence linalg::affineSigmoid
  *    performs on a binary input (1.0f * w == w exactly in IEEE);
- *  - the conditional mean is util::sigmoidf of that pre-activation;
+ *  - the conditional mean is the KernelTable::sigmoid entry of that
+ *    pre-activation, the one float sigmoid the float path applies
+ *    too (every tier's entry gives the same bits, those of glibc's
+ *    FMA expf formula, whatever the host's libm);
  *  - sampling consumes exactly one rng.uniformFloat() per output unit
  *    in ascending unit order and latches bit j iff the draw is below
  *    the mean -- the exact sequence of Rbm::sampleBinary.
@@ -70,11 +73,11 @@ void accumulateBatchTile(const simd::KernelTable &kt, const Matrix &w,
 
 /**
  * Sampling stage of a batched half-sweep for one chain row: replace
- * act(r, .) in place with sigmoid means and latch packed bits using
- * rng (one draw per unit, ascending).
+ * act(r, .) in place with sigmoid means (kt.sigmoid over the row) and
+ * latch packed bits using rng (one draw per unit, ascending).
  */
-void sampleBatchRow(Matrix &act, std::size_t r, BitMatrix &out,
-                    util::Rng &rng);
+void sampleBatchRow(const simd::KernelTable &kt, Matrix &act,
+                    std::size_t r, BitMatrix &out, util::Rng &rng);
 
 /**
  * Whole-minibatch packed half-sweep: out/means row r is the sampled

@@ -16,6 +16,12 @@
  *  - outerCountDiffBody and popcountWordsBody count bits in integers,
  *    exact in any summation order: the baseline bit-hack, scalar
  *    POPCNT, or VPOPCNTQ auto-vectorized along the hidden axis.
+ *  - sigmoidBody, the conditional mean of both half-sweeps and of the
+ *    float pipeline, is branch-free so that it vectorizes across
+ *    units.  Its e^x is glibc's table-driven expf with the FMAs
+ *    spelled out where glibc's FMA build fuses, so every tier (and a
+ *    baseline build, through libm's correctly rounded fma) gives the
+ *    same bits.
  *
  * Everything here has internal linkage and calls builtins only, never
  * an inline library template: an inline function is a comdat in each
@@ -207,6 +213,90 @@ popcountWordsBody(const std::uint64_t *words, std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         acc += static_cast<std::size_t>(__builtin_popcountll(words[i]));
     return acc;
+}
+
+/**
+ * The constants of glibc's expf (sysdeps/ieee754/flt-32/e_expf.c,
+ * from ARM's optimized-routines): e^x = 2^(k/32) * 2^(r/32) with k
+ * the nearest integer to x * 32/ln2, 2^(k/32) from a 32-entry table
+ * whose entry i holds the bits of 2^(i/32) minus i << 47 (so entry
+ * k % 32 plus k << 47 is the bits of 2^(k/32)), and 2^(r/32) a cubic
+ * in r.
+ */
+constexpr std::uint64_t kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+constexpr double kInvLn2N = 0x1.71547652b82fep+5;  ///< 32 / ln 2
+constexpr double kRoundShift = 0x1.8p+52;  ///< adding it rounds to int
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+/** |x| of the largest-magnitude argument whose e^-|x| is not +0. */
+constexpr std::uint32_t kExpUnderflowBits = 0x42cff1b4;  // 0x1.9fe368p6f
+constexpr std::uint32_t kInfBits = 0x7f800000;
+constexpr std::uint32_t kOneBits = 0x3f800000;  // 1.0f
+
+/**
+ * KernelTable::sigmoid: a[i] = x >= 0 ? 1 / (1 + e^-x) : e^x / (1 + e^x)
+ * in float, in place, with x = a[i].  Both arms take e^-|x|, computed
+ * as glibc's expf computes it, fused where its FMA build fuses: +0
+ * below -0x1.9fe368p6 (and at -inf), x + x for a NaN.  The argument is
+ * clamped into range before the polynomial, every float operation
+ * runs on every lane, and the special cases and the arm are masks on
+ * the float's bits: a float select would let GCC sink the operations
+ * it selects between into branches (it may not speculate an operation
+ * that can trap), and a loop with branches does not vectorize.  A -0
+ * takes the e^x arm, which gives 1 / (1 + 1) too.
+ */
+void
+sigmoidBody(float *a, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const float x = a[i];
+        const std::uint32_t xbits = __builtin_bit_cast(std::uint32_t, x);
+        const std::uint32_t abits = xbits & 0x7fffffffu;
+        const std::uint32_t cbits =
+            abits < kExpUnderflowBits ? abits : kExpUnderflowBits;
+        const double xd =
+            -static_cast<double>(__builtin_bit_cast(float, cbits));
+        const double kd = __builtin_fma(kInvLn2N, xd, kRoundShift);
+        const std::uint64_t ki = __builtin_bit_cast(std::uint64_t, kd);
+        const double r = __builtin_fma(kInvLn2N, xd, -(kd - kRoundShift));
+        const double s =
+            __builtin_bit_cast(double, kExp2Table[ki % 32] + (ki << 47));
+        const double y = __builtin_fma(__builtin_fma(kExpC0, r, kExpC1),
+                                       r * r,
+                                       __builtin_fma(kExpC2, r, 1.0));
+        const std::uint32_t expBits =
+            __builtin_bit_cast(std::uint32_t, static_cast<float>(y * s));
+        const std::uint32_t nanBits =
+            __builtin_bit_cast(std::uint32_t, x + x);
+        // zeroMask: e^-|x| is +0 (|x| past the clamp, -inf and NaN
+        // included); nanMask: x is a NaN, whose e^x is x + x.
+        const std::uint32_t zeroMask =
+            0u - static_cast<std::uint32_t>(abits > kExpUnderflowBits);
+        const std::uint32_t nanMask =
+            0u - static_cast<std::uint32_t>(abits > kInfBits);
+        const float e = __builtin_bit_cast(
+            float, (expBits & ~zeroMask) | (nanBits & nanMask));
+        // posMask: x >= +0, the 1 / (1 + e^-x) arm.
+        const std::uint32_t posMask =
+            0u - static_cast<std::uint32_t>(xbits <= kInfBits);
+        const float num = __builtin_bit_cast(
+            float, (kOneBits & posMask) |
+                       (__builtin_bit_cast(std::uint32_t, e) & ~posMask));
+        a[i] = num / (1.0f + e);
+    }
 }
 
 } // namespace

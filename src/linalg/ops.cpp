@@ -12,7 +12,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "util/math.hpp"
+#include "linalg/simd_dispatch.hpp"
 
 namespace ising::linalg {
 
@@ -73,8 +73,7 @@ affineSigmoid(const Matrix &x, const float *in, const Vector &b,
         for (std::size_t j = 0; j < q; ++j)
             yd[j] += xi * xrow[j];
     }
-    for (std::size_t j = 0; j < q; ++j)
-        yd[j] = util::sigmoidf(yd[j]);
+    simd::activeTable().sigmoid(yd, q);
 }
 
 void

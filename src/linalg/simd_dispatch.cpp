@@ -27,16 +27,16 @@ namespace ising::linalg::simd {
 namespace {
 
 const KernelTable kGenericTable = {
-    IsaTier::Generic,   "generic",          accumulateTileBody,
-    outerCountDiffBody, popcountWordsBody,
+    IsaTier::Generic,   "generic",         accumulateTileBody,
+    outerCountDiffBody, popcountWordsBody, sigmoidBody,
 };
 
 // ------------------------------------------------------------- CPUID probe
 
 struct CpuFeatures
 {
-    bool avx2 = false;
-    bool avx512 = false;  ///< F + BW + VPOPCNTDQ + OS zmm state
+    bool avx2 = false;    ///< AVX2 + FMA
+    bool avx512 = false;  ///< F + BW + VPOPCNTDQ + FMA + OS zmm state
 };
 
 CpuFeatures
@@ -48,7 +48,9 @@ probeCpu()
         return {};
     const bool osxsave = (ecx & (1u << 27)) != 0;
     const bool avx = (ecx & (1u << 28)) != 0;
-    if (!osxsave || !avx)
+    // Both SIMD tiers compile with -mfma (the sigmoid's fused steps).
+    const bool fma = (ecx & (1u << 12)) != 0;
+    if (!osxsave || !avx || !fma)
         return {};
     // XCR0: the OS must save the state the wider registers live in, or
     // executing the instructions faults regardless of CPUID bits.

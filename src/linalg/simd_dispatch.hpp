@@ -5,22 +5,27 @@
  * The library ships one portable binary.  Every tier's table holds
  * the same portable kernel bodies (kernel_bodies.hpp), each compiled
  * in its own translation unit under that tier's flags: the baseline
- * ISA (or -march=native) for generic, -mavx2 for AVX2, -mavx512f
- * -mavx512bw -mavx512vpopcntdq for AVX-512.  A CPUID probe picks the
- * highest tier the host can actually run the first time a kernel is
- * needed.  The function-pointer table moves time, never results.
+ * ISA (or -march=native) for generic, -mavx2 -mfma for AVX2,
+ * -mavx512f -mavx512bw -mavx512vpopcntdq -mfma for AVX-512.  A CPUID
+ * probe picks the highest tier the host can actually run (FMA
+ * included) the first time a kernel is needed.  The function-pointer
+ * table moves time, never results.
  *
  * Bit-reproducibility bounds what the compiler may do with those
  * bodies (see linalg/bitops.hpp for the full contract): per output
  * lane the float additions run in ascending input-unit order, so the
  * accumulate vectorizes *across* output lanes only -- each lane
  * performs the exact scalar addition sequence -- and no FMA,
- * horizontal add or reassociation enters the sum.  The AND-popcount gradient reduce
- * is exact integer arithmetic, order-independent by construction
- * (VPOPCNTQ along the hidden axis on AVX-512).  The sigmoid +
- * Bernoulli latch consumes one RNG draw per unit in ascending order
- * and therefore stays scalar common code outside this table.  Every
- * tier is byte-identical to the generic reference.
+ * horizontal add or reassociation enters the sum.  The AND-popcount
+ * gradient reduce is exact integer arithmetic, order-independent by
+ * construction (VPOPCNTQ along the hidden axis on AVX-512).  The
+ * sigmoid is elementwise with its FMAs written out as builtins, so a
+ * lane computes the scalar result whatever the width (a baseline
+ * build without FMA instructions reaches them through libm's
+ * correctly rounded fma).  The Bernoulli latch consumes one RNG draw
+ * per unit in ascending order and therefore stays scalar common code
+ * outside this table.  Every tier is byte-identical to the generic
+ * reference.
  *
  * Tier selection is made here and nowhere above: the CPUID probe,
  * unless the ISINGRBM_ISA environment variable names a tier this host
@@ -95,6 +100,17 @@ struct KernelTable
     /** Total set bits over n words. */
     std::size_t (*popcountWords)(const std::uint64_t *words,
                                  std::size_t n);
+
+    /**
+     * a[i] = sigmoid(a[i]) in place for i in [0, n): in float,
+     * x >= 0 ? 1 / (1 + e^-x) : e^x / (1 + e^x), with e^x evaluated
+     * as glibc's FMA build of expf evaluates it (NaN in, quieted NaN
+     * out).  The one float sigmoid of the repo: the conditional mean
+     * of the packed half-sweeps and of the float pipeline, so its bits
+     * are part of the reproducibility contract and never depend on
+     * the host's libm.
+     */
+    void (*sigmoid)(float *a, std::size_t n);
 };
 
 /**

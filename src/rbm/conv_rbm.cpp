@@ -7,9 +7,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <utility>
 
-#include "util/math.hpp"
+#include "linalg/simd_dispatch.hpp"
 
 namespace ising::rbm {
 
@@ -64,10 +64,11 @@ ConvRbm::hiddenMaps(const float *image, std::vector<float> &maps) const
                     for (std::size_t fx = 0; fx < f; ++fx)
                         acc += irow[fx] * frow[fx];
                 }
-                map[y * hs + x] = util::sigmoidf(acc);
+                map[y * hs + x] = acc;
             }
         }
     }
+    linalg::simd::activeTable().sigmoid(maps.data(), maps.size());
 }
 
 void
@@ -97,9 +98,8 @@ ConvRbm::reconstruct(const std::vector<float> &maps,
             }
         }
     }
-    image.resize(side * side);
-    for (std::size_t i = 0; i < image.size(); ++i)
-        image[i] = util::sigmoidf(act[i]);
+    linalg::simd::activeTable().sigmoid(act.data(), act.size());
+    image = std::move(act);
 }
 
 void

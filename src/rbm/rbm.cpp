@@ -8,6 +8,7 @@
 #include <cassert>
 
 #include "linalg/ops.hpp"
+#include "linalg/simd_dispatch.hpp"
 #include "util/math.hpp"
 
 namespace ising::rbm {
@@ -43,8 +44,9 @@ Rbm::visibleProbs(const float *h, linalg::Vector &pv) const
         float acc = bv_[i];
         for (std::size_t j = 0; j < n; ++j)
             acc += wrow[j] * h[j];
-        pv[i] = util::sigmoidf(acc);
+        pv[i] = acc;
     }
+    linalg::simd::activeTable().sigmoid(pv.data(), m);
 }
 
 void

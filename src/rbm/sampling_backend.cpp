@@ -261,7 +261,7 @@ SoftwareGibbsBackend::packedLayerBatch(const linalg::Matrix &w,
             linalg::accumulateBatchTile(*kt_, w, in, b, means, rowBegin,
                                         rowEnd, 0, q);
             for (std::size_t r = rowBegin; r < rowEnd; ++r)
-                linalg::sampleBatchRow(means, r, out, rngs[r]);
+                linalg::sampleBatchRow(*kt_, means, r, out, rngs[r]);
         });
     } else {
         exec::parallelForChunks(pool, q, [&](std::size_t colBegin,
@@ -270,7 +270,7 @@ SoftwareGibbsBackend::packedLayerBatch(const linalg::Matrix &w,
                                         colBegin, colEnd);
         });
         exec::parallelFor(pool, batch, [&](std::size_t r) {
-            linalg::sampleBatchRow(means, r, out, rngs[r]);
+            linalg::sampleBatchRow(*kt_, means, r, out, rngs[r]);
         });
     }
 }

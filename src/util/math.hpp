@@ -13,7 +13,10 @@
 
 namespace ising::util {
 
-/** Numerically safe logistic function 1 / (1 + exp(-x)). */
+/**
+ * Numerically safe logistic function 1 / (1 + exp(-x)).  The float
+ * sigmoid of the sampling kernels is linalg::simd::KernelTable::sigmoid.
+ */
 inline double
 sigmoid(double x)
 {
@@ -23,18 +26,6 @@ sigmoid(double x)
     }
     const double z = std::exp(x);
     return z / (1.0 + z);
-}
-
-/** Float variant used by inner loops. */
-inline float
-sigmoidf(float x)
-{
-    if (x >= 0.0f) {
-        const float z = std::exp(-x);
-        return 1.0f / (1.0f + z);
-    }
-    const float z = std::exp(x);
-    return z / (1.0f + z);
 }
 
 /** log(1 + exp(x)) without overflow: the softplus function. */

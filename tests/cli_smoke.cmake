@@ -253,33 +253,37 @@ endif()
 # kernel tier pinned to generic (ISINGRBM_ISA, the one tier override)
 # and with auto dispatch (AVX2/AVX-512 where the host has it) must be
 # byte-identical end to end -- the tiers move time, never results.
-# The scalar float pipeline rides the same contract, so a third
-# sampling leg pins ISINGRBM_ISA=scalar against the auto-dispatched
-# model.
+# A second pinned leg runs the AVX2 table, which auto dispatch skips
+# on an AVX-512 host (a host without AVX2+FMA warns and falls back to
+# auto, so the leg still holds there).  The scalar float pipeline
+# rides the same contract, so a last sampling leg pins
+# ISINGRBM_ISA=scalar against the auto-dispatched model.
 run_step(${CLI} train --registry ${WORK} --name smoke-isa-auto
-         --samples 120 --hidden 12 --epochs 1 --k 1)
-run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=generic
-         ${CLI} train --registry ${WORK} --name smoke-isa-generic
          --samples 120 --hidden 12 --epochs 1 --k 1)
 run_step(${CLI} sample --registry ${WORK} --model smoke-isa-auto
          --count 2 --burnin 5 --seed 99
          --out ${WORK}/samples-isa-auto.txt)
-run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=generic
-         ${CLI} sample --registry ${WORK} --model smoke-isa-generic
-         --count 2 --burnin 5 --seed 99
-         --out ${WORK}/samples-isa-generic.txt)
+file(READ ${WORK}/samples-isa-auto.txt isa_auto_bits)
+foreach(tier generic avx2)
+  run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=${tier}
+           ${CLI} train --registry ${WORK} --name smoke-isa-${tier}
+           --samples 120 --hidden 12 --epochs 1 --k 1)
+  run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=${tier}
+           ${CLI} sample --registry ${WORK} --model smoke-isa-${tier}
+           --count 2 --burnin 5 --seed 99
+           --out ${WORK}/samples-isa-${tier}.txt)
+  file(READ ${WORK}/samples-isa-${tier}.txt isa_tier_bits)
+  if(NOT isa_auto_bits STREQUAL isa_tier_bits)
+    message(FATAL_ERROR "cli_smoke: forced-${tier} train+sample differs "
+                        "from auto-dispatched SIMD tier (bit-identity "
+                        "contract broken)")
+  endif()
+endforeach()
 run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=scalar
          ${CLI} sample --registry ${WORK} --model smoke-isa-auto
          --count 2 --burnin 5 --seed 99
          --out ${WORK}/samples-isa-scalar.txt)
-file(READ ${WORK}/samples-isa-auto.txt isa_auto_bits)
-file(READ ${WORK}/samples-isa-generic.txt isa_generic_bits)
 file(READ ${WORK}/samples-isa-scalar.txt isa_scalar_bits)
-if(NOT isa_auto_bits STREQUAL isa_generic_bits)
-  message(FATAL_ERROR "cli_smoke: forced-generic train+sample differs "
-                      "from auto-dispatched SIMD tier (bit-identity "
-                      "contract broken)")
-endif()
 if(NOT isa_auto_bits STREQUAL isa_scalar_bits)
   message(FATAL_ERROR "cli_smoke: scalar float pipeline differs from "
                       "the packed SIMD tiers (bit-identity contract "

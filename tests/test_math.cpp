@@ -7,9 +7,22 @@
 
 #include <cmath>
 
+#include "linalg/simd_dispatch.hpp"
 #include "util/math.hpp"
 
 namespace um = ising::util;
+
+namespace {
+
+/** The repo's one float sigmoid, the kernel-table entry, on one value. */
+float
+floatSigmoid(float x)
+{
+    ising::linalg::simd::activeTable().sigmoid(&x, 1);
+    return x;
+}
+
+} // namespace
 
 TEST(Sigmoid, KnownValues)
 {
@@ -30,10 +43,22 @@ TEST(Sigmoid, SaturatesWithoutNan)
     EXPECT_FALSE(std::isnan(um::sigmoid(-1e8)));
 }
 
-TEST(Sigmoid, FloatVariantMatchesDouble)
+TEST(Sigmoid, FloatEntryMatchesDouble)
 {
     for (float x = -8.0f; x <= 8.0f; x += 0.5f)
-        EXPECT_NEAR(um::sigmoidf(x), um::sigmoid(x), 1e-6) << x;
+        EXPECT_NEAR(floatSigmoid(x), um::sigmoid(x), 1e-6) << x;
+}
+
+TEST(Sigmoid, FloatEntryPinsValuesIndependentOfLibm)
+{
+    EXPECT_EQ(floatSigmoid(0.0f), 0.5f);
+    EXPECT_EQ(floatSigmoid(-0.0f), 0.5f);
+    EXPECT_EQ(floatSigmoid(INFINITY), 1.0f);
+    EXPECT_EQ(floatSigmoid(-INFINITY), 0.0f);
+    EXPECT_TRUE(std::isnan(floatSigmoid(NAN)));
+    // e^x fused as glibc's FMA expf fuses it; an unfused evaluation of
+    // the same polynomial rounds to 0x1.f45324p-92.
+    EXPECT_EQ(floatSigmoid(-0x1.f8cbb2p+5f), 0x1.f45326p-92f);
 }
 
 TEST(Softplus, MatchesDefinitionMidRange)

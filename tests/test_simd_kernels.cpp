@@ -15,6 +15,10 @@
  *  - the fused half-sweep and the gradient reduce of each SIMD tier
  *    match the generic tier (word counts 1..18 crossing every word
  *    group of the shared reduce body);
+ *  - every tier's sigmoid entry reproduces, bit for bit, a scalar
+ *    transcription of the formula written here (std::fma and plain
+ *    branches, not the vectorized body) over a strided walk of all
+ *    float bit patterns and the special values, at lengths 1..40;
  *  - the dispatcher's table() / detectedTier() / envTier() /
  *    defaultTier() invariants hold, including the ISINGRBM_ISA env
  *    override that a SoftwareGibbsBackend resolves at construction;
@@ -27,6 +31,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -160,14 +167,162 @@ activityLevels(std::size_t rows, std::size_t cols, Rng &rng)
     return levels;
 }
 
-} // namespace
+/**
+ * glibc's expf (sysdeps/ieee754/flt-32/e_expf.c) for the arguments the
+ * sigmoid passes it (x <= 0, or a NaN), written out with plain
+ * branches and std::fma where its FMA build fuses.
+ */
+float
+referenceExpf(float x)
+{
+    static constexpr std::uint64_t kTable[32] = {
+        0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+        0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+        0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+        0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+        0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+        0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+        0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+        0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+        0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+        0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+        0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+    };
+    const double invLn2N = 0x1.71547652b82fep+0 * 32;
+    const double shift = 0x1.8p+52;
+    const double c0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
+    const double c1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;
+    const double c2 = 0x1.62e42ff0c52d6p-1 / 32;
 
-TEST(SimdKernels, BatchTilesMatchFloatGemvTAcrossColumnRanges)
+    if (std::isnan(x))
+        return x + x;
+    if (x < -0x1.9fe368p6f)  // -inf included
+        return 0.0f;
+    const double xd = x;
+    double kd = std::fma(invLn2N, xd, shift);
+    const std::uint64_t ki = std::bit_cast<std::uint64_t>(kd);
+    kd -= shift;
+    const double r = std::fma(invLn2N, xd, -kd);
+    const double s = std::bit_cast<double>(kTable[ki % 32] + (ki << 47));
+    const double z = std::fma(c0, r, c1);
+    const double r2 = r * r;
+    double y = std::fma(c2, r, 1.0);
+    y = std::fma(z, r2, y);
+    y = y * s;
+    return static_cast<float>(y);
+}
+
+/** The float sigmoid formula over referenceExpf. */
+float
+referenceSigmoid(float x)
+{
+    if (x >= 0.0f) {
+        const float z = referenceExpf(-x);
+        return 1.0f / (1.0f + z);
+    }
+    const float z = referenceExpf(x);
+    return z / (1.0f + z);
+}
+
+float
+floatFromBits(std::uint32_t bits)
+{
+    return std::bit_cast<float>(bits);
+}
+
+/** Bit patterns of the sigmoid's special inputs. */
+std::vector<std::uint32_t>
+sigmoidSpecials()
+{
+    std::vector<std::uint32_t> bits = {
+        0x00000000, 0x80000000,              // +-0
+        0x7f800000, 0xff800000,              // +-inf
+        0x7fc00000, 0xffc00000,              // quiet NaNs
+        0x7fc12345, 0xffd54321,              //   with payloads
+        0x7f800001, 0xff800001,              // signalling NaNs
+        0x7fa00000, 0xffbfffff,
+        0x00000001, 0x80000001, 0x00400000,  // subnormals
+        0x807fffff, 0x007fffff,
+        0x00800000, 0x80800000,              // smallest normals
+        0x3f800000, 0xbf800000,              // +-1
+        0x42b00000, 0xc2b00000,              // +-88
+        0x7f7fffff, 0xff7fffff,              // +-FLT_MAX
+        0xc27c65d9, 0x427c65d9,              // -+0x1.f8cbb2p+5
+    };
+    // -0x1.9fe368p6, the last argument whose e^x is not +0, and the
+    // matching positive input, each with two neighbours either side.
+    for (std::uint32_t b = 0x42cff1b2; b <= 0x42cff1b6; ++b) {
+        bits.push_back(b);
+        bits.push_back(b | 0x80000000u);
+    }
+    return bits;
+}
+
+/** Every tier's table this host can run, generic first. */
+std::vector<const simd::KernelTable *>
+allTiers()
 {
     std::vector<const simd::KernelTable *> tiers = {
         simd::table(simd::IsaTier::Generic)};
     for (const simd::KernelTable *kt : simdTiers())
         tiers.push_back(kt);
+    return tiers;
+}
+
+} // namespace
+
+TEST(SimdKernels, SigmoidEntryMatchesScalarFormulaBitwise)
+{
+    const auto check = [](const simd::KernelTable &kt,
+                          const std::vector<float> &in,
+                          const std::vector<float> &got, std::size_t begin,
+                          std::size_t len) {
+        for (std::size_t i = begin; i < begin + len; ++i) {
+            const std::uint32_t want =
+                std::bit_cast<std::uint32_t>(referenceSigmoid(in[i]));
+            ASSERT_EQ(want, std::bit_cast<std::uint32_t>(got[i]))
+                << kt.name << " x bits 0x" << std::hex
+                << std::bit_cast<std::uint32_t>(in[i]) << std::dec
+                << " (length " << len << ", lane " << i - begin << ")";
+        }
+    };
+    for (const simd::KernelTable *kt : allTiers()) {
+        // A strided walk of all 2^32 float bit patterns (an odd stride,
+        // so every low-bit pattern turns up), cut into consecutive calls
+        // of lengths 1..40 at every alignment: each vector body, tail
+        // and scalar remainder runs.
+        std::vector<float> walk;
+        for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4093)
+            walk.push_back(floatFromBits(static_cast<std::uint32_t>(b)));
+        std::vector<float> got = walk;
+        for (std::size_t pos = 0, len = 1; pos < walk.size();
+             len = len % 40 + 1) {
+            const std::size_t n = std::min(len, walk.size() - pos);
+            kt->sigmoid(got.data() + pos, n);
+            check(*kt, walk, got, pos, n);
+            pos += n;
+        }
+
+        // The special values at every length 1..40, each rotated through
+        // every lane.
+        const std::vector<std::uint32_t> specials = sigmoidSpecials();
+        for (std::size_t len = 1; len <= 40; ++len) {
+            for (std::size_t start = 0; start < specials.size(); ++start) {
+                std::vector<float> in(len);
+                for (std::size_t i = 0; i < len; ++i)
+                    in[i] = floatFromBits(
+                        specials[(start + i) % specials.size()]);
+                std::vector<float> out = in;
+                kt->sigmoid(out.data(), len);
+                check(*kt, in, out, 0, len);
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, BatchTilesMatchFloatGemvTAcrossColumnRanges)
+{
+    const std::vector<const simd::KernelTable *> tiers = allTiers();
     Rng rng(13);
     // (input units, chains): a five-chain batch, and single chains --
     // a lone chain sweeps as a one-row batch -- over one word, a
