@@ -997,7 +997,8 @@ cmdServe(const util::CliArgs &args)
     std::fflush(stdout);
 
     // Publish the bound port atomically (write + rename) so a polling
-    // loadgen never reads a half-written file.
+    // loadgen never reads a half-written file.  A failed publish exits
+    // 1 (after the server closes its socket) and leaves no temp file.
     const std::string portFile = args.get("port-file", "");
     if (!portFile.empty()) {
         const std::string tmp = portFile + ".tmp";
@@ -1007,7 +1008,17 @@ cmdServe(const util::CliArgs &args)
                 util::fatal("isingrbm: cannot write " + tmp);
             file << port << '\n';
         }
-        std::filesystem::rename(tmp, portFile);
+        std::error_code ec;
+        std::filesystem::rename(tmp, portFile, ec);
+        if (ec) {
+            std::error_code ignored;
+            std::filesystem::remove(tmp, ignored);
+            util::logMessage(util::LogLevel::Error,
+                             util::strcat("isingrbm: --port-file: cannot "
+                                          "publish the port to ",
+                                          portFile, ": ", ec.message()));
+            return 1;
+        }
     }
 
     server.run();

@@ -110,7 +110,7 @@ Model::pool() const
     return pool_ ? *pool_ : exec::globalPool();
 }
 
-const rbm::SamplingBackend *
+const rbm::SoftwareGibbsBackend *
 Model::sampler() const
 {
     if (flat_)
@@ -244,7 +244,7 @@ Model::sampleRows(int burnIn, std::size_t rows, util::Rng *rngs,
         return;
     }
 
-    const rbm::SamplingBackend &backend = *sampler();
+    const rbm::SoftwareGibbsBackend &backend = *sampler();
     ensureShape(h, rows, backend.numHidden());
     for (std::size_t r = 0; r < rows; ++r)
         for (std::size_t j = 0; j < backend.numHidden(); ++j)
@@ -344,8 +344,8 @@ Model::featurizeRowsPacked(const linalg::BitMatrix &in,
         out = cur;
         return;
     }
-    sampler()->sampleHiddenBatchPacked(in, scratch.pa, out,
-                                       scratch.rngs.data());
+    flat_->sampleHiddenBatchPacked(in, scratch.pa, out,
+                                   scratch.rngs.data());
 }
 
 void
@@ -461,9 +461,8 @@ Model::reconstructRowsPacked(const linalg::BitMatrix &in, util::Rng *rngs,
     // Latch hidden from the packed rows, then the down half-sweep: the
     // intermediate hidden sample never leaves the bit domain, and only
     // the reported visible means materialize as floats.
-    sampler()->sampleHiddenBatchPacked(in, scratch.pa, scratch.b, rngs);
-    sampler()->sampleVisibleBatchPacked(scratch.pa, scratch.pb, out,
-                                        rngs);
+    flat_->sampleHiddenBatchPacked(in, scratch.pa, scratch.b, rngs);
+    flat_->sampleVisibleBatchPacked(scratch.pa, scratch.pb, out, rngs);
 }
 
 void

@@ -8,10 +8,11 @@
  * that gap: it owns one loaded Checkpoint and exposes the serving
  * operations (sample / featurize / classify / reconstruct) as batched,
  * row-independent calls, routing every family through the batched
- * `rbm::SamplingBackend` surface where a flat joint RBM exists (Rbm
- * itself, ClassRbm's joint model, CfRbm's softmax-group weight matrix,
- * each DBN layer) and through the family's own math elsewhere
- * (ConvRbm feature pooling, DBM mean-field).
+ * and packed half-sweeps of an `rbm::SoftwareGibbsBackend` where a
+ * flat joint RBM exists (Rbm itself, ClassRbm's joint model, CfRbm's
+ * softmax-group weight matrix, each DBN layer) and through the
+ * family's own math elsewhere (ConvRbm feature pooling, DBM
+ * mean-field).
  *
  * Determinism contract (the server relies on it): every operation is
  * row-independent -- row r of a batch reads only rngs[r] (stochastic
@@ -130,7 +131,7 @@ class Model
      * (nullptr for ConvRbm/Dbm, which have none; for Dbn this is the
      * visible-facing first layer).
      */
-    const rbm::SamplingBackend *sampler() const;
+    const rbm::SoftwareGibbsBackend *sampler() const;
 
     // ----------------------------------------------------- serving ops
     // All ops resize @p out to (rows x outputDim(op)).  Stochastic ops

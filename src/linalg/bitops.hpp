@@ -27,6 +27,11 @@
  *
  * Any chain built from these kernels therefore reproduces the float
  * chain bit-for-bit when both run the same per-chain RNG stream.
+ * Binary input is what selects these kernels (isBinary01); the float
+ * path carries non-binary input, where it is the only path.  The
+ * build rounds every float product before adding it
+ * (-ffp-contract=off), so the float path's bits on non-binary input
+ * are the same in a native and a portable build.
  */
 
 #ifndef ISINGRBM_LINALG_BITOPS_HPP

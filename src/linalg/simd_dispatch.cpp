@@ -96,7 +96,6 @@ tierName(IsaTier tier)
 {
     switch (tier) {
     case IsaTier::Auto: return "auto";
-    case IsaTier::Scalar: return "scalar";
     case IsaTier::Generic: return "generic";
     case IsaTier::Avx2: return "avx2";
     case IsaTier::Avx512: return "avx512";
@@ -108,8 +107,7 @@ bool
 tierFromName(const std::string &name, IsaTier &out)
 {
     for (const IsaTier tier :
-         {IsaTier::Auto, IsaTier::Scalar, IsaTier::Generic, IsaTier::Avx2,
-          IsaTier::Avx512}) {
+         {IsaTier::Auto, IsaTier::Generic, IsaTier::Avx2, IsaTier::Avx512}) {
         if (name == tierName(tier)) {
             out = tier;
             return true;
@@ -137,7 +135,7 @@ table(IsaTier tier)
         return nullptr;
 #endif
     default:
-        return nullptr;  // Auto and Scalar name no table
+        return nullptr;  // Auto names no table
     }
 }
 
@@ -164,12 +162,12 @@ envTier()
             warnedUnknown = true;
             util::warn(util::strcat("isingrbm: ISINGRBM_ISA='", env,
                                     "' is not a known tier "
-                                    "(auto|scalar|generic|avx2|avx512); "
+                                    "(auto|generic|avx2|avx512); "
                                     "using auto-detection"));
         }
         return IsaTier::Auto;
     }
-    if (tier == IsaTier::Auto || tier == IsaTier::Scalar)
+    if (tier == IsaTier::Auto)
         return tier;
     if (!table(tier)) {
         static bool warnedUnavailable = false;
@@ -194,8 +192,7 @@ defaultTier()
 const KernelTable &
 activeTable()
 {
-    const KernelTable *kt = table(defaultTier());
-    return kt ? *kt : kGenericTable;  // Scalar env: generic kernels here
+    return *table(defaultTier());
 }
 
 } // namespace ising::linalg::simd

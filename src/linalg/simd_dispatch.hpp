@@ -29,9 +29,8 @@
  *
  * Tier selection is made here and nowhere above: the CPUID probe,
  * unless the ISINGRBM_ISA environment variable names a tier this host
- * can run.  "scalar" is not a kernel table: it routes the callers
- * (SoftwareGibbsBackend, and CdTrainer through it) onto the float
- * pipeline and is never auto-selected.
+ * can run.  Every tier is a kernel table; no tier selects the float
+ * pipeline, which runs where the input is not binary.
  */
 
 #ifndef ISINGRBM_LINALG_SIMD_DISPATCH_HPP
@@ -45,12 +44,11 @@ namespace ising::linalg::simd {
 
 /**
  * Kernel ISA tiers, in dispatch-preference order.  Auto defers to the
- * CPUID probe; Scalar forces the float pipeline (no packed kernels at
- * all); the rest name concrete kernel tables.
+ * CPUID probe; the rest name concrete kernel tables.
  */
-enum class IsaTier { Auto = 0, Scalar, Generic, Avx2, Avx512 };
+enum class IsaTier { Auto = 0, Generic, Avx2, Avx512 };
 
-/** Lower-case tag: auto|scalar|generic|avx2|avx512. */
+/** Lower-case tag: auto|generic|avx2|avx512. */
 const char *tierName(IsaTier tier);
 
 /** Parse a tier tag; false (and @p out untouched) on unknown names. */
@@ -116,8 +114,8 @@ struct KernelTable
 /**
  * The kernel table for a concrete SIMD tier, or nullptr when that
  * tier was compiled out of this binary or this CPU cannot run it.
- * Generic never returns nullptr; Auto and Scalar always do (neither
- * names a table).  Tests compare tiers kernel-by-kernel through this.
+ * Generic never returns nullptr; Auto always does (it names no
+ * table).  Tests compare tiers kernel-by-kernel through this.
  */
 const KernelTable *table(IsaTier tier);
 
@@ -131,14 +129,10 @@ IsaTier detectedTier();
  */
 IsaTier envTier();
 
-/** envTier() when set, else detectedTier().  May be Scalar via env. */
+/** envTier() when set, else detectedTier(); never Auto. */
 IsaTier defaultTier();
 
-/**
- * The table process-wide default callers dispatch through: the table
- * of defaultTier(), with Scalar mapped to Generic (packed kernels
- * have no scalar shape; the float pipeline is the callers' concern).
- */
+/** The table of defaultTier(): what every caller dispatches through. */
 const KernelTable &activeTable();
 
 } // namespace ising::linalg::simd

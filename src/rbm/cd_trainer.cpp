@@ -151,11 +151,9 @@ CdTrainer::trainBatch(const data::Dataset &train,
     // --- Reduce <v+ h+> - <v- h-> into the accumulators.  Rows of W
     // (and dbv) are disjoint across chunks: deterministic for any
     // worker count.  The reduce runs the backend's kernel table, the
-    // same tier as the sweeps; null (ISINGRBM_ISA=scalar) forces the
-    // float fallback branch, exercising the exact pipeline the packed
-    // tiers must match byte-for-byte.
-    const linalg::simd::KernelTable *kt = backend.kernelTable();
-    if (kt && linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_)) {
+    // same tier as the sweeps.
+    const linalg::simd::KernelTable &kt = backend.kernelTable();
+    if (linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_)) {
         // Binary visible states (hidden statistics are always sampled
         // bits): every dW entry is a count of batch positions where
         // both units fired, reduced by AND+popcount over per-unit bit
@@ -167,20 +165,20 @@ CdTrainer::trainBatch(const data::Dataset &train,
         linalg::packTransposed(hnegs_, hnegT_);
         exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
                                              std::size_t rowEnd) {
-            linalg::outerCountDiff(*kt, posT_, hposT_, negT_, hnegT_, dw_,
+            linalg::outerCountDiff(kt, posT_, hposT_, negT_, hnegT_, dw_,
                                    rowBegin, rowEnd);
         });
         linalg::Vector tmp(std::max(m, n));
-        linalg::rowCounts(*kt, posT_, dbv_.data());
-        linalg::rowCounts(*kt, negT_, tmp.data());
+        linalg::rowCounts(kt, posT_, dbv_.data());
+        linalg::rowCounts(kt, negT_, tmp.data());
         for (std::size_t i = 0; i < m; ++i)
             dbv_[i] -= tmp[i];
-        linalg::rowCounts(*kt, hposT_, dbh_.data());
-        linalg::rowCounts(*kt, hnegT_, tmp.data());
+        linalg::rowCounts(kt, hposT_, dbh_.data());
+        linalg::rowCounts(kt, hnegT_, tmp.data());
         for (std::size_t j = 0; j < n; ++j)
             dbh_[j] -= tmp[j];
     } else {
-        // Float fallback: non-binary visible data, or the scalar tier.
+        // Float reduce: non-binary visible data.
         dw_.fill(0.0f);
         dbv_.fill(0.0f);
         dbh_.fill(0.0f);

@@ -125,48 +125,11 @@ SamplingBackend::annealBatch(int steps, linalg::Matrix &v,
     });
 }
 
-void
-SamplingBackend::sampleHiddenBatchPacked(const linalg::BitMatrix &v,
-                                         linalg::BitMatrix &h,
-                                         linalg::Matrix &ph,
-                                         util::Rng *rngs) const
-{
-    const std::size_t batch = v.rows(), m = numVisible(), n = numHidden();
-    assert(v.cols() == m);
-    // Stage through floats: binary states round-trip the pack/unpack
-    // losslessly, so this is the float batched half-sweep exactly --
-    // same kernels, same draws, same bits.
-    linalg::Matrix vf(batch, m), hf;
-    for (std::size_t r = 0; r < batch; ++r)
-        v.unpackRowTo(r, vf.row(r));
-    sampleHiddenBatch(vf, hf, ph, rngs);
-    ensureShape(h, batch, n);
-    for (std::size_t r = 0; r < batch; ++r)
-        h.packRowFrom(r, hf.row(r));
-}
-
-void
-SamplingBackend::sampleVisibleBatchPacked(const linalg::BitMatrix &h,
-                                          linalg::BitMatrix &v,
-                                          linalg::Matrix &pv,
-                                          util::Rng *rngs) const
-{
-    const std::size_t batch = h.rows(), m = numVisible(), n = numHidden();
-    assert(h.cols() == n);
-    linalg::Matrix hf(batch, n), vf;
-    for (std::size_t r = 0; r < batch; ++r)
-        h.unpackRowTo(r, hf.row(r));
-    sampleVisibleBatch(hf, vf, pv, rngs);
-    ensureShape(v, batch, m);
-    for (std::size_t r = 0; r < batch; ++r)
-        v.packRowFrom(r, vf.row(r));
-}
-
 SoftwareGibbsBackend::SoftwareGibbsBackend(const Rbm &model,
                                            exec::ThreadPool *pool)
     : model_(&model), pool_(pool),
-      // The process's tier (ISINGRBM_ISA, else CPUID); null iff Scalar.
-      kt_(linalg::simd::table(linalg::simd::defaultTier()))
+      // The process's tier: ISINGRBM_ISA, else CPUID.
+      kt_(linalg::simd::activeTable())
 {
     linalg::transposeInto(model.weights(), wT_);
 }
@@ -207,10 +170,9 @@ SoftwareGibbsBackend::anneal(int steps, linalg::Vector &v,
     if (steps <= 0)
         return;
     assert(h.size() == numHidden());
-    if (!kt_ || !linalg::isBinary01(h.data(), h.size())) {
-        // Scalar tier or non-binary state: the float pipeline --
-        // bit-identical to the packed walk below by the bitops
-        // contract, just slower.
+    if (!linalg::isBinary01(h.data(), h.size())) {
+        // Non-binary state: the float pipeline, the only one that can
+        // carry it.
         SamplingBackend::anneal(steps, v, h, pv, ph, rng);
         return;
     }
@@ -223,9 +185,9 @@ SoftwareGibbsBackend::anneal(int steps, linalg::Vector &v,
     hb.packRowFrom(0, h.data());
     linalg::Matrix pvb, phb;
     for (int s = 0; s < steps; ++s) {
-        linalg::sampleBatch(*kt_, wT_, hb, model_->visibleBias(), vb, pvb,
+        linalg::sampleBatch(kt_, wT_, hb, model_->visibleBias(), vb, pvb,
                             &rng);
-        linalg::sampleBatch(*kt_, model_->weights(), vb,
+        linalg::sampleBatch(kt_, model_->weights(), vb,
                             model_->hiddenBias(), hb, phb, &rng);
     }
     v.resize(m);
@@ -258,19 +220,19 @@ SoftwareGibbsBackend::packedLayerBatch(const linalg::Matrix &w,
     if (batch >= pool.numWorkers()) {
         exec::parallelForChunks(pool, batch, [&](std::size_t rowBegin,
                                                  std::size_t rowEnd) {
-            linalg::accumulateBatchTile(*kt_, w, in, b, means, rowBegin,
+            linalg::accumulateBatchTile(kt_, w, in, b, means, rowBegin,
                                         rowEnd, 0, q);
             for (std::size_t r = rowBegin; r < rowEnd; ++r)
-                linalg::sampleBatchRow(*kt_, means, r, out, rngs[r]);
+                linalg::sampleBatchRow(kt_, means, r, out, rngs[r]);
         });
     } else {
         exec::parallelForChunks(pool, q, [&](std::size_t colBegin,
                                              std::size_t colEnd) {
-            linalg::accumulateBatchTile(*kt_, w, in, b, means, 0, batch,
+            linalg::accumulateBatchTile(kt_, w, in, b, means, 0, batch,
                                         colBegin, colEnd);
         });
         exec::parallelFor(pool, batch, [&](std::size_t r) {
-            linalg::sampleBatchRow(*kt_, means, r, out, rngs[r]);
+            linalg::sampleBatchRow(kt_, means, r, out, rngs[r]);
         });
     }
 }
@@ -283,7 +245,7 @@ SoftwareGibbsBackend::sampleHiddenBatch(const linalg::Matrix &v,
 {
     const std::size_t batch = v.rows(), m = numVisible(), n = numHidden();
     assert(v.cols() == m);
-    if (!kt_ || !linalg::isBinary01(v)) {
+    if (!linalg::isBinary01(v)) {
         SamplingBackend::sampleHiddenBatch(v, h, ph, rngs);
         return;
     }
@@ -305,7 +267,7 @@ SoftwareGibbsBackend::sampleVisibleBatch(const linalg::Matrix &h,
 {
     const std::size_t batch = h.rows(), m = numVisible(), n = numHidden();
     assert(h.cols() == n);
-    if (!kt_ || !linalg::isBinary01(h)) {
+    if (!linalg::isBinary01(h)) {
         SamplingBackend::sampleVisibleBatch(h, v, pv, rngs);
         return;
     }
@@ -324,10 +286,6 @@ SoftwareGibbsBackend::sampleHiddenBatchPacked(const linalg::BitMatrix &v,
                                               linalg::Matrix &ph,
                                               util::Rng *rngs) const
 {
-    if (!kt_) {  // Scalar tier: no packed kernels, take the float route
-        SamplingBackend::sampleHiddenBatchPacked(v, h, ph, rngs);
-        return;
-    }
     assert(v.cols() == numVisible());
     packedLayerBatch(model_->weights(), model_->hiddenBias(), v, h, ph,
                      rngs);
@@ -339,10 +297,6 @@ SoftwareGibbsBackend::sampleVisibleBatchPacked(const linalg::BitMatrix &h,
                                                linalg::Matrix &pv,
                                                util::Rng *rngs) const
 {
-    if (!kt_) {
-        SamplingBackend::sampleVisibleBatchPacked(h, v, pv, rngs);
-        return;
-    }
     assert(h.cols() == numHidden());
     packedLayerBatch(wT_, model_->visibleBias(), h, v, pv, rngs);
 }
@@ -357,7 +311,7 @@ SoftwareGibbsBackend::annealBatch(int steps, linalg::Matrix &v,
         return;
     const std::size_t batch = h.rows(), m = numVisible(), n = numHidden();
     assert(h.cols() == n);
-    if (!kt_ || !linalg::isBinary01(h)) {
+    if (!linalg::isBinary01(h)) {
         SamplingBackend::annealBatch(steps, v, h, pv, ph, rngs);
         return;
     }

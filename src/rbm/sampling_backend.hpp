@@ -22,7 +22,8 @@
  * backends whose physics sample one state at a time (the analog
  * fabric) work unchanged; SoftwareGibbsBackend overrides them with
  * bit-packed cache-tiled kernels that are bit-identical to the scalar
- * path (see linalg/bitops.hpp for the reproducibility contract).
+ * path (see linalg/bitops.hpp for the reproducibility contract), and
+ * adds the packed-in, packed-out half-sweeps the serving path calls.
  */
 
 #ifndef ISINGRBM_RBM_SAMPLING_BACKEND_HPP
@@ -101,27 +102,6 @@ class SamplingBackend
                              linalg::Matrix &h, linalg::Matrix &pv,
                              linalg::Matrix &ph, util::Rng *rngs) const;
 
-    /**
-     * Packed-input batched half-sweep: like sampleHiddenBatch, but the
-     * visible rows arrive bit-packed (as the serving path gathers
-     * them) and the sampled hidden bits stay packed in @p h; only the
-     * conditional means @p ph materialize as floats.  Binary states
-     * pack losslessly, so the default -- unpack to a float staging
-     * batch, run the float batched half-sweep, repack the sample --
-     * serves backends without packed kernels (the analog fabric)
-     * unchanged and bit-identically to their float surface.
-     */
-    virtual void sampleHiddenBatchPacked(const linalg::BitMatrix &v,
-                                         linalg::BitMatrix &h,
-                                         linalg::Matrix &ph,
-                                         util::Rng *rngs) const;
-
-    /** Mirror packed half-sweep: packed visible from packed hidden. */
-    virtual void sampleVisibleBatchPacked(const linalg::BitMatrix &h,
-                                          linalg::BitMatrix &v,
-                                          linalg::Matrix &pv,
-                                          util::Rng *rngs) const;
-
   protected:
     /**
      * Pool the batched default implementations fan rows over; nullptr
@@ -148,11 +128,12 @@ class SamplingBackend
  * it is shallow.  A single chain (anneal) is a one-row batch swept
  * serially on the calling thread.  Every shape produces bit-identical
  * chains to the scalar float path (the kernels share its addition
- * order and RNG consumption order); non-binary inputs fall back to
- * the float path transparently.  The tiled walk skips empty input
- * words, so one packed path serves every activity level: a near-empty
- * data sweep and a saturated hidden sweep of the same chain run the
- * same kernels.
+ * order and RNG consumption order).  Binary input is the one thing
+ * that selects the packed path: non-binary input (DBN upper layers,
+ * probabilities, clamps) takes the float path, the only one that can
+ * carry it.  The tiled walk skips empty input words, so one packed
+ * path serves every activity level: a near-empty data sweep and a
+ * saturated hidden sweep of the same chain run the same kernels.
  *
  * The kernel tier is linalg::simd::defaultTier() at construction: the
  * ISINGRBM_ISA override, else the CPUID probe.  Every tier is
@@ -176,12 +157,8 @@ class SoftwareGibbsBackend final : public SamplingBackend
     std::size_t numHidden() const override { return model_->numHidden(); }
     const char *name() const override { return "software"; }
 
-    /**
-     * The kernel table the packed paths run, or nullptr under
-     * ISINGRBM_ISA=scalar (every call then takes the float fallback
-     * route through the base class).
-     */
-    const linalg::simd::KernelTable *kernelTable() const { return kt_; }
+    /** The kernel table the packed paths run. */
+    const linalg::simd::KernelTable &kernelTable() const { return kt_; }
 
     void sampleHidden(const linalg::Vector &v, linalg::Vector &h,
                       linalg::Vector &ph, util::Rng &rng) const override;
@@ -203,14 +180,21 @@ class SoftwareGibbsBackend final : public SamplingBackend
                      linalg::Matrix &pv, linalg::Matrix &ph,
                      util::Rng *rngs) const override;
 
-    /** Packed input straight into the packed half-sweep: no float
-     *  detour at all on the serving miss path. */
+    /**
+     * Packed-input batched half-sweep: like sampleHiddenBatch, but the
+     * visible rows arrive bit-packed (as the serving path gathers
+     * them) and the sampled hidden bits stay packed in @p h; only the
+     * conditional means @p ph materialize as floats.  No float detour
+     * at all on the serving miss path.
+     */
     void sampleHiddenBatchPacked(const linalg::BitMatrix &v,
                                  linalg::BitMatrix &h, linalg::Matrix &ph,
-                                 util::Rng *rngs) const override;
+                                 util::Rng *rngs) const;
+
+    /** Mirror packed half-sweep: packed visible from packed hidden. */
     void sampleVisibleBatchPacked(const linalg::BitMatrix &h,
                                   linalg::BitMatrix &v, linalg::Matrix &pv,
-                                  util::Rng *rngs) const override;
+                                  util::Rng *rngs) const;
 
   protected:
     exec::ThreadPool *batchPool() const override { return pool_; }
@@ -229,7 +213,7 @@ class SoftwareGibbsBackend final : public SamplingBackend
     const Rbm *model_;
     linalg::Matrix wT_;  ///< cached transpose for the visible sweep
     exec::ThreadPool *pool_;
-    const linalg::simd::KernelTable *kt_;  ///< null iff the tier is Scalar
+    const linalg::simd::KernelTable &kt_;
 };
 
 } // namespace ising::rbm

@@ -255,9 +255,9 @@ endif()
 # byte-identical end to end -- the tiers move time, never results.
 # A second pinned leg runs the AVX2 table, which auto dispatch skips
 # on an AVX-512 host (a host without AVX2+FMA warns and falls back to
-# auto, so the leg still holds there).  The scalar float pipeline
-# rides the same contract, so a last sampling leg pins
-# ISINGRBM_ISA=scalar against the auto-dispatched model.
+# auto, so the leg still holds there).  "scalar" names no tier: a
+# last sampling leg under ISINGRBM_ISA=scalar must warn that the name
+# is unknown and print the auto-dispatched bytes.
 run_step(${CLI} train --registry ${WORK} --name smoke-isa-auto
          --samples 120 --hidden 12 --epochs 1 --k 1)
 run_step(${CLI} sample --registry ${WORK} --model smoke-isa-auto
@@ -279,15 +279,16 @@ foreach(tier generic avx2)
                         "contract broken)")
   endif()
 endforeach()
-run_step(${CMAKE_COMMAND} -E env ISINGRBM_ISA=scalar
-         ${CLI} sample --registry ${WORK} --model smoke-isa-auto
-         --count 2 --burnin 5 --seed 99
-         --out ${WORK}/samples-isa-scalar.txt)
+run_step_expect(0 ${CMAKE_COMMAND} -E env ISINGRBM_ISA=scalar
+                ${CLI} sample --registry ${WORK} --model smoke-isa-auto
+                --count 2 --burnin 5 --seed 99
+                --out ${WORK}/samples-isa-scalar.txt
+                STDERR "ISINGRBM_ISA='scalar' is not a known tier")
 file(READ ${WORK}/samples-isa-scalar.txt isa_scalar_bits)
 if(NOT isa_auto_bits STREQUAL isa_scalar_bits)
-  message(FATAL_ERROR "cli_smoke: scalar float pipeline differs from "
-                      "the packed SIMD tiers (bit-identity contract "
-                      "broken)")
+  message(FATAL_ERROR "cli_smoke: ISINGRBM_ISA=scalar differs from "
+                      "auto dispatch (an unknown name must fall back "
+                      "to the CPUID tier)")
 endif()
 
 # --early-stop plumbing: the flag trains with a monitor attached and
@@ -465,6 +466,18 @@ run_step_expect(1 ${CLI} loadgen --model smoke --port 70000
                 STDERR "--port must be a port in 1-65535")
 run_step_expect(1 ${CLI} serve --registry ${WORK} --port 70000
                 TIMEOUT 30 STDERR "--port must be a port in 0-65535")
+# A port file that cannot be published (the path is a directory) exits
+# 1 naming the flag, once the server has closed its socket, and leaves
+# no temp file behind; unchecked, the rename threw out of serve, which
+# aborted (134) and left <path>.tmp.
+file(MAKE_DIRECTORY ${WORK}/port-dir)
+run_step_expect(1 ${CLI} serve --registry ${WORK} --port 0
+                --port-file ${WORK}/port-dir
+                TIMEOUT 30 STDERR "--port-file: cannot publish the port")
+if(EXISTS ${WORK}/port-dir.tmp)
+  message(FATAL_ERROR "cli_smoke: a failed --port-file publish left "
+                      "${WORK}/port-dir.tmp behind")
+endif()
 run_step_expect(1 ${CLI} loadgen --model smoke --port 1
                 --deadline-ms -1 STDERR "--deadline-ms must be in")
 # Integer flags past INT_MAX once wrapped through an int cast: --epochs

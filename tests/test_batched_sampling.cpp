@@ -21,46 +21,12 @@
 #include "rbm/cd_trainer.hpp"
 #include "rbm/sampling.hpp"
 #include "rbm/sampling_backend.hpp"
+#include "scalar_only_backend.hpp"
 
 using namespace ising;
 using util::Rng;
 
 namespace {
-
-/**
- * Forwards the scalar half-sweeps to a wrapped backend but inherits
- * every default implementation, so chains through it run the plain
- * float chain-at-a-time path -- the reference the packed/batched
- * kernels must match bit-for-bit.
- */
-class ScalarOnlyBackend final : public rbm::SamplingBackend
-{
-  public:
-    explicit ScalarOnlyBackend(const rbm::SamplingBackend &inner)
-        : inner_(inner)
-    {}
-
-    std::size_t numVisible() const override { return inner_.numVisible(); }
-    std::size_t numHidden() const override { return inner_.numHidden(); }
-    const char *name() const override { return "scalar-ref"; }
-
-    void
-    sampleHidden(const linalg::Vector &v, linalg::Vector &h,
-                 linalg::Vector &ph, util::Rng &rng) const override
-    {
-        inner_.sampleHidden(v, h, ph, rng);
-    }
-
-    void
-    sampleVisible(const linalg::Vector &h, linalg::Vector &v,
-                  linalg::Vector &pv, util::Rng &rng) const override
-    {
-        inner_.sampleVisible(h, v, pv, rng);
-    }
-
-  private:
-    const rbm::SamplingBackend &inner_;
-};
 
 /** Ragged model (sizes not divisible by 64) with strong structure. */
 rbm::Rbm

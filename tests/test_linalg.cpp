@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "linalg/matrix.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/stats.hpp"
@@ -31,6 +34,16 @@ randomVector(std::size_t n, Rng &rng)
     for (std::size_t i = 0; i < n; ++i)
         v[i] = static_cast<float>(rng.gaussian());
     return v;
+}
+
+/** a * b rounded to float before any addition sees it: the volatile
+ *  store keeps the compiler from fusing the product into the caller's
+ *  add, whatever the build's contraction setting. */
+float
+roundedProduct(float a, float b)
+{
+    volatile float p = a * b;
+    return p;
 }
 
 } // namespace
@@ -216,6 +229,43 @@ TEST_P(GemvShapeSweep, BothOrientationsMatchNaive)
     }
 }
 
+/**
+ * The float kernels round each product before adding it, so their
+ * bits do not depend on whether the build can fuse a multiply-add (a
+ * native build has FMA, a portable one does not): bitwise against
+ * unfused sums in each kernel's own order, on non-binary inputs.
+ */
+TEST_P(GemvShapeSweep, BothOrientationsRoundEachProductBeforeAdding)
+{
+    const auto [m, n] = GetParam();
+    Rng rng(m * 37 + n);
+    const Matrix w = randomMatrix(m, n, rng);
+    const Vector x = randomVector(m, rng);
+    const Vector h = randomVector(n, rng);
+    const Vector bm = randomVector(m, rng), bn = randomVector(n, rng);
+    Vector up, down;
+    gemvT(w, x, bn, up);
+    gemv(w, h, bm, down);
+    for (std::size_t j = 0; j < n; ++j) {
+        float acc = bn[j];
+        for (std::size_t i = 0; i < m; ++i)
+            if (x[i] != 0.0f)
+                acc = acc + roundedProduct(x[i], w(i, j));
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(acc),
+                  std::bit_cast<std::uint32_t>(up[j]))
+            << "gemvT " << m << "x" << n << " @" << j;
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < n; ++j)
+            acc = acc + roundedProduct(w(i, j), h[j]);
+        acc = acc + bm[i];
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(acc),
+                  std::bit_cast<std::uint32_t>(down[i]))
+            << "gemv " << m << "x" << n << " @" << i;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemvShapeSweep,
     ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
@@ -223,4 +273,5 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{17, 1},
                       std::pair<std::size_t, std::size_t>{64, 64},
                       std::pair<std::size_t, std::size_t>{100, 33},
-                      std::pair<std::size_t, std::size_t>{33, 100}));
+                      std::pair<std::size_t, std::size_t>{33, 100},
+                      std::pair<std::size_t, std::size_t>{97, 53}));

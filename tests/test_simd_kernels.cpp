@@ -21,11 +21,15 @@
  *    float bit patterns and the special values, at lengths 1..40;
  *  - the dispatcher's table() / detectedTier() / envTier() /
  *    defaultTier() invariants hold, including the ISINGRBM_ISA env
- *    override that a SoftwareGibbsBackend resolves at construction;
- *  - SoftwareGibbsBackend chains and CdTrainer weights are
- *    byte-identical across every tier (including the Scalar float
- *    route), each pinned through ISINGRBM_ISA, at worker counts 1
- *    and 4.
+ *    override that a SoftwareGibbsBackend resolves at construction
+ *    (and "scalar", which names no tier, resolving like any unknown
+ *    name);
+ *  - SoftwareGibbsBackend chains on every tier, each pinned through
+ *    ISINGRBM_ISA, at worker counts 1 and 4, are byte-identical to
+ *    the float chain-at-a-time reference (ScalarOnlyBackend);
+ *  - CdTrainer weights are byte-identical across every tier at worker
+ *    counts 1 and 4, on binary data (the popcount reduce) and on data
+ *    with fractional entries (the float reduce).
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +47,7 @@
 #include "linalg/ops.hpp"
 #include "rbm/cd_trainer.hpp"
 #include "rbm/sampling_backend.hpp"
+#include "scalar_only_backend.hpp"
 
 using namespace ising;
 using util::Rng;
@@ -99,19 +104,6 @@ simdTiers()
          {simd::IsaTier::Avx2, simd::IsaTier::Avx512})
         if (const simd::KernelTable *kt = simd::table(tier))
             tiers.push_back(kt);
-    return tiers;
-}
-
-/** Every backend-selectable tier: Scalar, Generic, plus the SIMD
- *  tiers available here.  Scalar routes through the float kernels --
- *  the reproducibility contract says those match too. */
-std::vector<simd::IsaTier>
-backendTiers()
-{
-    std::vector<simd::IsaTier> tiers = {simd::IsaTier::Scalar,
-                                        simd::IsaTier::Generic};
-    for (const simd::KernelTable *kt : simdTiers())
-        tiers.push_back(kt->tier);
     return tiers;
 }
 
@@ -468,9 +460,8 @@ TEST(SimdKernels, GradientReduceMatchesGenericAcrossWordCounts)
 
 TEST(SimdDispatch, TableAvailabilityInvariants)
 {
-    // Auto and Scalar never name a kernel table; Generic always does.
+    // Auto never names a kernel table; Generic always does.
     EXPECT_EQ(simd::table(simd::IsaTier::Auto), nullptr);
-    EXPECT_EQ(simd::table(simd::IsaTier::Scalar), nullptr);
     const simd::KernelTable *gen = simd::table(simd::IsaTier::Generic);
     ASSERT_NE(gen, nullptr);
     EXPECT_EQ(gen->tier, simd::IsaTier::Generic);
@@ -488,15 +479,19 @@ TEST(SimdDispatch, TableAvailabilityInvariants)
 
     // Round-trip every tier name through the parser.
     for (const simd::IsaTier tier :
-         {simd::IsaTier::Auto, simd::IsaTier::Scalar,
-          simd::IsaTier::Generic, simd::IsaTier::Avx2,
+         {simd::IsaTier::Auto, simd::IsaTier::Generic, simd::IsaTier::Avx2,
           simd::IsaTier::Avx512}) {
         simd::IsaTier parsed;
         ASSERT_TRUE(simd::tierFromName(simd::tierName(tier), parsed));
         EXPECT_EQ(parsed, tier);
     }
-    simd::IsaTier parsed;
-    EXPECT_FALSE(simd::tierFromName("sse9", parsed));
+    // "scalar" names no tier: binary states have one path, the packed
+    // kernels of whichever table runs.
+    for (const char *unknown : {"sse9", "scalar"}) {
+        simd::IsaTier parsed = simd::IsaTier::Generic;
+        EXPECT_FALSE(simd::tierFromName(unknown, parsed)) << unknown;
+        EXPECT_EQ(parsed, simd::IsaTier::Generic) << unknown;
+    }
 }
 
 TEST(SimdDispatch, EnvOverridePrecedence)
@@ -517,32 +512,27 @@ TEST(SimdDispatch, EnvOverridePrecedence)
     EXPECT_EQ(simd::defaultTier(), simd::IsaTier::Generic);
     EXPECT_EQ(simd::activeTable().tier, simd::IsaTier::Generic);
 
-    // Scalar names the float pipeline: no packed table, so
-    // activeTable() callers get the generic kernels and a backend
-    // built now carries no table at all.
-    const rbm::Rbm model = testModel(16, 8);
-    ::setenv("ISINGRBM_ISA", "scalar", 1);
-    EXPECT_EQ(simd::envTier(), simd::IsaTier::Scalar);
-    EXPECT_EQ(simd::defaultTier(), simd::IsaTier::Scalar);
-    EXPECT_EQ(simd::activeTable().tier, simd::IsaTier::Generic);
-    EXPECT_EQ(rbm::SoftwareGibbsBackend(model).kernelTable(), nullptr);
-
     // A backend resolves the tier when it is constructed.
-    ::setenv("ISINGRBM_ISA", "generic", 1);
+    const rbm::Rbm model = testModel(16, 8);
     const rbm::SoftwareGibbsBackend genBackend(model);
-    ASSERT_NE(genBackend.kernelTable(), nullptr);
-    EXPECT_EQ(genBackend.kernelTable()->tier, simd::IsaTier::Generic);
+    EXPECT_EQ(genBackend.kernelTable().tier, simd::IsaTier::Generic);
 
     ::unsetenv("ISINGRBM_ISA");
     const rbm::SoftwareGibbsBackend autoBackend(model);
-    ASSERT_NE(autoBackend.kernelTable(), nullptr);
-    EXPECT_EQ(autoBackend.kernelTable()->tier, simd::detectedTier());
-    EXPECT_EQ(genBackend.kernelTable()->tier, simd::IsaTier::Generic);
+    EXPECT_EQ(autoBackend.kernelTable().tier, simd::detectedTier());
+    EXPECT_EQ(genBackend.kernelTable().tier, simd::IsaTier::Generic);
 
-    // Unknown names warn (once) and fall back to auto-detection.
-    ::setenv("ISINGRBM_ISA", "sse9", 1);
-    EXPECT_EQ(simd::envTier(), simd::IsaTier::Auto);
-    EXPECT_EQ(simd::defaultTier(), simd::detectedTier());
+    // Unknown names warn (once) and fall back to auto-detection;
+    // "scalar" is one of them, so a backend built under it carries the
+    // CPUID table.
+    for (const char *unknown : {"sse9", "scalar"}) {
+        ::setenv("ISINGRBM_ISA", unknown, 1);
+        EXPECT_EQ(simd::envTier(), simd::IsaTier::Auto) << unknown;
+        EXPECT_EQ(simd::defaultTier(), simd::detectedTier()) << unknown;
+        EXPECT_EQ(rbm::SoftwareGibbsBackend(model).kernelTable().tier,
+                  simd::detectedTier())
+            << unknown;
+    }
 }
 
 TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
@@ -554,13 +544,28 @@ TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
     for (const double activity : {0.06, 0.5}) {
         const linalg::Matrix v = activityBatch(6, 70, activity, rng);
         const linalg::Matrix h0 = activityBatch(8, 37, activity, rng);
-        linalg::Matrix refH, refPh, refAv, refAh;
-        linalg::Vector refCv, refCh, refCpv, refCph;
-        bool first = true;
-        for (const simd::IsaTier tier : backendTiers()) {
+
+        // The float reference: the same calls through the float
+        // chain-at-a-time path.
+        const rbm::SoftwareGibbsBackend software(model);
+        const ScalarOnlyBackend reference(software);
+        auto refRngs = streams(6, 31);
+        linalg::Matrix refH, refPh;
+        reference.sampleHiddenBatch(v, refH, refPh, refRngs.data());
+        linalg::Matrix refAh = h0, refAv, refPav, refPah;
+        auto refAnnealRngs = streams(8, 41);
+        reference.annealBatch(5, refAv, refAh, refPav, refPah,
+                              refAnnealRngs.data());
+        linalg::Vector refCv, refCh(37), refCpv, refCph;
+        std::copy_n(h0.row(0), 37, refCh.data());
+        Rng refChainRng = Rng::stream(43, 0);
+        reference.anneal(5, refCv, refCh, refCpv, refCph, refChainRng);
+
+        for (const simd::KernelTable *kt : allTiers()) {
             for (exec::ThreadPool *pool : {&serial, &threaded}) {
-                ::setenv("ISINGRBM_ISA", simd::tierName(tier), 1);
+                ::setenv("ISINGRBM_ISA", kt->name, 1);
                 const rbm::SoftwareGibbsBackend backend(model, pool);
+                ASSERT_EQ(&backend.kernelTable(), kt);
                 auto rngs = streams(6, 31);
                 linalg::Matrix h, ph;
                 backend.sampleHiddenBatch(v, h, ph, rngs.data());
@@ -569,33 +574,22 @@ TEST(SimdBackend, ChainsByteIdenticalAcrossTiersAndWorkers)
                 auto annealRngs = streams(8, 41);
                 backend.annealBatch(5, av, ah, pav, pah, annealRngs.data());
 
-                // A single chain: the one-row packed batch, or the
-                // float chain under Scalar.
+                // A single chain: the one-row packed batch.
                 linalg::Vector cv, ch(37), cpv, cph;
                 std::copy_n(h0.row(0), 37, ch.data());
                 Rng chainRng = Rng::stream(43, 0);
                 backend.anneal(5, cv, ch, cpv, cph, chainRng);
-                if (first) {
-                    refH = h;
-                    refPh = ph;
-                    refAv = av;
-                    refAh = ah;
-                    refCv = cv;
-                    refCh = ch;
-                    refCpv = cpv;
-                    refCph = cph;
-                    first = false;
-                } else {
-                    const char *name = simd::tierName(tier);
-                    EXPECT_EQ(refH, h) << name;
-                    EXPECT_EQ(refPh, ph) << name;
-                    EXPECT_EQ(refAv, av) << name;
-                    EXPECT_EQ(refAh, ah) << name;
-                    EXPECT_EQ(refCv, cv) << name;
-                    EXPECT_EQ(refCh, ch) << name;
-                    EXPECT_EQ(refCpv, cpv) << name;
-                    EXPECT_EQ(refCph, cph) << name;
-                }
+
+                EXPECT_EQ(refH, h) << kt->name;
+                EXPECT_EQ(refPh, ph) << kt->name;
+                EXPECT_EQ(refAv, av) << kt->name;
+                EXPECT_EQ(refAh, ah) << kt->name;
+                EXPECT_EQ(refPav, pav) << kt->name;
+                EXPECT_EQ(refPah, pah) << kt->name;
+                EXPECT_EQ(refCv, cv) << kt->name;
+                EXPECT_EQ(refCh, ch) << kt->name;
+                EXPECT_EQ(refCpv, cpv) << kt->name;
+                EXPECT_EQ(refCph, cph) << kt->name;
             }
         }
     }
@@ -605,37 +599,46 @@ TEST(SimdTrainer, CdTrainingBitIdenticalAcrossTiersAndWorkers)
 {
     EnvGuard guard("ISINGRBM_ISA");
     Rng dataRng(47);
-    data::Dataset train;
-    train.name = "simd-cd";
-    train.samples = activityBatch(60, 67, 0.3, dataRng);
+    // Binary data runs the popcount reduce; data with fractional
+    // entries runs the float reduce, on every tier alike.
+    data::Dataset binary;
+    binary.name = "simd-cd";
+    binary.samples = activityBatch(60, 67, 0.3, dataRng);
+    data::Dataset fractional;
+    fractional.name = "simd-cd-fractional";
+    fractional.samples = activityBatch(60, 67, 0.3, dataRng);
+    for (std::size_t i = 0; i < fractional.samples.size(); i += 3)
+        fractional.samples.data()[i] = dataRng.uniformFloat();
 
     exec::ThreadPool serial(1), threaded(4);
-    rbm::Rbm reference;
-    bool first = true;
-    for (const simd::IsaTier tier : backendTiers()) {
-        for (exec::ThreadPool *pool : {&serial, &threaded}) {
-            rbm::Rbm model = testModel(67, 35, 7);
-            rbm::CdConfig cfg;
-            cfg.batchSize = 20;
-            cfg.k = 2;
-            cfg.momentum = 0.5;
-            cfg.pool = pool;
-            // Each batch's backend resolves the pinned tier.
-            ::setenv("ISINGRBM_ISA", simd::tierName(tier), 1);
-            Rng rng(51);
-            rbm::CdTrainer trainer(model, cfg);
-            trainer.trainEpoch(train, rng);
-            trainer.trainEpoch(train, rng);
-            if (first) {
-                reference = model;
-                first = false;
-            } else {
-                const char *name = simd::tierName(tier);
-                EXPECT_EQ(reference.weights(), model.weights()) << name;
-                EXPECT_EQ(reference.visibleBias(), model.visibleBias())
-                    << name;
-                EXPECT_EQ(reference.hiddenBias(), model.hiddenBias())
-                    << name;
+    for (const data::Dataset *train : {&binary, &fractional}) {
+        rbm::Rbm reference;
+        bool first = true;
+        for (const simd::KernelTable *kt : allTiers()) {
+            for (exec::ThreadPool *pool : {&serial, &threaded}) {
+                rbm::Rbm model = testModel(67, 35, 7);
+                rbm::CdConfig cfg;
+                cfg.batchSize = 20;
+                cfg.k = 2;
+                cfg.momentum = 0.5;
+                cfg.pool = pool;
+                // Each batch's backend resolves the pinned tier.
+                ::setenv("ISINGRBM_ISA", kt->name, 1);
+                Rng rng(51);
+                rbm::CdTrainer trainer(model, cfg);
+                trainer.trainEpoch(*train, rng);
+                trainer.trainEpoch(*train, rng);
+                if (first) {
+                    reference = model;
+                    first = false;
+                } else {
+                    EXPECT_EQ(reference.weights(), model.weights())
+                        << train->name << " " << kt->name;
+                    EXPECT_EQ(reference.visibleBias(), model.visibleBias())
+                        << train->name << " " << kt->name;
+                    EXPECT_EQ(reference.hiddenBias(), model.hiddenBias())
+                        << train->name << " " << kt->name;
+                }
             }
         }
     }
