@@ -5,8 +5,6 @@
 
 #include "accel/gibbs_sampler.hpp"
 
-#include <cassert>
-
 namespace ising::accel {
 
 GibbsSamplerAccel::GibbsSamplerAccel(rbm::Rbm &model, const GsConfig &config)
@@ -34,7 +32,10 @@ GibbsSamplerAccel::trainBatch(const data::Dataset &train,
                               const std::vector<std::size_t> &indices,
                               util::Rng &rng)
 {
-    assert(!indices.empty());
+    // An empty batch has no gradient; the update would divide the
+    // learning rate by zero and write NaN into every parameter.
+    if (indices.empty())
+        return;
     const std::size_t m = model_.numVisible(), n = model_.numHidden();
 
     // Step 2: program the current model onto the substrate.

@@ -70,7 +70,10 @@ class GibbsSamplerAccel
      */
     void trainEpoch(const data::Dataset &train, util::Rng &rng);
 
-    /** Process one minibatch (steps 2-8 above). */
+    /**
+     * Process one minibatch (steps 2-8 above); an empty index list is
+     * a no-op.
+     */
     void trainBatch(const data::Dataset &train,
                     const std::vector<std::size_t> &indices,
                     util::Rng &rng);

@@ -126,13 +126,6 @@ class Model
     /** Output row width of an operation (0 for Classify). */
     std::size_t outputDim(Op op) const;
 
-    /**
-     * Batched sampling surface over the family's flat joint RBM
-     * (nullptr for ConvRbm/Dbm, which have none; for Dbn this is the
-     * visible-facing first layer).
-     */
-    const rbm::SoftwareGibbsBackend *sampler() const;
-
     // ----------------------------------------------------- serving ops
     // All ops resize @p out to (rows x outputDim(op)).  Stochastic ops
     // draw row r's randomness exclusively from rngs[r].  Every op
@@ -184,6 +177,13 @@ class Model
 
   private:
     exec::ThreadPool &pool() const;
+
+    /**
+     * Batched sampling surface over the family's flat joint RBM
+     * (nullptr for ConvRbm/Dbm, which have none; for Dbn this is the
+     * visible-facing first layer).
+     */
+    const rbm::SoftwareGibbsBackend *sampler() const;
 
     rbm::Checkpoint ckpt_;
     exec::ThreadPool *pool_;

@@ -109,9 +109,6 @@ class Matrix
         data_.assign(rows * cols, value);
     }
 
-    /** Return the transpose as a new matrix. */
-    Matrix transposed() const;
-
     bool operator==(const Matrix &other) const = default;
 
   private:

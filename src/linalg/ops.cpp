@@ -79,18 +79,26 @@ affineSigmoid(const Matrix &x, const float *in, const Vector &b,
 void
 transposeInto(const Matrix &src, Matrix &dst)
 {
-    const std::size_t m = src.rows(), n = src.cols();
-    dst.reset(n, m);
-    constexpr std::size_t kBlock = 32;
-    for (std::size_t ib = 0; ib < m; ib += kBlock) {
-        const std::size_t iEnd = std::min(m, ib + kBlock);
-        for (std::size_t jb = 0; jb < n; jb += kBlock) {
-            const std::size_t jEnd = std::min(n, jb + kBlock);
-            for (std::size_t i = ib; i < iEnd; ++i) {
-                const float *srow = src.row(i);
-                for (std::size_t j = jb; j < jEnd; ++j)
-                    dst(j, i) = srow[j];
-            }
+    dst.reset(src.cols(), src.rows());
+    transposeInto(src, dst, 0, src.rows());
+}
+
+void
+transposeInto(const Matrix &src, Matrix &dst, std::size_t rowBegin,
+              std::size_t rowEnd)
+{
+    const std::size_t n = src.cols();
+    assert(dst.rows() == n && dst.cols() == src.rows());
+    assert(rowBegin <= rowEnd && rowEnd <= src.rows());
+    // Blocks of 16 source rows: the block stays in L1 while each
+    // destination row receives its 16 floats as one contiguous run.
+    constexpr std::size_t kBlock = 16;
+    for (std::size_t ib = rowBegin; ib < rowEnd; ib += kBlock) {
+        const std::size_t iEnd = std::min(rowEnd, ib + kBlock);
+        for (std::size_t j = 0; j < n; ++j) {
+            float *drow = dst.row(j);
+            for (std::size_t i = ib; i < iEnd; ++i)
+                drow[i] = src.row(i)[j];
         }
     }
 }

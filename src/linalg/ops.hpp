@@ -47,6 +47,15 @@ void affineSigmoid(const Matrix &x, const float *in, const Vector &b,
 /** dst = src^T with a cache-blocked traversal (reuses dst storage). */
 void transposeInto(const Matrix &src, Matrix &dst);
 
+/**
+ * Refresh columns [rowBegin, rowEnd) of dst = src^T from rows
+ * [rowBegin, rowEnd) of src; dst must already be (src.cols() x
+ * src.rows()).  Disjoint row ranges write disjoint entries, so ranges
+ * may run concurrently.
+ */
+void transposeInto(const Matrix &src, Matrix &dst, std::size_t rowBegin,
+                   std::size_t rowEnd);
+
 /** y += alpha * x elementwise. */
 void axpy(float alpha, const Vector &x, Vector &y);
 void axpy(float alpha, const Matrix &x, Matrix &y);

@@ -15,6 +15,17 @@
 
 namespace ising::rbm {
 
+namespace {
+
+/**
+ * Rows of W per block of the fused reduce/update/refresh pass: the
+ * block's dW, W and momentum rows stay in cache from the reduce through
+ * the update, and its 16 W^T columns are one 64-byte run per W^T row.
+ */
+constexpr std::size_t kRowBlock = 16;
+
+} // namespace
+
 CdTrainer::CdTrainer(Rbm &model, const CdConfig &config)
     : model_(model), config_(config)
 {
@@ -61,6 +72,19 @@ CdTrainer::trainBatch(const data::Dataset &train,
                       const std::vector<std::size_t> &indices,
                       util::Rng &rng)
 {
+    // An empty batch has no gradient; the update would divide the
+    // learning rate by zero and write NaN into every parameter.
+    if (indices.empty())
+        return;
+    SoftwareGibbsBackend backend(model_, config_.pool);
+    step(train, indices, rng, backend);
+}
+
+void
+CdTrainer::step(const data::Dataset &train,
+                const std::vector<std::size_t> &indices, util::Rng &rng,
+                SoftwareGibbsBackend &backend)
+{
     assert(!indices.empty());
     ensureParticles(train, rng);
 
@@ -81,7 +105,6 @@ CdTrainer::trainBatch(const data::Dataset &train,
     // tiled walk over W, one traversal per half-sweep instead of one
     // per chain.  CD-k is ill-defined below one sweep (the negative
     // sample would not exist), hence the clamp.
-    const SoftwareGibbsBackend backend(model_, &pool);
     const int k = std::max(1, config_.k);
 
     // --- Positive phase (Algorithm 1 lines 9-10), one chain per batch
@@ -148,12 +171,18 @@ CdTrainer::trainBatch(const data::Dataset &train,
         nextParticle_ = (base + batch) % p;
     }
 
-    // --- Reduce <v+ h+> - <v- h-> into the accumulators.  Rows of W
-    // (and dbv) are disjoint across chunks: deterministic for any
-    // worker count.  The reduce runs the backend's kernel table, the
-    // same tier as the sweeps.
+    // --- Reduce <v+ h+> - <v- h->, update (lines 17-19) and refresh
+    // the backend's W^T, one pooled pass over blocks of kRowBlock rows
+    // of W: a block's dW, W and momentum rows are still in cache when
+    // the update reads them, and its new W rows reach the transpose
+    // before the next batch sweeps.  Blocks are disjoint row ranges and
+    // every dW entry keeps its addition order, so the pool moves time,
+    // never bits.  The reduce runs the backend's kernel table, the same
+    // tier as the sweeps.
     const linalg::simd::KernelTable &kt = backend.kernelTable();
-    if (linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_)) {
+    const bool binary =
+        linalg::isBinary01(vpos_) && linalg::isBinary01(vnegs_);
+    if (binary) {
         // Binary visible states (hidden statistics are always sampled
         // bits): every dW entry is a count of batch positions where
         // both units fired, reduced by AND+popcount over per-unit bit
@@ -163,11 +192,6 @@ CdTrainer::trainBatch(const data::Dataset &train,
         linalg::packTransposed(vnegs_, negT_);
         linalg::packTransposed(hstat_, hposT_);
         linalg::packTransposed(hnegs_, hnegT_);
-        exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
-                                             std::size_t rowEnd) {
-            linalg::outerCountDiff(kt, posT_, hposT_, negT_, hnegT_, dw_,
-                                   rowBegin, rowEnd);
-        });
         linalg::Vector tmp(std::max(m, n));
         linalg::rowCounts(kt, posT_, dbv_.data());
         linalg::rowCounts(kt, negT_, tmp.data());
@@ -178,28 +202,9 @@ CdTrainer::trainBatch(const data::Dataset &train,
         for (std::size_t j = 0; j < n; ++j)
             dbh_[j] -= tmp[j];
     } else {
-        // Float reduce: non-binary visible data.
-        dw_.fill(0.0f);
+        // Float bias sums: non-binary visible data.
         dbv_.fill(0.0f);
         dbh_.fill(0.0f);
-        exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
-                                             std::size_t rowEnd) {
-            for (std::size_t pos = 0; pos < batch; ++pos) {
-                const float *vpos = vpos_.row(pos);
-                const float *hp = hstat_.row(pos);
-                const float *hn = hnegs_.row(pos);
-                const float *vneg = vnegs_.row(pos);
-                for (std::size_t i = rowBegin; i < rowEnd; ++i) {
-                    float *drow = dw_.row(i);
-                    if (vpos[i] != 0.0f)
-                        for (std::size_t j = 0; j < n; ++j)
-                            drow[j] += vpos[i] * hp[j];
-                    if (vneg[i] != 0.0f)
-                        for (std::size_t j = 0; j < n; ++j)
-                            drow[j] -= vneg[i] * hn[j];
-                }
-            }
-        });
         for (std::size_t pos = 0; pos < batch; ++pos) {
             const float *vpos = vpos_.row(pos);
             const float *vneg = vnegs_.row(pos);
@@ -212,22 +217,48 @@ CdTrainer::trainBatch(const data::Dataset &train,
         }
     }
 
-    // --- Parameter update (lines 17-19) ---
     const float scale = static_cast<float>(
         config_.learningRate / static_cast<double>(indices.size()));
     const float mom = static_cast<float>(config_.momentum);
     const float decay = static_cast<float>(
         config_.weightDecay * config_.learningRate);
-
-    // Weight rows are disjoint across chunks and each element runs the
-    // same expression, so the pool moves time, never bits.
     float *wd = model_.weights().data(), *dwd = dw_.data(),
           *mwd = mw_.data();
-    exec::parallelForChunks(pool, m, [&](std::size_t rowBegin,
-                                         std::size_t rowEnd) {
-        for (std::size_t i = rowBegin * n; i < rowEnd * n; ++i) {
-            mwd[i] = mom * mwd[i] + scale * dwd[i] - decay * wd[i];
-            wd[i] += mwd[i];
+    const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
+    exec::parallelForChunks(pool, blocks, [&](std::size_t blockBegin,
+                                              std::size_t blockEnd) {
+        for (std::size_t blk = blockBegin; blk < blockEnd; ++blk) {
+            const std::size_t rowBegin = blk * kRowBlock;
+            const std::size_t rowEnd = std::min(m, rowBegin + kRowBlock);
+            if (binary) {
+                linalg::outerCountDiff(kt, posT_, hposT_, negT_, hnegT_,
+                                       dw_, rowBegin, rowEnd);
+            } else {
+                // Float reduce: per entry, positions ascending, each
+                // adding its positive and subtracting its negative
+                // product.
+                std::fill(dwd + rowBegin * n, dwd + rowEnd * n, 0.0f);
+                for (std::size_t pos = 0; pos < batch; ++pos) {
+                    const float *vpos = vpos_.row(pos);
+                    const float *hp = hstat_.row(pos);
+                    const float *hn = hnegs_.row(pos);
+                    const float *vneg = vnegs_.row(pos);
+                    for (std::size_t i = rowBegin; i < rowEnd; ++i) {
+                        float *drow = dw_.row(i);
+                        if (vpos[i] != 0.0f)
+                            for (std::size_t j = 0; j < n; ++j)
+                                drow[j] += vpos[i] * hp[j];
+                        if (vneg[i] != 0.0f)
+                            for (std::size_t j = 0; j < n; ++j)
+                                drow[j] -= vneg[i] * hn[j];
+                    }
+                }
+            }
+            for (std::size_t i = rowBegin * n; i < rowEnd * n; ++i) {
+                mwd[i] = mom * mwd[i] + scale * dwd[i] - decay * wd[i];
+                wd[i] += mwd[i];
+            }
+            backend.refreshTranspose(rowBegin, rowEnd);
         }
     });
     linalg::Vector &bv = model_.visibleBias();
@@ -247,8 +278,13 @@ void
 CdTrainer::trainEpoch(const data::Dataset &train, util::Rng &rng)
 {
     data::MinibatchPlan plan(train.size(), config_.batchSize, rng);
+    // One backend for the epoch: each step refreshes the W^T rows its
+    // update wrote, so the transpose is built once, not per batch.  It
+    // is freed on return, so W^T is not resident between epochs, when
+    // a session writes its checkpoint.
+    SoftwareGibbsBackend backend(model_, config_.pool);
     for (std::size_t b = 0; b < plan.numBatches(); ++b)
-        trainBatch(train, plan.batch(b), rng);
+        step(train, plan.batch(b), rng, backend);
 }
 
 double

@@ -8,8 +8,8 @@
  * hooks so the experiment harnesses can record log-probability
  * trajectories (Fig. 7/8) during training.  It holds no randomness of
  * its own: every drawing method takes the caller's generator, and the
- * sampling backend it builds per batch runs the process's kernel tier
- * (linalg::simd::defaultTier()).
+ * sampling backend it builds per epoch (per call for trainBatch) runs
+ * the process's kernel tier (linalg::simd::defaultTier()).
  */
 
 #ifndef ISINGRBM_RBM_CD_TRAINER_HPP
@@ -62,7 +62,10 @@ class CdTrainer
 
     /**
      * Process one minibatch given sample indices; exposed for harnesses
-     * that interleave evaluation with training.
+     * that interleave evaluation with training.  Builds its own
+     * backend, so W^T is transposed from scratch on every call; the
+     * bytes equal those of the same batches inside trainEpoch.  An
+     * empty index list is a no-op.
      */
     void trainBatch(const data::Dataset &train,
                     const std::vector<std::size_t> &indices,
@@ -101,6 +104,15 @@ class CdTrainer
 
   private:
     void ensureParticles(const data::Dataset &train, util::Rng &rng);
+
+    /**
+     * One CD-k / PCD update of a non-empty batch, sweeping through
+     * @p backend (built over model_) and refreshing its W^T rows as
+     * the update writes them.
+     */
+    void step(const data::Dataset &train,
+              const std::vector<std::size_t> &indices, util::Rng &rng,
+              SoftwareGibbsBackend &backend);
 
     Rbm &model_;
     CdConfig config_;

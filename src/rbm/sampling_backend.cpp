@@ -135,10 +135,10 @@ SoftwareGibbsBackend::SoftwareGibbsBackend(const Rbm &model,
 }
 
 void
-SoftwareGibbsBackend::setModel(const Rbm &model)
+SoftwareGibbsBackend::refreshTranspose(std::size_t rowBegin,
+                                       std::size_t rowEnd)
 {
-    model_ = &model;
-    linalg::transposeInto(model.weights(), wT_);
+    linalg::transposeInto(model_->weights(), wT_, rowBegin, rowEnd);
 }
 
 void

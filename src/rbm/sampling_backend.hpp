@@ -117,9 +117,10 @@ class SamplingBackend
  * states.
  *
  * The visible half-sweep runs off a transpose of W cached at
- * construction/setModel() time, so both directions traverse contiguous
- * rows and skip zero entries of the (binary) input state.  Re-run
- * setModel() after mutating the model's weights.
+ * construction, so both directions traverse contiguous rows and skip
+ * zero entries of the (binary) input state.  Rows of W mutated after
+ * construction reach the visible sweep through refreshTranspose();
+ * the biases are read from the model on every sweep.
  *
  * The batched methods and anneal() pack binary states one unit per
  * bit and run the linalg/bitops.hpp kernels: conditional row adds
@@ -150,8 +151,13 @@ class SoftwareGibbsBackend final : public SamplingBackend
     explicit SoftwareGibbsBackend(const Rbm &model,
                                   exec::ThreadPool *pool = nullptr);
 
-    /** Re-point at a model and refresh the cached transpose. */
-    void setModel(const Rbm &model);
+    /**
+     * Copy rows [rowBegin, rowEnd) of the model's W into the cached
+     * transpose after they changed.  Disjoint ranges write disjoint
+     * entries, so workers may refresh their own rows concurrently
+     * (while no sweep runs).
+     */
+    void refreshTranspose(std::size_t rowBegin, std::size_t rowEnd);
 
     std::size_t numVisible() const override { return model_->numVisible(); }
     std::size_t numHidden() const override { return model_->numHidden(); }

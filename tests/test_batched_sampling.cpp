@@ -8,12 +8,16 @@
  *    chains-over-threads vs units-over-threads kernel shape and to how
  *    a batch is split across calls, at any input activity;
  *  - backends without a native batched path (the analog fabric) must
- *    keep working through the scalar-loop default implementations.
+ *    keep working through the scalar-loop default implementations;
+ *  - CdTrainer's per-epoch backend, whose W^T rows the update refreshes
+ *    in place, must train the bytes a fresh transpose per batch does.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "accel/fabric_backend.hpp"
@@ -66,6 +70,21 @@ expectSameMatrix(const linalg::Matrix &a, const linalg::Matrix &b,
     ASSERT_EQ(a.rows(), b.rows()) << what;
     ASSERT_EQ(a.cols(), b.cols()) << what;
     EXPECT_EQ(linalg::maxAbsDiff(a, b), 0.0) << what;
+}
+
+/** Byte equality: operator== would let 0.0f match -0.0f. */
+bool
+sameBytes(const linalg::Matrix &a, const linalg::Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool
+sameBytes(const linalg::Vector &a, const linalg::Vector &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 data::Dataset
@@ -290,6 +309,80 @@ TEST(BatchedSampling, CdTrainerIsWorkerCountInvariant)
                              persistent ? "pcd weights" : "cd weights");
             EXPECT_TRUE(a.visibleBias() == b.visibleBias());
             EXPECT_TRUE(a.hiddenBias() == b.hiddenBias());
+        }
+    }
+}
+
+TEST(BatchedSampling, CdTrainEpochMatchesFreshTransposeBatches)
+{
+    // trainEpoch sweeps one backend for the whole epoch and refreshes
+    // its W^T rows as the pooled update writes them; trainBatch
+    // transposes W from scratch on every call.  Over the same plan and
+    // generator they must write the same bytes.  67 visible rows are a
+    // multiple of neither the 16-row update block nor the worker count.
+    data::Dataset binary = binaryDataset(60, 67, 83);
+    data::Dataset fractional = binaryDataset(60, 67, 83);
+    Rng fracRng(89);
+    for (std::size_t i = 0; i < fractional.samples.size(); i += 3)
+        fractional.samples.data()[i] = fracRng.uniformFloat();
+
+    for (const data::Dataset *train : {&binary, &fractional}) {
+        for (const bool persistent : {false, true}) {
+            for (const std::size_t workers : {1, 3}) {
+                const std::string what =
+                    std::string(train == &binary ? "binary" : "fractional") +
+                    (persistent ? " pcd " : " cd ") +
+                    std::to_string(workers) + " workers";
+                exec::ThreadPool pool(workers);
+                rbm::CdConfig cfg;
+                cfg.k = 2;
+                cfg.batchSize = 13;
+                cfg.persistent = persistent;
+                cfg.numParticles = 5;
+                cfg.learningRate = 0.05;
+                cfg.momentum = 0.5;
+                cfg.weightDecay = 1e-3;
+                cfg.pool = &pool;
+
+                rbm::Rbm byEpoch = testModel(), byBatch = testModel();
+                rbm::CdTrainer epochTrainer(byEpoch, cfg);
+                rbm::CdTrainer batchTrainer(byBatch, cfg);
+                Rng rngE(97), rngB(97);
+                for (int epoch = 0; epoch < 2; ++epoch) {
+                    epochTrainer.trainEpoch(*train, rngE);
+                    data::MinibatchPlan plan(train->size(), cfg.batchSize,
+                                             rngB);
+                    for (std::size_t b = 0; b < plan.numBatches(); ++b)
+                        batchTrainer.trainBatch(*train, plan.batch(b), rngB);
+                }
+
+                EXPECT_TRUE(sameBytes(byEpoch.weights(), byBatch.weights()))
+                    << what;
+                EXPECT_TRUE(sameBytes(byEpoch.visibleBias(),
+                                      byBatch.visibleBias()))
+                    << what;
+                EXPECT_TRUE(sameBytes(byEpoch.hiddenBias(),
+                                      byBatch.hiddenBias()))
+                    << what;
+                EXPECT_EQ(epochTrainer.updatesDone(),
+                          batchTrainer.updatesDone())
+                    << what;
+                EXPECT_EQ(rngE.next(), rngB.next()) << what;
+                rbm::TrainState stateE, stateB;
+                epochTrainer.captureState(stateE, "");
+                batchTrainer.captureState(stateB, "");
+                for (const char *name : {"momentum_w", "momentum_bv",
+                                         "momentum_bh", "particles"}) {
+                    const linalg::Matrix *a = stateE.tensor(name);
+                    const linalg::Matrix *b = stateB.tensor(name);
+                    if (!persistent && std::string(name) == "particles") {
+                        EXPECT_TRUE(!a && !b) << what;
+                        continue;
+                    }
+                    ASSERT_TRUE(a && b) << what << " " << name;
+                    EXPECT_TRUE(sameBytes(*a, *b)) << what << " " << name;
+                }
+            }
         }
     }
 }

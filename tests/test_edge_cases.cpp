@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "accel/fabric_backend.hpp"
+#include "accel/gibbs_sampler.hpp"
 #include "data/dataset.hpp"
 #include "ising/analog.hpp"
 #include "ising/brim.hpp"
@@ -55,6 +56,58 @@ TEST(EdgeCases, SingleSampleTraining)
     rbm::CdTrainer trainer(model, cfg);
     trainer.trainEpoch(ds, rng);  // must not crash
     EXPECT_EQ(trainer.updatesDone(), 1u);
+}
+
+TEST(EdgeCases, EmptyCdBatchIsANoOp)
+{
+    Rng init(11);
+    data::Dataset ds;
+    ds.samples.reset(4, 8);
+    ds.samples(1, 2) = ds.samples(3, 7) = 1.0f;
+    rbm::Rbm model(8, 4);
+    model.initRandom(init, 0.3f);
+    const rbm::Rbm before = model;
+    rbm::CdConfig cfg;
+    cfg.momentum = 0.5;
+    cfg.persistent = true;  // particles are drawn on the first batch
+    rbm::CdTrainer trainer(model, cfg);
+
+    Rng rng(12), untouched(12);
+    trainer.trainBatch(ds, {}, rng);
+    EXPECT_EQ(model.weights(), before.weights());
+    EXPECT_EQ(model.visibleBias(), before.visibleBias());
+    EXPECT_EQ(model.hiddenBias(), before.hiddenBias());
+    EXPECT_EQ(trainer.updatesDone(), 0u);
+    EXPECT_EQ(rng.next(), untouched.next());
+    rbm::TrainState state;
+    trainer.captureState(state, "");
+    EXPECT_EQ(state.tensor("particles"), nullptr);
+    EXPECT_EQ(state.tensor("momentum_w"), nullptr);
+}
+
+TEST(EdgeCases, EmptyGsBatchIsANoOp)
+{
+    Rng init(13);
+    data::Dataset ds;
+    ds.samples.reset(4, 8);
+    ds.samples(0, 1) = ds.samples(2, 5) = 1.0f;
+    rbm::Rbm model(8, 4);
+    model.initRandom(init, 0.3f);
+    const rbm::Rbm before = model;
+    accel::GsConfig cfg;
+    cfg.analog.idealComponents = true;
+    accel::GibbsSamplerAccel gs(model, cfg);
+
+    Rng rng(14), untouched(14);
+    gs.trainBatch(ds, {}, rng);
+    EXPECT_EQ(model.weights(), before.weights());
+    EXPECT_EQ(model.visibleBias(), before.visibleBias());
+    EXPECT_EQ(model.hiddenBias(), before.hiddenBias());
+    EXPECT_EQ(rng.next(), untouched.next());
+    const accel::GsCounters &c = gs.counters();
+    EXPECT_EQ(c.samplesProcessed + c.fabricSweeps + c.reprograms +
+                  c.hostUpdates + c.bitsToHost + c.bitsToDevice,
+              0u);
 }
 
 TEST(EdgeCases, FabricProgramIsIdempotent)

@@ -46,6 +46,14 @@ roundedProduct(float a, float b)
     return p;
 }
 
+Matrix
+transposed(const Matrix &m)
+{
+    Matrix t;
+    transposeInto(m, t);
+    return t;
+}
+
 } // namespace
 
 TEST(Matrix, ConstructionAndIndexing)
@@ -63,7 +71,7 @@ TEST(Matrix, TransposeInvolution)
 {
     Rng rng(1);
     const Matrix m = randomMatrix(7, 5, rng);
-    const Matrix tt = m.transposed().transposed();
+    const Matrix tt = transposed(transposed(m));
     EXPECT_EQ(maxAbsDiff(m, tt), 0.0);
 }
 
@@ -71,7 +79,7 @@ TEST(Matrix, TransposeEntries)
 {
     Rng rng(2);
     const Matrix m = randomMatrix(6, 9, rng);
-    const Matrix t = m.transposed();
+    const Matrix t = transposed(m);
     for (std::size_t r = 0; r < m.rows(); ++r)
         for (std::size_t c = 0; c < m.cols(); ++c)
             ASSERT_FLOAT_EQ(t(c, r), m(r, c));
@@ -118,7 +126,7 @@ TEST(Ops, GemvOrientationsAgreeViaTranspose)
     Vector viaT, viaPlain;
     gemvT(w, x, zero6, viaT);
     const Vector zero8v(8, 0.0f);
-    gemv(w.transposed(), x, zero6, viaPlain);
+    gemv(transposed(w), x, zero6, viaPlain);
     for (std::size_t j = 0; j < 6; ++j)
         EXPECT_NEAR(viaT[j], viaPlain[j], 1e-4);
 }

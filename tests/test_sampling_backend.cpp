@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -195,21 +196,35 @@ TEST(SoftwareGibbsBackend, MeansMatchTheModelConditionals)
         EXPECT_NEAR(pv[i], want[i], 1e-6f) << i;
 }
 
-TEST(SoftwareGibbsBackend, SetModelRefreshesTheCachedTranspose)
+TEST(SoftwareGibbsBackend, RefreshTransposeCopiesOnlyTheGivenRows)
 {
     Rng rng(9);
     rbm::Rbm model(6, 4);
     model.initRandom(rng, 0.3f);
+    const rbm::Rbm before = model;
     rbm::SoftwareGibbsBackend backend(model);
 
-    // Mutate the weights, refresh, and check the visible means track.
+    // Mutate a row inside the refreshed range [1, 4) and one outside
+    // it: the visible means track the new row 2 and still read the
+    // cached row 5 until its own refresh.
     model.weights()(2, 1) = 5.0f;
-    backend.setModel(model);
-    linalg::Vector h(4, 1.0f), dummy, pv, want;
+    model.weights()(5, 3) = -5.0f;
+    backend.refreshTranspose(1, 4);
+    linalg::Vector h(4, 1.0f), dummy, pv, fresh, stale;
+    model.visibleProbs(h.data(), fresh);
+    before.visibleProbs(h.data(), stale);
+    ASSERT_GT(std::abs(fresh[2] - stale[2]), 0.1f);
+    ASSERT_GT(std::abs(fresh[5] - stale[5]), 0.1f);
+
     backend.sampleVisible(h, dummy, pv, rng);
-    model.visibleProbs(h.data(), want);
-    for (std::size_t i = 0; i < want.size(); ++i)
-        EXPECT_NEAR(pv[i], want[i], 1e-6f) << i;
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_NEAR(pv[i], fresh[i], 1e-6f) << i;
+    EXPECT_NEAR(pv[5], stale[5], 1e-6f);
+
+    backend.refreshTranspose(4, 6);
+    backend.sampleVisible(h, dummy, pv, rng);
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+        EXPECT_NEAR(pv[i], fresh[i], 1e-6f) << i;
 }
 
 TEST(AnalogFabricBackend, BorrowedFabricIsShared)

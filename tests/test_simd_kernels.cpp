@@ -622,7 +622,7 @@ TEST(SimdTrainer, CdTrainingBitIdenticalAcrossTiersAndWorkers)
                 cfg.k = 2;
                 cfg.momentum = 0.5;
                 cfg.pool = pool;
-                // Each batch's backend resolves the pinned tier.
+                // Each epoch's backend resolves the pinned tier.
                 ::setenv("ISINGRBM_ISA", kt->name, 1);
                 Rng rng(51);
                 rbm::CdTrainer trainer(model, cfg);
